@@ -43,6 +43,7 @@ impl BitSized for FactBundle {
 }
 
 /// Per-node state of the flooding calibrator.
+#[derive(Clone)]
 pub struct FloodNode {
     id: NodeId,
     /// Facts already seen (and therefore never broadcast again).

@@ -38,6 +38,7 @@ impl BitSized for NaiveMsg {
 }
 
 /// Per-node state of the unsound no-timestamp 2-hop tracker.
+#[derive(Clone)]
 pub struct NaiveTwoHopNode {
     id: NodeId,
     incident: FxHashSet<NodeId>,

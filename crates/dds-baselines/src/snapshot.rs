@@ -76,6 +76,7 @@ enum QueueItem {
 }
 
 /// Per-node state of the snapshot-based full 2-hop listing structure.
+#[derive(Clone)]
 pub struct SnapshotNode {
     id: NodeId,
     n: usize,

@@ -10,6 +10,11 @@
 //!   same tokens the CLI accepts), and an FNV-1a checksum of the
 //!   canonically serialized body. The header is everything needed to
 //!   decide *how* to restore before touching the body.
+//!
+//!   The checksum exists only in the document: [`Snapshot::to_json`]
+//!   hashes the body bytes it writes and [`Snapshot::from_json`] checks
+//!   them. No in-memory [`SnapshotHeader`] holds it, so capturing a
+//!   snapshot that is never written serializes nothing.
 //! - `body` — the full engine state: topology (timestamped edge set),
 //!   per-node protocol state (via [`Checkpointable`]), both amortized
 //!   meters, bandwidth counters, the per-round stats log, and the
@@ -147,13 +152,10 @@ pub struct SnapshotHeader {
     pub record_stats: bool,
     /// Bandwidth budget configuration.
     pub bandwidth: crate::bandwidth::BandwidthConfig,
-    /// FNV-1a 64 checksum of the canonically serialized body.
-    pub checksum: u64,
 }
 
 impl SnapshotHeader {
-    /// Describe a live run: protocol + position + configuration, with the
-    /// checksum left for [`Snapshot::new`] to stamp.
+    /// Describe a live run: protocol + position + configuration.
     pub fn describe(protocol: &str, n: usize, round: u64, cfg: &crate::sim::SimConfig) -> Self {
         SnapshotHeader {
             version: SNAPSHOT_VERSION,
@@ -166,7 +168,6 @@ impl SnapshotHeader {
             parallel: cfg.parallel,
             record_stats: cfg.record_stats,
             bandwidth: cfg.bandwidth,
-            checksum: 0,
         }
     }
 
@@ -195,10 +196,8 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Pair a header with a captured body, stamping the body's checksum
-    /// into the header.
-    pub fn new(mut header: SnapshotHeader, body: Value) -> Self {
-        header.checksum = body_checksum(&body);
+    /// Pair a header with a captured body.
+    pub fn new(header: SnapshotHeader, body: Value) -> Self {
         Snapshot { header, body }
     }
 
@@ -212,7 +211,13 @@ impl Snapshot {
     /// production sizes (tens of MB) pretty-printing roughly doubles both
     /// the file and the restore-time parse — pipe through `python3 -m
     /// json.tool` when a human actually needs to look inside one.
+    ///
+    /// The body is serialized once; the header's `checksum` field is the
+    /// FNV-1a 64 of exactly those bytes, and the document is the header
+    /// and body spliced into `{"header":…,"body":…}`, the compact writer's
+    /// own rendering of that object.
     pub fn to_json(&self) -> String {
+        let body = serde_json::to_string(&self.body).expect("json write is infallible");
         let h = &self.header;
         let header = obj(vec![
             ("format", Value::Str(SNAPSHOT_FORMAT.into())),
@@ -226,12 +231,10 @@ impl Snapshot {
             ("parallel", Value::Bool(h.parallel)),
             ("record_stats", Value::Bool(h.record_stats)),
             ("bandwidth", serde::Serialize::to_value(&h.bandwidth)),
-            ("checksum", Value::U64(h.checksum)),
+            ("checksum", Value::U64(fnv1a64(body.as_bytes()))),
         ]);
-        let doc = obj(vec![("header", header), ("body", self.body.clone())]);
-        let mut s = serde_json::to_string(&doc).expect("json write is infallible");
-        s.push('\n');
-        s
+        let header = serde_json::to_string(&header).expect("json write is infallible");
+        format!("{{\"header\":{header},\"body\":{body}}}\n")
     }
 
     /// Parse and validate an on-disk snapshot document: JSON shape, format
@@ -285,18 +288,15 @@ impl Snapshot {
             record_stats: hbool("record_stats")?,
             bandwidth: crate::bandwidth::BandwidthConfig::from_value(hfield("bandwidth")?)
                 .map_err(|e| RestoreError::Corrupt(format!("header: {e}")))?,
-            checksum: hu64("checksum")?,
         };
+        let expected = hu64("checksum")?;
         let body = doc
             .get("body")
             .ok_or_else(|| RestoreError::Corrupt("missing `body` section".into()))?
             .clone();
         let actual = body_checksum(&body);
-        if actual != header.checksum {
-            return Err(RestoreError::ChecksumMismatch {
-                expected: header.checksum,
-                actual,
-            });
+        if actual != expected {
+            return Err(RestoreError::ChecksumMismatch { expected, actual });
         }
         Ok(Snapshot { header, body })
     }
@@ -392,8 +392,8 @@ fn checkpoint_file_round(name: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
-/// The checksum the header carries: FNV-1a 64 over the body's canonical
-/// (compact) JSON serialization.
+/// The checksum a document's header carries: FNV-1a 64 over the body's
+/// canonical (compact) JSON serialization.
 fn body_checksum(body: &Value) -> u64 {
     let canonical = serde_json::to_string(body).expect("json write is infallible");
     fnv1a64(canonical.as_bytes())
@@ -486,7 +486,6 @@ mod tests {
             parallel: false,
             record_stats: true,
             bandwidth: BandwidthConfig::default(),
-            checksum: 0,
         }
     }
 

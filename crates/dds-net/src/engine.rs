@@ -284,7 +284,7 @@ impl ProtocolRegistry {
 
     /// Register protocol `N` under `name` with the caller's config passed
     /// through unchanged.
-    pub fn register<N: Queryable + Checkpointable + 'static>(
+    pub fn register<N: Queryable + Checkpointable + Clone + 'static>(
         &mut self,
         name: &'static str,
         summary: &'static str,
@@ -295,7 +295,7 @@ impl ProtocolRegistry {
     /// Register protocol `N` under `name`, with `prep` adjusting the
     /// caller's config first (e.g. the flooding calibrator switching the
     /// bandwidth policy to `Observe`).
-    pub fn register_with<N: Queryable + Checkpointable + 'static>(
+    pub fn register_with<N: Queryable + Checkpointable + Clone + 'static>(
         &mut self,
         name: &'static str,
         summary: &'static str,
@@ -386,6 +386,7 @@ mod tests {
     use crate::query::{Answer, Query, QueryError};
 
     /// Trivial always-consistent protocol for registry tests.
+    #[derive(Clone)]
     struct Idle;
     impl Node for Idle {
         type Msg = ();

@@ -189,25 +189,47 @@ pub(crate) struct RoundBuffers<M> {
 impl<M> RoundBuffers<M> {
     /// Buffers for a network on `n` nodes (empty graph, empty active set).
     pub(crate) fn new(n: usize) -> Self {
+        Self::resume(vec![Vec::new(); n], Vec::new(), vec![Flags::default(); n])
+    }
+
+    /// Buffers resuming between rounds from the only state that outlives
+    /// a round: the sorted adjacency (invariant 2), the active set
+    /// (invariant 3) and the flag column (invariant 4). Everything else
+    /// is per-round scratch and starts empty. Restore and fork both build
+    /// through here, so a restored and a forked simulator start their
+    /// next round from the same buffers.
+    pub(crate) fn resume(nbrs: Vec<Vec<NodeId>>, active: Vec<u32>, out_flags: Vec<Flags>) -> Self {
+        let n = nbrs.len();
+        debug_assert_eq!(out_flags.len(), n, "one flag slot per node");
         RoundBuffers {
-            nbrs: vec![Vec::new(); n],
+            nbrs,
             local: Vec::new(),
             local_nodes: Vec::new(),
             local_start: vec![0; n],
             local_len: vec![0; n],
             touched_changes: Vec::new(),
-            out_flags: vec![Flags::default(); n],
+            out_flags,
             staged: Vec::new(),
             flag_stage: Vec::new(),
             inbox: Vec::new(),
             inbox_off: Vec::new(),
             recv_nodes: Vec::new(),
             inconsistent_idx: Vec::new(),
-            active: Vec::new(),
+            active,
             shard_scratch: Vec::new(),
             merge_tmp: Vec::new(),
             cursor: vec![0; n],
         }
+    }
+
+    /// An independent copy for a forked simulator: the between-round
+    /// state cloned, fresh scratch (see [`RoundBuffers::resume`]).
+    pub(crate) fn fork(&self) -> Self {
+        Self::resume(
+            self.nbrs.clone(),
+            self.active.clone(),
+            self.out_flags.clone(),
+        )
     }
 
     /// Make sure at least `k` shard scratches exist.

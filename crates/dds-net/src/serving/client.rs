@@ -14,6 +14,12 @@
 //! Server-side errors (a rejected ingest, an unknown session) are *typed
 //! answers*, never retried.
 //!
+//! Every transport failure drops the connection, whether or not a retry
+//! follows: a request that timed out may still be answered later, and a
+//! reply carries no request id, so the next request on the same socket
+//! would read the late reply as its own. The next exchange connects
+//! afresh.
+//!
 //! Two clients writing the same session concurrently should use distinct
 //! config seeds: sequence streams derive from the seed, and the dedup
 //! record compares `(seq, content digest)`.
@@ -108,7 +114,9 @@ enum ExchangeError {
 
 /// One TCP connection speaking the serve wire protocol.
 pub struct Client {
-    stream: TcpStream,
+    /// `None` after a transport failure, until the next exchange
+    /// reconnects.
+    stream: Option<TcpStream>,
     addr: String,
     cfg: ClientConfig,
     /// Jitter stream state.
@@ -132,7 +140,7 @@ impl Client {
         let rng = splitmix64_mix(cfg.seed ^ 0x9E37_79B9_7F4A_7C15);
         let seq = splitmix64_mix(cfg.seed);
         Ok(Client {
-            stream,
+            stream: Some(stream),
             addr: addr.to_string(),
             cfg,
             rng,
@@ -175,17 +183,17 @@ impl Client {
             if attempt > 0 {
                 self.retries += 1;
                 self.backoff_sleep(attempt);
-                // A transport failure leaves the stream in an unknown
-                // framing state; a fresh connection is the only safe one.
-                if let Err(e) = self.reconnect() {
-                    last = e;
-                    continue;
-                }
             }
             match self.exchange(&bytes) {
                 Ok(v) => return Ok(v),
                 Err(ExchangeError::Server(e)) => return Err(e),
-                Err(ExchangeError::Transport(e)) => last = e,
+                Err(ExchangeError::Transport(e)) => {
+                    // The stream is in an unknown framing state and may
+                    // still deliver this request's late reply; only a
+                    // fresh connection is safe for the next exchange.
+                    self.stream = None;
+                    last = e;
+                }
             }
         }
         Err(last)
@@ -205,17 +213,20 @@ impl Client {
         std::thread::sleep(Duration::from_nanos(exp.saturating_add(jitter)));
     }
 
-    fn reconnect(&mut self) -> Result<(), String> {
-        self.stream = open_stream(&self.addr, &self.cfg)?;
-        self.reconnects += 1;
-        Ok(())
-    }
-
-    /// One raw request/response exchange on the current stream.
+    /// One raw request/response exchange on the current stream,
+    /// connecting first when a transport failure dropped it.
     fn exchange(&mut self, bytes: &[u8]) -> Result<Value, ExchangeError> {
         let t = ExchangeError::Transport;
-        wire::write_frame(&mut self.stream, bytes).map_err(|e| t(format!("send: {e}")))?;
-        let (payload, _) = wire::read_frame(&mut self.stream)
+        let stream = match &mut self.stream {
+            Some(stream) => stream,
+            None => {
+                let stream = open_stream(&self.addr, &self.cfg).map_err(t)?;
+                self.reconnects += 1;
+                self.stream.insert(stream)
+            }
+        };
+        wire::write_frame(stream, bytes).map_err(|e| t(format!("send: {e}")))?;
+        let (payload, _) = wire::read_frame(stream)
             .map_err(|e| t(format!("recv: {e}")))?
             .ok_or_else(|| t("server closed the connection".into()))?;
         let text =

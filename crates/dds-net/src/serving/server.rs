@@ -7,7 +7,7 @@
 //! timeouts let handler threads notice it too. Shutdown (SIGTERM via the
 //! CLI, or the `shutdown` verb) is graceful: the accept loop stops taking
 //! connections, handler threads finish their current request and close,
-//! and `run` joins them all before returning.
+//! and `run` joins them all and closes every session before returning.
 //!
 //! [`ServerOptions`] adds the fault-tolerance layer: a seeded
 //! [`FaultPlan`] injected into every response write (chaos testing), a
@@ -209,8 +209,9 @@ impl Server {
     }
 
     /// Run the accept loop until a stop is requested, then join every
-    /// connection thread. Blocking — callers wanting an in-process server
-    /// spawn this on a thread and keep the [`ServerHandle`].
+    /// connection thread and close every session. Blocking — callers
+    /// wanting an in-process server spawn this on a thread and keep the
+    /// [`ServerHandle`].
     pub fn run(self) -> io::Result<()> {
         self.listener.set_nonblocking(true)?;
         let mut workers = Vec::new();
@@ -247,6 +248,10 @@ impl Server {
         for h in workers {
             let _ = h.join();
         }
+        // Free the sessions here, on the accept-loop thread, rather than
+        // wherever the last handle is dropped: handles outlive the daemon
+        // (the CLI keeps one for its shutdown banner), its state should not.
+        self.state.directory.close_all();
         Ok(())
     }
 }
@@ -494,7 +499,7 @@ fn handle_request(
             seq,
         } => {
             let serving = state.directory.get(&session)?;
-            let watermark = serving.step_quiet(registry, rounds, seq, faults)?;
+            let watermark = serving.step_quiet(rounds, seq, faults)?;
             state.metrics.rounds.fetch_add(rounds, Ordering::Relaxed);
             Ok(wire::ok_response(vec![
                 ("watermark", Value::U64(watermark)),

@@ -9,9 +9,9 @@
 //! `Arc` swapped under a second mutex). Write verbs — `open`, `ingest`,
 //! `step`, `checkpoint`, `close` — serialize on the writer lock, so the
 //! round loop runs exactly as it does locally: determinism is untouched.
-//! After every write verb the writer *publishes*: it captures a snapshot
-//! and restores it into a fresh, fully independent `Session` (bit-exact
-//! by the PR 8 checkpoint guarantee), then swaps the `Arc` in.
+//! After every write verb the writer *publishes*: it forks the live
+//! session ([`Session::fork`] — an in-memory copy, nothing serialized)
+//! into a fully independent `Session`, then swaps the `Arc` in.
 //!
 //! Readers (`query` verbs) clone the current `Arc` — the only time they
 //! hold any lock is for that pointer copy — and answer against an
@@ -23,20 +23,26 @@
 //! - ingest never blocks readers: in-flight queries keep their `Arc` and
 //!   finish against the old view while new queries see the new one;
 //! - answers are bit-identical to a local session queried at the
-//!   watermark round, because the published view *is* a checkpoint
-//!   round-trip of the writer at that round.
+//!   watermark round, because the published view *is* a fork of the
+//!   writer at that round, and a fork is observably identical to its
+//!   original and independent of it (`tests/checkpoint_restore.rs`
+//!   checks both across the protocol × workload × engine matrix).
 //!
 //! # Durability and the fail-stop invariant
 //!
-//! When a session has durability enabled, the snapshot taken for
-//! publication is also written (atomically: tmp + fsync + rename) to the
-//! session's checkpoint directory **before** the view swap. The ordering
-//! is the whole argument: a write verb is acknowledged only after its
-//! state is durable *and* published, so an acked round can always be
-//! recovered, and a crash at any point loses at most un-acked work.
-//! [`CrashPoint`]s bracket exactly the interesting moments — before
-//! persist+publish, after publish before the reply, and midway through
-//! the snapshot file write.
+//! When a session has durability enabled, every `every`-th write verb
+//! also *persists*: it captures a [`Snapshot`] of the writer and writes
+//! it (atomically: tmp + fsync + rename) to the session's checkpoint
+//! directory **before** the view swap. A write that does not persist
+//! captures and serializes nothing; one that does serializes the body
+//! once, in [`Snapshot::to_json`], which writes the checksum over those
+//! bytes ([`Snapshot::from_json`] checks it on recovery; no in-memory
+//! header holds it). The ordering is the whole argument: a write verb is
+//! acknowledged only after its state is durable *and* published, so an
+//! acked round can always be recovered, and a crash at any point loses
+//! at most un-acked work. [`CrashPoint`]s bracket exactly the interesting
+//! moments — before persist+publish, after publish before the reply, and
+//! midway through the snapshot file write.
 //!
 //! # Retry deduplication
 //!
@@ -70,7 +76,7 @@ use std::time::{Duration, Instant};
 /// An immutable, fully settled view of a session at one round — what
 /// every reader queries.
 pub struct PublishedView {
-    /// The restored session (never stepped again).
+    /// A fork of the writer (never stepped again).
     pub session: Session,
     /// The settled watermark: the round the view is frozen at.
     pub round: Round,
@@ -130,13 +136,12 @@ pub struct ServingSession {
 impl ServingSession {
     /// Wrap a freshly opened (or restored) session, publishing its
     /// current state as the first view.
-    fn new(
-        registry: &'static ProtocolRegistry,
-        name: &str,
-        session: Session,
-    ) -> Result<ServingSession, String> {
-        let view = publish_view(registry, &session)?;
-        Ok(ServingSession {
+    fn new(name: &str, session: Session) -> ServingSession {
+        let view = PublishedView {
+            session: session.fork(),
+            round: session.round(),
+        };
+        ServingSession {
             name: name.to_string(),
             last_write: Mutex::new(None),
             writer: Mutex::new(session),
@@ -147,7 +152,7 @@ impl ServingSession {
             peak_active: AtomicU64::new(0),
             epoch: Instant::now(),
             touched_ms: AtomicU64::new(0),
-        })
+        }
     }
 
     /// Open a fresh session on an empty `n`-node network.
@@ -158,7 +163,7 @@ impl ServingSession {
         n: usize,
         cfg: SimConfig,
     ) -> Result<ServingSession, String> {
-        ServingSession::new(registry, name, registry.open(protocol, n, cfg)?)
+        Ok(ServingSession::new(name, registry.open(protocol, n, cfg)?))
     }
 
     /// Warm-start from a snapshot (the `--resume` / inline-snapshot /
@@ -169,7 +174,7 @@ impl ServingSession {
         snap: &Snapshot,
     ) -> Result<ServingSession, String> {
         let session = registry.restore(snap).map_err(|e| e.to_string())?;
-        ServingSession::new(registry, name, session)
+        Ok(ServingSession::new(name, session))
     }
 
     /// The current settled view (an `Arc` clone; the lock is held only
@@ -236,7 +241,6 @@ impl ServingSession {
     /// makes a racing retry block until the original's outcome exists.
     fn write_verb(
         &self,
-        registry: &'static ProtocolRegistry,
         seq: Option<u64>,
         digest: u64,
         faults: Option<&FaultPlan>,
@@ -248,7 +252,7 @@ impl ServingSession {
                 return prev.result.clone();
             }
         }
-        let result = self.write_and_publish(registry, seq.map(|s| (s, digest)), faults, work);
+        let result = self.write_and_publish(seq.map(|s| (s, digest)), faults, work);
         *last = seq.map(|seq| LastWrite {
             seq,
             digest,
@@ -257,48 +261,40 @@ impl ServingSession {
         result
     }
 
-    /// Run write work under the writer lock, persist the snapshot when
-    /// durability says so, then publish the resulting state as the new
-    /// settled view. The publish happens even when the work errors
-    /// partway: the applied prefix is real, settled state, and readers
-    /// must be able to see it (the error goes back to the writer client
-    /// only). Returns the watermark round.
+    /// Run write work under the writer lock, persist a snapshot when
+    /// durability says so, then publish a fork of the resulting state as
+    /// the new settled view. The publish happens even when the work
+    /// errors partway: the applied prefix is real, settled state, and
+    /// readers must be able to see it (the error goes back to the writer
+    /// client only). Returns the watermark round.
     ///
     /// Ordering is the durability argument: persist strictly before
     /// publish, publish strictly before the (caller-written) reply — an
     /// acknowledged write is always recoverable.
     fn write_and_publish(
         &self,
-        registry: &'static ProtocolRegistry,
         seq_digest: Option<(u64, u64)>,
         faults: Option<&FaultPlan>,
         work: impl FnOnce(&mut MutexGuard<'_, Session>) -> Result<(), String>,
     ) -> Result<Round, String> {
         let mut writer = self.writer.lock().expect("writer lock poisoned");
         let outcome = work(&mut writer);
-        // Capture the snapshot while still holding the writer lock (the
-        // state must not advance under the checkpoint), but *not* the
-        // view lock: readers keep querying the old view the whole time.
-        let snap = writer.checkpoint();
-        let round = snap.header.round;
+        let round = writer.round();
         if let Some(plan) = faults {
             if plan.crash_due(CrashPoint::BeforePublish) {
                 plan.execute_crash();
                 return Err("daemon crashed before publish (injected)".into());
             }
         }
-        self.persist_if_due(&snap, seq_digest, faults)?;
-        let restored = registry.restore(&snap).map_err(|e| {
-            format!(
-                "publishing session state failed to round-trip through a snapshot: {e} \
-                 (protocol {:?})",
-                writer.protocol()
-            )
-        })?;
-        *self.published.lock().expect("published view poisoned") = Arc::new(PublishedView {
-            session: restored,
+        // Persist and fork while still holding the writer lock (the state
+        // must not advance under either), but *not* the view lock:
+        // readers keep querying the old view the whole time.
+        self.persist_if_due(&writer, seq_digest, faults)?;
+        let view = Arc::new(PublishedView {
+            session: writer.fork(),
             round,
         });
+        *self.published.lock().expect("published view poisoned") = view;
         if let Some(plan) = faults {
             if plan.crash_due(CrashPoint::AfterPublish) {
                 plan.execute_crash();
@@ -308,10 +304,12 @@ impl ServingSession {
         outcome.map(|()| round)
     }
 
-    /// Persist the snapshot if this write hits the durability cadence.
+    /// Persist a snapshot of the writer if this write hits the durability
+    /// cadence. The snapshot is captured only here, so a write that does
+    /// not persist never builds one.
     fn persist_if_due(
         &self,
-        snap: &Snapshot,
+        writer: &Session,
         seq_digest: Option<(u64, u64)>,
         faults: Option<&FaultPlan>,
     ) -> Result<(), String> {
@@ -323,7 +321,8 @@ impl ServingSession {
         if state.pending < state.cfg.every {
             return Ok(());
         }
-        persist_snapshot(&state.cfg.dir, snap, seq_digest, faults)?;
+        let snap = writer.checkpoint();
+        persist_snapshot(&state.cfg.dir, &snap, seq_digest, faults)?;
         state.pending = 0;
         self.durable_round
             .store(snap.header.round, Ordering::Release);
@@ -338,15 +337,19 @@ impl ServingSession {
     /// an error naming the round and the offending event; the valid prefix
     /// stays applied and published (the client can re-sync from the
     /// returned error + a `list` of the session's round).
+    ///
+    /// `_registry` is unused — publishing forks the writer rather than
+    /// restoring a snapshot through the registry — and stays so existing
+    /// callers keep compiling.
     pub fn ingest(
         &self,
-        registry: &'static ProtocolRegistry,
+        _registry: &'static ProtocolRegistry,
         batches: &[EventBatch],
         seq: Option<u64>,
         faults: Option<&FaultPlan>,
     ) -> Result<Round, String> {
         let digest = ingest_digest(batches);
-        self.write_verb(registry, seq, digest, faults, |writer| {
+        self.write_verb(seq, digest, faults, |writer| {
             for batch in batches {
                 writer.topology().validate(batch).map_err(|e| {
                     format!(
@@ -367,13 +370,12 @@ impl ServingSession {
     /// Advance by quiet rounds. Returns the new watermark.
     pub fn step_quiet(
         &self,
-        registry: &'static ProtocolRegistry,
         rounds: u64,
         seq: Option<u64>,
         faults: Option<&FaultPlan>,
     ) -> Result<Round, String> {
         let digest = step_digest(rounds);
-        self.write_verb(registry, seq, digest, faults, |writer| {
+        self.write_verb(seq, digest, faults, |writer| {
             for _ in 0..rounds {
                 writer.step_quiet();
                 self.note_round(writer);
@@ -470,26 +472,6 @@ pub fn path_safe(name: &str) -> bool {
         && name
             .chars()
             .all(|c| c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-'))
-}
-
-/// Checkpoint-and-restore the session into an independent settled view.
-fn publish_view(
-    registry: &'static ProtocolRegistry,
-    session: &Session,
-) -> Result<PublishedView, String> {
-    let snap = session.checkpoint();
-    let round = snap.header.round;
-    let restored = registry.restore(&snap).map_err(|e| {
-        format!(
-            "publishing session state failed to round-trip through a snapshot: {e} \
-             (protocol {:?})",
-            session.protocol()
-        )
-    })?;
-    Ok(PublishedView {
-        session: restored,
-        round,
-    })
 }
 
 /// What `--recover` found and did.
@@ -670,6 +652,13 @@ impl Directory {
             .remove(name)
             .map(|_| ())
             .ok_or_else(|| format!("no session named {name:?}"))
+    }
+
+    /// Remove every session (the daemon stopped). Their state is freed
+    /// outside the directory lock, on the calling thread.
+    pub(crate) fn close_all(&self) {
+        let sessions = std::mem::take(&mut *self.sessions.lock().expect("directory lock poisoned"));
+        drop(sessions);
     }
 
     /// Evict every session idle longer than `timeout`; returns the

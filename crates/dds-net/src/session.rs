@@ -51,9 +51,10 @@ trait ErasedSim: Send + Sync {
     fn summarize(&self, name: &str, seconds: f64, rss_baseline_mb: f64) -> RunSummary;
     fn config(&self) -> SimConfig;
     fn save_body(&self) -> serde::Value;
+    fn fork(&self) -> Box<dyn ErasedSim>;
 }
 
-impl<N: Queryable + Checkpointable> ErasedSim for Simulator<N> {
+impl<N: Queryable + Checkpointable + Clone + 'static> ErasedSim for Simulator<N> {
     fn n(&self) -> usize {
         Simulator::n(self)
     }
@@ -108,6 +109,9 @@ impl<N: Queryable + Checkpointable> ErasedSim for Simulator<N> {
     fn save_body(&self) -> serde::Value {
         Simulator::save_state(self)
     }
+    fn fork(&self) -> Box<dyn ErasedSim> {
+        Box::new(self.clone())
+    }
 }
 
 /// A live, type-erased protocol run that can be stepped, inspected and
@@ -131,7 +135,7 @@ impl Session {
     /// Frontends normally go through
     /// [`ProtocolRegistry::open`](crate::engine::ProtocolRegistry::open)
     /// instead, which resolves `N` from the registry name.
-    pub fn open<N: Queryable + Checkpointable + 'static>(
+    pub fn open<N: Queryable + Checkpointable + Clone + 'static>(
         protocol: &'static str,
         n: usize,
         cfg: SimConfig,
@@ -160,7 +164,7 @@ impl Session {
     /// taken from the header verbatim. Frontends normally go through
     /// [`ProtocolRegistry::restore`](crate::engine::ProtocolRegistry::restore),
     /// which resolves `N` from the header's protocol name.
-    pub fn restore<N: Queryable + Checkpointable + 'static>(
+    pub fn restore<N: Queryable + Checkpointable + Clone + 'static>(
         protocol: &'static str,
         snap: &Snapshot,
     ) -> Result<Session, RestoreError> {
@@ -188,6 +192,22 @@ impl Session {
             busy_seconds: 0.0,
             rss_baseline_mb,
         })
+    }
+
+    /// An independent in-memory copy of this session at its current
+    /// round. Stepping either leaves the other untouched, both checkpoint
+    /// to the same bytes, and continuing the copy is bit-identical to
+    /// continuing a restore of [`Session::checkpoint`] — without
+    /// serializing anything. The copy keeps this session's busy time and
+    /// RSS baseline, so its [`Session::summary`] describes this run.
+    pub fn fork(&self) -> Session {
+        Session {
+            protocol: self.protocol,
+            supported: self.supported,
+            sim: self.sim.fork(),
+            busy_seconds: self.busy_seconds,
+            rss_baseline_mb: self.rss_baseline_mb,
+        }
     }
 
     /// The registry name this session runs.
@@ -407,6 +427,7 @@ mod tests {
 
     /// Minimal queryable protocol: tracks incident edges, answers `Edge`
     /// queries about them, always consistent after one round.
+    #[derive(Clone)]
     struct EdgeSet {
         id: NodeId,
         peers: Vec<NodeId>,

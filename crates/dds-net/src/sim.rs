@@ -373,6 +373,31 @@ impl<N: Node> Simulator<N> {
     }
 }
 
+/// A clone is a *fork*: an independent simulator at the same round. It
+/// copies everything [`Simulator::save_state`] captures, plus the sorted
+/// adjacency, and starts the round scratch empty, exactly as
+/// [`Simulator::restore_state`] does, so continuing a fork is
+/// bit-identical to continuing a restore of the same state.
+impl<N: Node + Clone> Clone for Simulator<N> {
+    fn clone(&self) -> Self {
+        Simulator {
+            topo: self.topo.clone(),
+            nodes: self.nodes.clone(),
+            round: self.round,
+            meter: self.meter.clone(),
+            per_node: self.per_node.clone(),
+            bandwidth: self.bandwidth.clone(),
+            cfg: self.cfg,
+            stats: self.stats.clone(),
+            inconsistent_now: self.inconsistent_now,
+            last_active: self.last_active,
+            last_shards: self.last_shards,
+            shard_peak_active: self.shard_peak_active.clone(),
+            buffers: self.buffers.fork(),
+        }
+    }
+}
+
 impl<N: Node + Checkpointable> Simulator<N> {
     /// Capture the full engine state as a snapshot body. Taken *between*
     /// rounds, after a `step` returns: round counter, timestamped edge
@@ -470,25 +495,24 @@ impl<N: Node + Checkpointable> Simulator<N> {
             .map(|x| x as usize)
             .collect();
 
-        let mut buffers = RoundBuffers::new(n);
-        for i in 0..n {
-            buffers.nbrs[i] = topo.neighbors_sorted(NodeId(i as u32));
-        }
-        let active = checkpoint::field(v, "active")?
+        let nbrs = (0..n)
+            .map(|i| topo.neighbors_sorted(NodeId(i as u32)))
+            .collect();
+        let mut active = Vec::new();
+        for a in checkpoint::field(v, "active")?
             .as_array()
-            .ok_or("`active` is not an array")?;
-        let mut prev: Option<u32> = None;
-        for a in active {
+            .ok_or("`active` is not an array")?
+        {
             let id = u32::from_value(a)?;
             if id as usize >= n {
                 return Err(format!("active node {id} out of range for n = {n}"));
             }
-            if prev.is_some_and(|p| p >= id) {
+            if active.last().is_some_and(|&p| p >= id) {
                 return Err("active set is not strictly ascending".into());
             }
-            prev = Some(id);
-            buffers.active.push(id);
+            active.push(id);
         }
+        let mut out_flags = vec![Flags::default(); n];
         for entry in checkpoint::field(v, "out_flags")?
             .as_array()
             .ok_or("`out_flags` is not an array")?
@@ -501,11 +525,12 @@ impl<N: Node + Checkpointable> Simulator<N> {
             if idx >= n {
                 return Err(format!("out_flags node {idx} out of range for n = {n}"));
             }
-            buffers.out_flags[idx] = Flags {
+            out_flags[idx] = Flags {
                 is_empty: bool::from_value(&t[1])?,
                 neighbors_empty: bool::from_value(&t[2])?,
             };
         }
+        let buffers = RoundBuffers::resume(nbrs, active, out_flags);
 
         Ok(Simulator {
             topo,

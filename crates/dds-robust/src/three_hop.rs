@@ -89,6 +89,7 @@ enum QueueItem {
 }
 
 /// Per-node state of the robust 3-hop neighborhood data structure.
+#[derive(Clone)]
 pub struct ThreeHopNode {
     id: NodeId,
     /// Current incident peers.

@@ -135,6 +135,7 @@ enum QueueItem {
 }
 
 /// Per-node state of the triangle membership-listing data structure.
+#[derive(Clone)]
 pub struct TriangleNode {
     id: NodeId,
     /// Current incident edges: peer → true insertion timestamp.

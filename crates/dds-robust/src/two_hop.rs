@@ -101,6 +101,7 @@ impl Witness {
 }
 
 /// Per-node state of the robust 2-hop neighborhood data structure.
+#[derive(Clone)]
 pub struct TwoHopNode {
     id: NodeId,
     /// Current incident edges: peer → true insertion timestamp.

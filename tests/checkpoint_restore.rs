@@ -243,6 +243,81 @@ fn resume_is_bit_identical_across_the_protocol_workload_matrix() {
     }
 }
 
+/// The fork differential (the daemon publishes each write as a fork of
+/// its writer): a fork taken at `fork_round` checkpoints to the
+/// original's bytes, is independent of it — stepping only the original
+/// leaves the fork's document unchanged, which readers holding a view
+/// rely on — and still matches the original after both run the rest of
+/// the trace.
+fn fork_differential(protocol: &str, trace: &Trace, cfg: SimConfig, fork_round: usize) {
+    let ctx = format!(
+        "{protocol} fork@{fork_round}/{} ({:?}/{:?}/{:?})",
+        trace.rounds(),
+        cfg.engine,
+        cfg.shards,
+        cfg.scheduling
+    );
+    let mut original = dds_bench::protocols()
+        .open(protocol, trace.n, cfg)
+        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+    for batch in &trace.batches[..fork_round] {
+        original.step(batch);
+    }
+    let mut fork = original.fork();
+    let at_fork = fork.checkpoint().to_json();
+    assert_eq!(
+        at_fork,
+        original.checkpoint().to_json(),
+        "{ctx}: the fork checkpoints different bytes"
+    );
+    assert_sessions_match(&original, &fork, &format!("{ctx} [at fork]"));
+    // Timing is no part of the deterministic comparison; the fork carries
+    // the original's busy time over so a published view reports the run.
+    assert_eq!(
+        fork.summary().seconds,
+        original.summary().seconds,
+        "{ctx}: the fork's busy seconds"
+    );
+    for batch in &trace.batches[fork_round..] {
+        original.step(batch);
+    }
+    assert_eq!(
+        fork.checkpoint().to_json(),
+        at_fork,
+        "{ctx}: stepping the original moved the fork"
+    );
+    for batch in &trace.batches[fork_round..] {
+        fork.step(batch);
+    }
+    assert_sessions_match(&original, &fork, &format!("{ctx} [after continue]"));
+}
+
+#[test]
+fn a_fork_matches_its_original_and_stays_independent_across_the_matrix() {
+    // The resume matrix's cells: every protocol × every workload × both
+    // engines, shards and scheduling cycling across cells.
+    let shards = [Shards::Auto, Shards::Fixed(1), Shards::Fixed(3)];
+    let scheds = [Scheduling::Balanced, Scheduling::Chunked];
+    let mut cell = 0usize;
+    for protocol in dds_bench::protocols().names() {
+        for workload in WORKLOADS {
+            let trace = registry::build_trace(workload, &params(workload, 16, 40, 11))
+                .unwrap_or_else(|e| panic!("{workload}: {e}"));
+            for engine in [Engine::Sparse, Engine::Dense] {
+                let cfg = SimConfig {
+                    record_stats: true,
+                    engine,
+                    shards: shards[cell % shards.len()],
+                    scheduling: scheds[cell % scheds.len()],
+                    ..SimConfig::default()
+                };
+                cell += 1;
+                fork_differential(protocol, &trace, cfg, 24);
+            }
+        }
+    }
+}
+
 #[test]
 fn checkpoint_round_position_does_not_matter() {
     // Early, middle, late, and final-round checkpoints — including round

@@ -14,7 +14,9 @@ use dynamic_subgraphs::net::serving::{
     recover_sessions, Client, ClientConfig, Durability, DurabilityOptions, FaultPlan, QueryOutcome,
     Server, ServerOptions, ServingSession, WriteFault,
 };
-use dynamic_subgraphs::net::{edge, Answer, NodeId, Query, Response, Session, SimConfig, Trace};
+use dynamic_subgraphs::net::{
+    edge, Answer, EventBatch, NodeId, Query, Response, Session, SimConfig, Trace,
+};
 use dynamic_subgraphs::workloads::{registry, Params};
 use proptest::prelude::*;
 use std::path::Path;
@@ -632,6 +634,69 @@ fn slow_loris_frames_are_cut_off_by_the_read_budget() {
         .expect("query after loris");
     assert_eq!(reply.watermark, 0);
     drop(client);
+    stop();
+    join.join().expect("server thread");
+}
+
+// ---- fail-fast clients after a timeout --------------------------------
+
+#[test]
+fn a_timed_out_reply_is_never_read_as_the_next_answer() {
+    // Every reply leaves the daemon 400 ms late; the fragile client waits
+    // 250 ms and never retries. The first query's reply still arrives on
+    // its socket 150 ms after the client gave up, inside the next query's
+    // wait. A client that kept that socket read it as the reply to the
+    // next query.
+    let plan = FaultPlan::parse("seed=1,delay-ms=400").expect("parse");
+    let (addr, join, stop) = boot_with(ServerOptions {
+        faults: Some(plan),
+        ..ServerOptions::default()
+    });
+    let present = vec![(NodeId(0), Query::Edge(edge(0, 1)))];
+    let absent = vec![(NodeId(2), Query::Edge(edge(2, 3)))];
+    let mut patient = Client::connect(&addr).expect("connect");
+    patient.open("desync", "two-hop", 8).expect("open");
+    patient
+        .ingest("desync", vec![EventBatch::insert(edge(0, 1))])
+        .expect("ingest");
+    patient.step("desync", 4).expect("settle");
+    // The two answers differ, so a reply read against the wrong request
+    // shows.
+    let truth = |c: &mut Client, q: &Vec<(NodeId, Query)>| {
+        c.query("desync", q.clone()).expect("query").outcomes
+    };
+    assert_eq!(
+        truth(&mut patient, &present),
+        [QueryOutcome::Answer(Answer::Bool(true))]
+    );
+    assert_eq!(
+        truth(&mut patient, &absent),
+        [QueryOutcome::Answer(Answer::Bool(false))]
+    );
+
+    let mut fragile = Client::connect_with(
+        &addr,
+        ClientConfig {
+            deadline: Some(std::time::Duration::from_millis(250)),
+            retries: 0,
+            ..ClientConfig::default()
+        },
+    )
+    .expect("connect fragile");
+    let err = fragile
+        .query("desync", present)
+        .expect_err("a reply 400 ms late must miss a 250 ms deadline");
+    assert!(!err.is_empty(), "errors must be typed");
+    match fragile.query("desync", absent) {
+        Ok(reply) => assert_eq!(
+            reply.outcomes,
+            [QueryOutcome::Answer(Answer::Bool(false))],
+            "the late reply to the timed-out query was read as this one's"
+        ),
+        Err(e) => assert!(!e.is_empty(), "errors must be typed"),
+    }
+    drop(fragile);
+    drop(patient);
     stop();
     join.join().expect("server thread");
 }

@@ -30,9 +30,9 @@
 //! the runner and the multi-core speedup recorded. `s4` is the
 //! skewed-activity tier (hotspot/hub workloads, n = 100 000–1 000 000
 //! capped by `--max-n`, ≥ 60 % of the activity in one id decile): balanced
-//! weighted shard boundaries plus the work-stealing pool vs the chunked
-//! PR 6 configuration, bit-identity asserted in the runner, speedup
-//! recorded. `s5` is the serving tier: a live `dds serve` daemon on an
+//! weighted shard boundaries plus the work-stealing pool vs single-shard
+//! sequential, bit-identity asserted in the runner, speedup recorded.
+//! `s5` is the serving tier: a live `dds serve` daemon on an
 //! ephemeral port answering concurrent client queries while a writer
 //! connection ingests churn, with sustained QPS and latency percentiles
 //! recorded and post-burst serve-vs-local checkpoint byte-identity

@@ -1,9 +1,9 @@
 //! # dds-bench — experiment harness
 //!
 //! One runner per paper claim (tables E1–E9, figure reproductions F2/F3,
-//! ablations A1–A3 — see DESIGN.md's per-experiment index). The
-//! `experiments` binary prints every table; the Criterion benches measure
-//! the wall-clock cost of the same setups.
+//! ablations A1–A3, scale tiers S1–S6 — see DESIGN.md's per-experiment
+//! index). The `experiments` binary prints every table and, with
+//! `--repeat`, records each table's wall-clock cost as a median and MAD.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

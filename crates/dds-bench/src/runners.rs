@@ -1,6 +1,6 @@
 //! Experiment runners: one function per paper claim (see DESIGN.md's
 //! per-experiment index). Each returns a [`Table`] that the `experiments`
-//! binary prints; the Criterion benches reuse the same workload setups.
+//! binary prints.
 
 use crate::scheduler;
 use crate::table::{f2, f3, Table};
@@ -1050,18 +1050,15 @@ pub fn s3_sharded_tier(n: usize, rounds: usize) -> Table {
 /// S4 — the **skewed-activity** tier: hotspot (≥ 60 % of churn endpoints
 /// in one id decile) and hub (a handful of ids on almost every change)
 /// workloads, the load profiles where uniform shard boundaries put nearly
-/// all work on one shard. Each cell runs three times on identical
-/// streamed schedules — sequential, `Scheduling::Chunked` (the fixed
-/// quantile boundaries + single shared queue of PR 6) and
-/// `Scheduling::Balanced` (activity-weighted boundaries + work-stealing
-/// pool) — with every deterministic output asserted bit-identical inside
-/// the runner. `speedup vs chunked` on the balanced row is the payoff of
-/// weighting + stealing under skew; the CI gate asks ≥ 1.5× on the
-/// hotspot cell when ≥ 2 CPUs are available.
+/// all work on one shard. Each cell runs twice on identical streamed
+/// schedules — sequential, and balanced (activity-weighted boundaries on
+/// the work-stealing pool) — with every deterministic output asserted
+/// bit-identical inside the runner. `speedup` is the balanced row's
+/// wall clock over the 1-shard inline row, as in S3.
 pub fn s4_skewed_tier(n: usize, rounds: usize) -> Table {
-    use dds_net::{Scheduling, Shards};
+    use dds_net::Shards;
     let mut t = Table::new(
-        "S4 / skewed tier — hotspot & hub churn, balanced boundaries + stealing vs chunked",
+        "S4 / skewed tier — hotspot & hub churn, balanced boundaries + stealing vs sequential",
         &[
             "workload",
             "mode",
@@ -1070,7 +1067,7 @@ pub fn s4_skewed_tier(n: usize, rounds: usize) -> Table {
             "changes",
             "peak active",
             "rounds/s",
-            "speedup vs chunked",
+            "speedup",
             "identical",
         ],
     );
@@ -1101,11 +1098,10 @@ pub fn s4_skewed_tier(n: usize, rounds: usize) -> Table {
         ),
     ];
     for (label, params) in cells {
-        let run = |shards: Shards, parallel: bool, scheduling: Scheduling| {
+        let run = |shards: Shards, parallel: bool| {
             let cfg = SimConfig {
                 shards,
                 parallel,
-                scheduling,
                 record_stats: true,
                 ..SimConfig::default()
             };
@@ -1116,58 +1112,54 @@ pub fn s4_skewed_tier(n: usize, rounds: usize) -> Table {
         };
         // Untimed warm-up, as in S3: first touch of a fresh arena pays the
         // page faults and would otherwise inflate whichever mode runs last.
-        let warm = run(Shards::Fixed(1), false, Scheduling::Balanced);
-        let seq = run(Shards::Fixed(1), false, Scheduling::Balanced);
-        let chunked = run(Shards::Fixed(shards), true, Scheduling::Chunked);
-        let balanced = run(Shards::Fixed(shards), true, Scheduling::Balanced);
+        let warm = run(Shards::Fixed(1), false);
+        let seq = run(Shards::Fixed(1), false);
+        let balanced = run(Shards::Fixed(shards), true);
         assert_eq!(
             warm.amortized.to_bits(),
             seq.amortized.to_bits(),
             "{label}: repeat run diverged"
         );
-        // The tier's contract: scheduling mode and shard count may only
-        // move wall clock, never an output bit.
-        for (mode, s) in [("chunked", &chunked), ("balanced", &balanced)] {
-            assert_eq!(seq.changes, s.changes, "{label}/{mode}: changes diverged");
-            assert_eq!(
-                seq.inconsistent_rounds, s.inconsistent_rounds,
-                "{label}/{mode}: inconsistent rounds diverged"
-            );
-            assert_eq!(
-                seq.amortized.to_bits(),
-                s.amortized.to_bits(),
-                "{label}/{mode}: amortized meter diverged"
-            );
-            assert_eq!(
-                seq.footnote_amortized.to_bits(),
-                s.footnote_amortized.to_bits(),
-                "{label}/{mode}: footnote meter diverged"
-            );
-            assert_eq!(
-                seq.messages, s.messages,
-                "{label}/{mode}: messages diverged"
-            );
-            assert_eq!(seq.bits, s.bits, "{label}/{mode}: bits diverged");
-            assert_eq!(
-                seq.final_edges, s.final_edges,
-                "{label}/{mode}: final edges diverged"
-            );
-            assert_eq!(
-                seq.peak_round_messages, s.peak_round_messages,
-                "{label}/{mode}: peak round messages diverged"
-            );
-            assert_eq!(
-                seq.peak_round_bits, s.peak_round_bits,
-                "{label}/{mode}: peak round bits diverged"
-            );
-            assert_eq!(
-                seq.peak_round_active, s.peak_round_active,
-                "{label}/{mode}: peak round active diverged"
-            );
-        }
+        // The tier's contract: the shard count may only move wall clock,
+        // never an output bit.
+        assert_eq!(seq.changes, balanced.changes, "{label}: changes diverged");
+        assert_eq!(
+            seq.inconsistent_rounds, balanced.inconsistent_rounds,
+            "{label}: inconsistent rounds diverged"
+        );
+        assert_eq!(
+            seq.amortized.to_bits(),
+            balanced.amortized.to_bits(),
+            "{label}: amortized meter diverged"
+        );
+        assert_eq!(
+            seq.footnote_amortized.to_bits(),
+            balanced.footnote_amortized.to_bits(),
+            "{label}: footnote meter diverged"
+        );
+        assert_eq!(
+            seq.messages, balanced.messages,
+            "{label}: messages diverged"
+        );
+        assert_eq!(seq.bits, balanced.bits, "{label}: bits diverged");
+        assert_eq!(
+            seq.final_edges, balanced.final_edges,
+            "{label}: final edges diverged"
+        );
+        assert_eq!(
+            seq.peak_round_messages, balanced.peak_round_messages,
+            "{label}: peak round messages diverged"
+        );
+        assert_eq!(
+            seq.peak_round_bits, balanced.peak_round_bits,
+            "{label}: peak round bits diverged"
+        );
+        assert_eq!(
+            seq.peak_round_active, balanced.peak_round_active,
+            "{label}: peak round active diverged"
+        );
         for (mode, s) in [
             ("1 shard, inline".to_string(), &seq),
-            (format!("{shards} shards, chunked"), &chunked),
             (format!("{shards} shards, balanced"), &balanced),
         ] {
             t.row(vec![
@@ -1178,15 +1170,14 @@ pub fn s4_skewed_tier(n: usize, rounds: usize) -> Table {
                 s.changes.to_string(),
                 s.peak_round_active.to_string(),
                 f2(s.rounds_per_sec),
-                f2(s.rounds_per_sec / chunked.rounds_per_sec.max(1e-9)),
+                f2(s.rounds_per_sec / seq.rounds_per_sec.max(1e-9)),
                 "yes".to_string(),
             ]);
         }
     }
     t.note("identical streamed hotspot schedules; deterministic columns asserted bit-identical");
-    t.note("in-runner across sequential / chunked / balanced before any row is emitted");
-    t.note("speedup vs chunked is wall-clock; the CI gate asks the balanced hotspot row");
-    t.note(">= 1.5x on >= 2 CPUs (single-core hosts run everything inline, speedup ~ 1)");
+    t.note("in-runner across sequential / balanced before any row is emitted");
+    t.note("speedup is wall-clock over the 1-shard inline row (machine-dependent)");
     t
 }
 
@@ -1602,17 +1593,16 @@ mod tests {
 
     #[test]
     fn s4_skewed_modes_agree_at_reduced_scale() {
-        // Bit-identity across scheduling modes is asserted inside the
-        // runner; this exercises it at a CI-sized n and checks the shape.
+        // Bit-identity across modes is asserted inside the runner; this
+        // exercises it at a CI-sized n and checks the shape.
         let t = s4_skewed_tier(2000, 60);
-        assert_eq!(t.rows.len(), 6);
-        for triple in t.rows.chunks(3) {
-            let (seq, chunked, balanced) = (&triple[0], &triple[1], &triple[2]);
+        assert_eq!(t.rows.len(), 4);
+        for pair in t.rows.chunks(2) {
+            let (seq, balanced) = (&pair[0], &pair[1]);
             assert_eq!(seq[1], "1 shard, inline");
-            assert!(chunked[1].ends_with("shards, chunked"), "{chunked:?}");
             assert!(balanced[1].ends_with("shards, balanced"), "{balanced:?}");
-            assert_eq!(chunked[7], "1.00", "chunked is its own baseline");
-            for row in triple {
+            assert_eq!(seq[7], "1.00", "sequential is its own baseline");
+            for row in pair {
                 assert_eq!(row[4], seq[4], "changes diverged: {row:?}");
                 assert_eq!(row[5], seq[5], "peak active diverged: {row:?}");
                 assert_eq!(row[8], "yes");

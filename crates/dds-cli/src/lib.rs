@@ -35,8 +35,7 @@ pub const USAGE: &str = "\
 usage:
   dds simulate --protocol <name> --workload <name> [--n N] [--rounds R] [--seed S]
                [--stream] [--seeds K] [--jobs J] [--parallel] [--record-stats]
-               [--engine sparse|dense] [--shards auto|K]
-               [--scheduling balanced|chunked] [--sample-queries K]
+               [--engine sparse|dense] [--shards auto|K] [--sample-queries K]
                [--checkpoint-every K] [--checkpoint-dir D] [--resume FILE]
                [--json]
                (--stream drives the run from a lazy trace source: one batch in
@@ -46,12 +45,9 @@ usage:
                 O(churn + traffic) work per round, dense visits all n nodes
                 (escape hatch; bit-identical results); --shards partitions each
                 round into K node-id-range tasks (auto [default] scales with
-                activity and the worker pool; results are bit-identical for
-                every K) and --parallel fans them out over the worker pool;
-                --scheduling balanced [default] splits shard boundaries by
-                per-node activity weight and runs them on the work-stealing
-                pool; chunked keeps fixed quantile boundaries + a single
-                shared queue (bit-identical either way, for A/B timing);
+                activity and the worker pool; boundaries follow per-node
+                activity weight; results are bit-identical for every K) and
+                --parallel fans them out over the work-stealing pool;
                 --record-stats also reports per-round active-node counts and
                 per-shard peaks; --sample-queries K probes an edge query
                 mid-run every K rounds and reports the answered/inconsistent
@@ -60,11 +56,10 @@ usage:
                 checkpoints] every K rounds; --resume FILE restores a
                 snapshot and continues the SAME workload bit-identically —
                 pass the same workload flags as the original run; on resume
-                the snapshot header's engine/shards/scheduling configuration
-                wins over the CLI flags)
+                the snapshot header's engine/shards configuration wins over
+                the CLI flags)
   dds query    --protocol <name> --workload <name> [--n N] [--rounds R] [--seed S]
-               [--at ROUND] [--settle MAX] [--shards auto|K]
-               [--scheduling balanced|chunked] [--resume FILE]
+               [--at ROUND] [--settle MAX] [--shards auto|K] [--resume FILE]
                --query \"SPEC[; SPEC...]\" [--json]
                (runs the workload to --at (default: all rounds), optionally
                 settles, then answers each query spec with zero communication.
@@ -202,11 +197,6 @@ fn cmd_list() -> Result<(), String> {
                  (--parallel fans shards out over them)"
     );
     println!(
-        "  scheduling:    balanced [default] — activity-weighted shard \
-                 boundaries on the work-stealing pool; chunked — fixed quantile \
-                 boundaries + a shared queue (bit-identical, for A/B timing)"
-    );
-    println!(
         "  shards:        auto scales 1..={} with round activity; \
                  --shards K pins the count (bit-identical for every K)",
         (workers + 1).max(1)
@@ -227,7 +217,6 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
         record_stats: args.flag("record-stats"),
         engine: run::engine_from(args)?,
         shards: run::shards_from(args)?,
-        scheduling: run::scheduling_from(args)?,
         ..dds_net::SimConfig::default()
     };
     let seeds: usize = args.num_or("seeds", 1)?;
@@ -252,10 +241,10 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
         // Checkpointed streaming driver: step batch-by-batch so snapshots
         // land exactly on round boundaries. A resumed session is rebuilt
         // from the snapshot header's configuration verbatim (the CLI
-        // engine/shards/scheduling flags are ignored on resume — the
-        // header is the source of truth for bit-exactness), and the
-        // workload source is fast-forwarded past the rounds the original
-        // run already consumed.
+        // engine/shards flags are ignored on resume — the header is the
+        // source of truth for bit-exactness), and the workload source is
+        // fast-forwarded past the rounds the original run already
+        // consumed.
         let mut src = run::build_workload_source(args)?;
         let mut session = match args.options.get("resume") {
             Some(path) => {
@@ -504,7 +493,6 @@ fn cmd_query(args: &Args) -> Result<(), String> {
         parallel: args.flag("parallel"),
         engine: run::engine_from(args)?,
         shards: run::shards_from(args)?,
-        scheduling: run::scheduling_from(args)?,
         ..dds_net::SimConfig::default()
     };
     let mut src = run::build_workload_source(args)?;

@@ -107,13 +107,6 @@ pub fn shards_from(args: &Args) -> Result<dds_net::Shards, String> {
     args.get_or("shards", "auto").parse()
 }
 
-/// Shard-boundary/pool-scheduling selection from `--scheduling
-/// balanced|chunked` (default: balanced). Bit-identical either way —
-/// `chunked` keeps the pre-work-stealing configuration for A/B timing.
-pub fn scheduling_from(args: &Args) -> Result<dds_net::Scheduling, String> {
-    args.get_or("scheduling", "balanced").parse()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,19 +172,6 @@ mod tests {
         );
         assert!(shards_from(&args("x --shards 0")).is_err());
         assert!(shards_from(&args("x --shards lots")).is_err());
-    }
-
-    #[test]
-    fn scheduling_option_parses_and_defaults_to_balanced() {
-        assert_eq!(
-            scheduling_from(&args("x")).unwrap(),
-            dds_net::Scheduling::Balanced
-        );
-        assert_eq!(
-            scheduling_from(&args("x --scheduling chunked")).unwrap(),
-            dds_net::Scheduling::Chunked
-        );
-        assert!(scheduling_from(&args("x --scheduling fifo")).is_err());
     }
 
     #[test]

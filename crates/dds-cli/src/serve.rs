@@ -158,7 +158,6 @@ pub fn cmd_serve(args: &Args) -> Result<(), String> {
                 parallel: args.flag("parallel"),
                 engine: crate::run::engine_from(args)?,
                 shards: crate::run::shards_from(args)?,
-                scheduling: crate::run::scheduling_from(args)?,
                 ..SimConfig::default()
             };
             server.open_session(ServingSession::open(registry, name, protocol, n, cfg)?)?;

@@ -833,48 +833,32 @@ fn checkpoint_flags_reject_incompatible_modes() {
 }
 
 #[test]
-fn simulate_scheduling_modes_are_bit_identical() {
-    let (ok, chunked, _) = run_bin(&[
-        "simulate",
-        "--protocol",
-        "two-hop",
-        "--workload",
-        "hotspot",
-        "--n",
-        "400",
-        "--rounds",
-        "80",
-        "--shards",
-        "4",
-        "--parallel",
-        "--scheduling",
-        "chunked",
-        "--json",
-    ]);
-    assert!(ok, "chunked run failed");
-    let (ok, balanced, _) = run_bin(&[
-        "simulate",
-        "--protocol",
-        "two-hop",
-        "--workload",
-        "hotspot",
-        "--n",
-        "400",
-        "--rounds",
-        "80",
-        "--shards",
-        "4",
-        "--parallel",
-        "--scheduling",
-        "balanced",
-        "--json",
-    ]);
-    assert!(ok, "balanced run failed");
+fn simulate_pooled_shards_match_one_shard() {
+    let run = |shards: &[&str]| {
+        let mut args = vec![
+            "simulate",
+            "--protocol",
+            "two-hop",
+            "--workload",
+            "hotspot",
+            "--n",
+            "400",
+            "--rounds",
+            "80",
+            "--json",
+        ];
+        args.extend(shards);
+        let (ok, out, _) = run_bin(&args);
+        assert!(ok, "{shards:?} run failed");
+        out
+    };
+    let pooled = run(&["--shards", "4", "--parallel"]);
+    let single = run(&["--shards", "1"]);
     // Same run, same outputs: every deterministic *output* field agrees.
-    // (Wall-clock fields differ by nature; per_shard_peak_active differs
-    // by design — balanced scheduling moves the shard boundaries.)
+    // (Wall-clock fields differ by nature; `shards` and
+    // per_shard_peak_active differ by design.)
     let keep = |s: &str| -> Vec<String> {
-        const FIELDS: [&str; 9] = [
+        const FIELDS: [&str; 8] = [
             "\"changes\"",
             "\"inconsistent_rounds\"",
             "\"amortized\"",
@@ -883,29 +867,15 @@ fn simulate_scheduling_modes_are_bit_identical() {
             "\"bits\"",
             "\"violations\"",
             "\"final_edges\"",
-            "\"shards\"",
         ];
         s.lines()
             .filter(|l| FIELDS.iter().any(|f| l.contains(f)))
             .map(str::to_string)
             .collect()
     };
-    let kept = keep(&chunked);
-    assert_eq!(kept.len(), 9, "all expected fields present: {kept:?}");
-    assert_eq!(kept, keep(&balanced));
-    // Unknown scheduling names are rejected.
-    assert!(dds_cli::real_main(argv(&[
-        "simulate",
-        "--workload",
-        "er",
-        "--n",
-        "16",
-        "--rounds",
-        "10",
-        "--scheduling",
-        "lifo"
-    ]))
-    .is_err());
+    let kept = keep(&pooled);
+    assert_eq!(kept.len(), 8, "all expected fields present: {kept:?}");
+    assert_eq!(kept, keep(&single));
 }
 
 // ---------------------------------------------------------------------------

@@ -6,10 +6,14 @@
 //!
 //! - `header` — format name + version, the protocol name, `n`, the round
 //!   the state was captured at, the full engine configuration
-//!   (engine/shards/scheduling/parallel/record_stats/bandwidth, as the
-//!   same tokens the CLI accepts), and an FNV-1a checksum of the
-//!   canonically serialized body. The header is everything needed to
-//!   decide *how* to restore before touching the body.
+//!   (engine/shards/parallel/record_stats/bandwidth, as the same tokens
+//!   the CLI accepts), and an FNV-1a checksum of the canonically
+//!   serialized body. The header is everything needed to decide *how* to
+//!   restore before touching the body. It also carries a fixed
+//!   `"scheduling":"balanced"` token, so documents stay byte-identical to
+//!   those written while the engine had a second shard scheduler; readers
+//!   accept that scheduler's retired `"chunked"` token too (outputs never
+//!   depended on it).
 //!
 //!   The checksum exists only in the document: [`Snapshot::to_json`]
 //!   hashes the body bytes it writes and [`Snapshot::from_json`] checks
@@ -44,6 +48,10 @@ pub const SNAPSHOT_FORMAT: &str = "dds-snapshot";
 /// Current snapshot format version. Bump on any body/header layout
 /// change; readers refuse versions from the future.
 pub const SNAPSHOT_VERSION: u32 = 1;
+
+/// The header's `scheduling` tokens a reader accepts; writers emit the
+/// first. See the module docs.
+const SCHEDULING_TOKENS: [&str; 2] = ["balanced", "chunked"];
 
 /// Protocol node state that can be captured into and rebuilt from a
 /// snapshot value. Implementations must be *lossless and canonical*:
@@ -143,8 +151,6 @@ pub struct SnapshotHeader {
     pub engine: String,
     /// Shard policy token (`"auto"` or a count).
     pub shards: String,
-    /// Scheduling token (`"balanced"`/`"chunked"`).
-    pub scheduling: String,
     /// Whether shard tasks fan out over the worker pool. Kept for
     /// faithfulness; flipping it cannot change results.
     pub parallel: bool,
@@ -164,7 +170,6 @@ impl SnapshotHeader {
             round,
             engine: cfg.engine.token().to_string(),
             shards: cfg.shards.token(),
-            scheduling: cfg.scheduling.token().to_string(),
             parallel: cfg.parallel,
             record_stats: cfg.record_stats,
             bandwidth: cfg.bandwidth,
@@ -182,7 +187,6 @@ impl SnapshotHeader {
             record_stats: self.record_stats,
             engine: self.engine.parse().map_err(corrupt)?,
             shards: self.shards.parse().map_err(corrupt)?,
-            scheduling: self.scheduling.parse().map_err(corrupt)?,
         })
     }
 }
@@ -227,7 +231,7 @@ impl Snapshot {
             ("round", Value::U64(h.round)),
             ("engine", Value::Str(h.engine.clone())),
             ("shards", Value::Str(h.shards.clone())),
-            ("scheduling", Value::Str(h.scheduling.clone())),
+            ("scheduling", Value::Str(SCHEDULING_TOKENS[0].into())),
             ("parallel", Value::Bool(h.parallel)),
             ("record_stats", Value::Bool(h.record_stats)),
             ("bandwidth", serde::Serialize::to_value(&h.bandwidth)),
@@ -276,6 +280,12 @@ impl Snapshot {
                 supported: SNAPSHOT_VERSION,
             });
         }
+        let scheduling = hstr("scheduling")?;
+        if !SCHEDULING_TOKENS.contains(&scheduling.as_str()) {
+            return Err(RestoreError::Corrupt(format!(
+                "header: unknown scheduling {scheduling:?}; expected \"balanced\" or \"chunked\""
+            )));
+        }
         let header = SnapshotHeader {
             version,
             protocol: hstr("protocol")?,
@@ -283,7 +293,6 @@ impl Snapshot {
             round: hu64("round")?,
             engine: hstr("engine")?,
             shards: hstr("shards")?,
-            scheduling: hstr("scheduling")?,
             parallel: hbool("parallel")?,
             record_stats: hbool("record_stats")?,
             bandwidth: crate::bandwidth::BandwidthConfig::from_value(hfield("bandwidth")?)
@@ -482,7 +491,6 @@ mod tests {
             round: 7,
             engine: "sparse".into(),
             shards: "auto".into(),
-            scheduling: "balanced".into(),
             parallel: false,
             record_stats: true,
             bandwidth: BandwidthConfig::default(),

@@ -55,7 +55,7 @@ pub use metrics::{AmortizedMeter, RoundStats};
 pub use protocol::{Node, Response};
 pub use query::{Answer, Query, QueryError, QueryKind, Queryable};
 pub use session::Session;
-pub use sim::{Engine, Scheduling, Shards, SimConfig, Simulator};
+pub use sim::{Engine, Shards, SimConfig, Simulator};
 pub use source::{BoxedSource, OwnedReplay, TraceReplay, TraceSource, Validated};
 pub use topology::Topology;
 pub use trace::Trace;

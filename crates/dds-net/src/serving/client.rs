@@ -245,7 +245,6 @@ impl Client {
             n: Some(n),
             engine: None,
             shards: None,
-            scheduling: None,
             snapshot: None,
         })
     }
@@ -258,7 +257,6 @@ impl Client {
             n: None,
             engine: None,
             shards: None,
-            scheduling: None,
             snapshot: Some(snap.to_json()),
         })
     }

@@ -431,7 +431,6 @@ fn handle_request(
             n,
             engine,
             shards,
-            scheduling,
             snapshot,
         } => {
             if state.durability.is_some() && !path_safe(&session) {
@@ -461,7 +460,6 @@ fn handle_request(
                     let cfg = SimConfig {
                         engine: engine.as_deref().unwrap_or("sparse").parse()?,
                         shards: shards.as_deref().unwrap_or("auto").parse()?,
-                        scheduling: scheduling.as_deref().unwrap_or("balanced").parse()?,
                         ..SimConfig::default()
                     };
                     ServingSession::open(registry, &session, &protocol, n, cfg)?

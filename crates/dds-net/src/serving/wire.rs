@@ -257,8 +257,6 @@ pub enum Request {
         engine: Option<String>,
         /// `auto` / count shard token.
         shards: Option<String>,
-        /// `balanced` / `chunked` scheduling token.
-        scheduling: Option<String>,
         /// Full snapshot JSON document for a warm start.
         snapshot: Option<String>,
     },
@@ -359,7 +357,6 @@ impl Serialize for Request {
                 n,
                 engine,
                 shards,
-                scheduling,
                 snapshot,
             } => {
                 fields.push(("session", s(session)));
@@ -374,9 +371,6 @@ impl Serialize for Request {
                 }
                 if let Some(sh) = shards {
                     fields.push(("shards", s(sh)));
-                }
-                if let Some(sc) = scheduling {
-                    fields.push(("scheduling", s(sc)));
                 }
                 if let Some(snap) = snapshot {
                     fields.push(("snapshot", s(snap)));
@@ -478,7 +472,6 @@ impl Deserialize for Request {
                 },
                 engine: opt_str("engine")?,
                 shards: opt_str("shards")?,
-                scheduling: opt_str("scheduling")?,
                 snapshot: opt_str("snapshot")?,
             }),
             "ingest" => Ok(Request::Ingest {
@@ -726,7 +719,6 @@ mod tests {
                 n: Some(64),
                 engine: Some("sparse".into()),
                 shards: None,
-                scheduling: None,
                 snapshot: None,
             },
             Request::Ingest {
@@ -767,6 +759,13 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{}: {e}", req.verb()));
             assert_eq!(back, req);
         }
+        // Fields are looked up by name: an `open` from an older client that
+        // still sends a `scheduling` token decodes, the field ignored.
+        let old = r#"{"v":1,"verb":"open","session":"a","protocol":"triangle","n":8,"scheduling":"balanced"}"#;
+        assert!(matches!(
+            Request::from_value(&serde_json::from_str(old).unwrap()),
+            Ok(Request::Open { n: Some(8), .. })
+        ));
     }
 
     #[test]

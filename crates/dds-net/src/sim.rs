@@ -43,16 +43,14 @@
 //! persistent worker pool; with `parallel = false` the same shard
 //! structure runs inline on one thread — same results either way.
 //!
-//! Under the default [`Scheduling::Balanced`] policy the cut points are
-//! **activity-proportional**: Region A splits the active set by a
-//! deterministic prefix-sum over `1 + degree` weights, and Region B
-//! independently splits the receiver list by `1 + inbox-size` weights —
-//! both pure functions of round data, so skewed (hub/hotspot) workloads
-//! get weight-balanced shards without any new synchronization.
-//! [`Scheduling::Chunked`] keeps the PR 6 behavior (equal-count cuts of
-//! the active set shared by both regions, single-cursor pool scheduling)
-//! as the measured baseline. The partition never affects results — only
-//! which task computes them.
+//! The cut points are **activity-proportional**: Region A splits the
+//! active set by a deterministic prefix-sum over `1 + degree` weights,
+//! and Region B independently splits the receiver list by `1 +
+//! inbox-size` weights — both pure functions of round data, so skewed
+//! (hub/hotspot) workloads get weight-balanced shards without any new
+//! synchronization. Pooled shard tasks run on the work-stealing
+//! scheduler. The partition never affects results — only which task
+//! computes them.
 
 use crate::bandwidth::{BandwidthConfig, BandwidthMeter};
 use crate::checkpoint::{self, Checkpointable};
@@ -155,47 +153,6 @@ impl Shards {
     }
 }
 
-/// How shard boundaries are cut and how shard tasks are scheduled on the
-/// pool. Either policy is bit-identical to the other (and to `shards = 1`)
-/// — this knob only moves wall-clock, which is exactly why the `s4` bench
-/// tier can A/B it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Scheduling {
-    /// Activity-proportional boundaries (Region A weighted by `1 +
-    /// degree`, Region B independently weighted by `1 + inbox size`) and
-    /// work-stealing pool scheduling. The default.
-    #[default]
-    Balanced,
-    /// The PR 6 configuration, kept as a measurable baseline: equal-count
-    /// cuts of the active set, shared by both regions, scheduled through
-    /// the pool's single chunked cursor.
-    Chunked,
-}
-
-impl std::str::FromStr for Scheduling {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "balanced" => Ok(Scheduling::Balanced),
-            "chunked" => Ok(Scheduling::Chunked),
-            other => Err(format!(
-                "unknown scheduling {other:?}; expected \"balanced\" or \"chunked\""
-            )),
-        }
-    }
-}
-
-impl Scheduling {
-    /// The `FromStr` token for this policy.
-    pub fn token(&self) -> &'static str {
-        match self {
-            Scheduling::Balanced => "balanced",
-            Scheduling::Chunked => "chunked",
-        }
-    }
-}
-
 /// Simulator configuration.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SimConfig {
@@ -211,9 +168,6 @@ pub struct SimConfig {
     pub engine: Engine,
     /// Shard-count policy (default: [`Shards::Auto`]).
     pub shards: Shards,
-    /// Shard-boundary and pool-scheduling policy (default:
-    /// [`Scheduling::Balanced`]). Bit-identical either way.
-    pub scheduling: Scheduling,
 }
 
 /// The simulator: topology + nodes + meters + reusable round scratch.
@@ -576,24 +530,17 @@ impl<N: Node> Simulator<N> {
 
         // Partition the active set into K contiguous id ranges. Both the
         // shard count and the boundaries are pure functions of the round's
-        // data (plus config), never of thread schedule. Under `Balanced`
-        // the cuts are weighted by `1 + degree` so a hub decile does not
-        // pile into one shard; under `Chunked` they are the PR 6
-        // equal-count cuts.
-        let scheduling = self.cfg.scheduling;
+        // data (plus config), never of thread schedule. The cuts are
+        // weighted by `1 + degree` so a hub decile does not pile into one
+        // shard.
         let k = self.effective_shards();
         self.last_shards = k;
         self.buffers.ensure_shards(k);
         let bounds = if k > 1 {
-            match scheduling {
-                Scheduling::Balanced => {
-                    let nbrs = &self.buffers.nbrs;
-                    weighted_ranges(&self.buffers.active, k, n, |_, id| {
-                        1 + nbrs[id as usize].len() as u64
-                    })
-                }
-                Scheduling::Chunked => shard_ranges(&self.buffers.active, k, n),
-            }
+            let nbrs = &self.buffers.nbrs;
+            weighted_ranges(&self.buffers.active, k, n, |_, id| {
+                1 + nbrs[id as usize].len() as u64
+            })
         } else {
             Vec::new()
         };
@@ -653,7 +600,7 @@ impl<N: Node> Simulator<N> {
                     scratch_rest = sr;
                     base = hi;
                 }
-                run_shards(self.cfg.parallel, scheduling, k, &|s| {
+                run_shards(self.cfg.parallel, k, &|s| {
                     run_region_a(&mut tasks[s].lock().expect("shard task"));
                 });
             }
@@ -678,22 +625,16 @@ impl<N: Node> Simulator<N> {
         let bits_this_round = self.bandwidth.round_bits();
 
         // Region B boundaries. The receiver list and its inbox CSR exist
-        // now, so `Balanced` cuts *them* directly — weighted by `1 +
-        // inbox size` — rather than reusing Region A's sender-side cuts,
-        // which skew badly when a hub's receivers span the whole id space.
-        // `Chunked` shares Region A's bounds, as PR 6 did. Receivers are
-        // partitioned by disjoint ascending id ranges either way, so the
-        // stitch order (= global ascending order) is unchanged.
+        // now, so Region B cuts *them* directly — weighted by `1 + inbox
+        // size` — rather than reusing Region A's sender-side cuts, which
+        // skew badly when a hub's receivers span the whole id space.
+        // Receivers are partitioned by disjoint ascending id ranges, so
+        // the stitch order (= global ascending order) is unchanged.
         let bounds_b = if k > 1 {
-            match scheduling {
-                Scheduling::Balanced => {
-                    let off = &self.buffers.inbox_off;
-                    weighted_ranges(&self.buffers.recv_nodes, k, n, |pos, _| {
-                        1 + (off[pos + 1] - off[pos]) as u64
-                    })
-                }
-                Scheduling::Chunked => bounds.clone(),
-            }
+            let off = &self.buffers.inbox_off;
+            weighted_ranges(&self.buffers.recv_nodes, k, n, |pos, _| {
+                1 + (off[pos + 1] - off[pos]) as u64
+            })
         } else {
             Vec::new()
         };
@@ -756,7 +697,7 @@ impl<N: Node> Simulator<N> {
                     pos0 += recv_slice.len();
                     base = hi;
                 }
-                run_shards(self.cfg.parallel, scheduling, k, &|s| {
+                run_shards(self.cfg.parallel, k, &|s| {
                     run_region_b(&mut tasks[s].lock().expect("shard task"));
                 });
             }
@@ -839,22 +780,6 @@ impl<N: Node> Simulator<N> {
     }
 }
 
-/// `k + 1` non-decreasing node-id boundaries splitting the active set into
-/// `k` near-equal contiguous-id shards; shard `s` owns node ids
-/// `[bounds[s], bounds[s + 1])`. Requires `1 < k <= active.len()`. The
-/// [`Scheduling::Chunked`] (PR 6 compatibility) cut policy.
-fn shard_ranges(active: &[u32], k: usize, n: usize) -> Vec<u32> {
-    let mut bounds = Vec::with_capacity(k + 1);
-    bounds.push(0u32);
-    for s in 1..k {
-        let candidate = active[s * active.len() / k];
-        let prev = *bounds.last().expect("non-empty");
-        bounds.push(candidate.max(prev));
-    }
-    bounds.push(n as u32);
-    bounds
-}
-
 /// `k + 1` non-decreasing node-id boundaries splitting the ascending id
 /// list `ids` into `k` contiguous-id shards of near-equal total
 /// `weight(position, id)` — a deterministic prefix-sum split: cut `s`
@@ -889,16 +814,12 @@ fn weighted_ranges(
     bounds
 }
 
-/// Run `f(s)` for every shard `s in 0..k` — over the worker pool when
-/// requested (and the pool is free), inline otherwise. `Balanced` submits
-/// to the work-stealing scheduler; `Chunked` to the legacy single-cursor
-/// path. Bit-identical every way: shard tasks write only disjoint state.
-fn run_shards(parallel: bool, scheduling: Scheduling, k: usize, f: &(dyn Fn(usize) + Sync)) {
+/// Run `f(s)` for every shard `s in 0..k` — over the work-stealing
+/// worker pool when requested (and the pool is free), inline otherwise.
+/// Bit-identical either way: shard tasks write only disjoint state.
+fn run_shards(parallel: bool, k: usize, f: &(dyn Fn(usize) + Sync)) {
     if parallel && k > 1 {
-        match scheduling {
-            Scheduling::Balanced => Pool::global().run(k, 1, k, f),
-            Scheduling::Chunked => Pool::global().run_chunked(k, 1, k, f),
-        }
+        Pool::global().run(k, 1, k, f)
     } else {
         for s in 0..k {
             f(s);
@@ -1364,57 +1285,6 @@ mod tests {
         assert_eq!("4".parse::<Shards>(), Ok(Shards::Fixed(4)));
         assert!("0".parse::<Shards>().is_err());
         assert!("many".parse::<Shards>().is_err());
-    }
-
-    #[test]
-    fn scheduling_parses_from_str() {
-        assert_eq!("balanced".parse::<Scheduling>(), Ok(Scheduling::Balanced));
-        assert_eq!("chunked".parse::<Scheduling>(), Ok(Scheduling::Chunked));
-        assert!("stolen".parse::<Scheduling>().is_err());
-        assert_eq!(SimConfig::default().scheduling, Scheduling::Balanced);
-    }
-
-    /// The scheduling policy moves boundaries and pool queues, never bits:
-    /// `Balanced` and `Chunked` must agree with each other and with
-    /// `shards = 1`, inline and pooled.
-    #[test]
-    fn balanced_and_chunked_scheduling_are_bit_identical() {
-        let run = |shards: Shards, scheduling: Scheduling, parallel: bool| {
-            let cfg = SimConfig {
-                shards,
-                scheduling,
-                parallel,
-                record_stats: true,
-                ..SimConfig::default()
-            };
-            churn_run(cfg, |sim| {
-                let stats: Vec<String> = sim
-                    .stats()
-                    .iter()
-                    .map(|s| {
-                        let mut s = *s;
-                        s.shards = 0;
-                        format!("{s:?}")
-                    })
-                    .collect();
-                let greeted: Vec<Vec<NodeId>> = (0..sim.n())
-                    .map(|v| sim.node(NodeId(v as u32)).greeted_by.clone())
-                    .collect();
-                (stats, greeted)
-            })
-        };
-        let base = run(Shards::Fixed(1), Scheduling::Balanced, false);
-        for k in [2, 3, 8] {
-            for scheduling in [Scheduling::Balanced, Scheduling::Chunked] {
-                for parallel in [false, true] {
-                    assert_eq!(
-                        base,
-                        run(Shards::Fixed(k), scheduling, parallel),
-                        "k={k} {scheduling:?} parallel={parallel}"
-                    );
-                }
-            }
-        }
     }
 
     /// Weighted cuts are a partition for any weight profile: ascending,

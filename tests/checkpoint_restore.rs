@@ -1,9 +1,9 @@
 //! Checkpoint/restore differential lockdown: resuming a session from a
 //! snapshot must be **bit-identical** to never having stopped.
 //!
-//! For a grid of (protocol × workload × engine × shards × scheduling)
-//! cells, this suite runs the same trace twice — once straight through,
-//! once checkpointed mid-run, serialized to JSON, parsed back, restored
+//! For a grid of (protocol × workload × engine × shards) cells, this
+//! suite runs the same trace twice — once straight through, once
+//! checkpointed mid-run, serialized to JSON, parsed back, restored
 //! through the registry, and continued — and compares everything
 //! observable: round and topology counters, the full run summary (wall
 //! clock and other volatile fields excluded), both amortized meters to
@@ -22,7 +22,7 @@
 //! ```
 
 use dynamic_subgraphs::net::{
-    Engine, NodeId, Query, QueryKind, Scheduling, Session, Shards, SimConfig, Snapshot, Trace,
+    Engine, NodeId, Query, QueryKind, RestoreError, Session, Shards, SimConfig, Snapshot, Trace,
 };
 use dynamic_subgraphs::workloads::{registry, Params};
 use proptest::prelude::*;
@@ -183,11 +183,10 @@ fn assert_sessions_match(a: &Session, b: &Session, ctx: &str) {
 fn differential(protocol: &str, trace: &Trace, cfg: SimConfig, ckpt_round: usize) -> Session {
     let reg = dds_bench::protocols();
     let ctx = format!(
-        "{protocol} ckpt@{ckpt_round}/{} ({:?}/{:?}/{:?})",
+        "{protocol} ckpt@{ckpt_round}/{} ({:?}/{:?})",
         trace.rounds(),
         cfg.engine,
-        cfg.shards,
-        cfg.scheduling
+        cfg.shards
     );
     let mut continuous = reg
         .open(protocol, trace.n, cfg)
@@ -218,11 +217,10 @@ fn differential(protocol: &str, trace: &Trace, cfg: SimConfig, ckpt_round: usize
 
 #[test]
 fn resume_is_bit_identical_across_the_protocol_workload_matrix() {
-    // Every protocol × every workload × both engines; shards and
-    // scheduling cycle through their values across cells, so each axis
-    // value runs against many cells without the full 360-cell product.
+    // Every protocol × every workload × both engines; shards cycle
+    // through their values across cells, so each value runs against many
+    // cells without the full 180-cell product.
     let shards = [Shards::Auto, Shards::Fixed(1), Shards::Fixed(3)];
-    let scheds = [Scheduling::Balanced, Scheduling::Chunked];
     let mut cell = 0usize;
     for protocol in dds_bench::protocols().names() {
         for workload in WORKLOADS {
@@ -233,7 +231,6 @@ fn resume_is_bit_identical_across_the_protocol_workload_matrix() {
                     record_stats: true,
                     engine,
                     shards: shards[cell % shards.len()],
-                    scheduling: scheds[cell % scheds.len()],
                     ..SimConfig::default()
                 };
                 cell += 1;
@@ -251,11 +248,10 @@ fn resume_is_bit_identical_across_the_protocol_workload_matrix() {
 /// the trace.
 fn fork_differential(protocol: &str, trace: &Trace, cfg: SimConfig, fork_round: usize) {
     let ctx = format!(
-        "{protocol} fork@{fork_round}/{} ({:?}/{:?}/{:?})",
+        "{protocol} fork@{fork_round}/{} ({:?}/{:?})",
         trace.rounds(),
         cfg.engine,
-        cfg.shards,
-        cfg.scheduling
+        cfg.shards
     );
     let mut original = dds_bench::protocols()
         .open(protocol, trace.n, cfg)
@@ -295,9 +291,8 @@ fn fork_differential(protocol: &str, trace: &Trace, cfg: SimConfig, fork_round: 
 #[test]
 fn a_fork_matches_its_original_and_stays_independent_across_the_matrix() {
     // The resume matrix's cells: every protocol × every workload × both
-    // engines, shards and scheduling cycling across cells.
+    // engines, shards cycling across cells.
     let shards = [Shards::Auto, Shards::Fixed(1), Shards::Fixed(3)];
-    let scheds = [Scheduling::Balanced, Scheduling::Chunked];
     let mut cell = 0usize;
     for protocol in dds_bench::protocols().names() {
         for workload in WORKLOADS {
@@ -308,7 +303,6 @@ fn a_fork_matches_its_original_and_stays_independent_across_the_matrix() {
                     record_stats: true,
                     engine,
                     shards: shards[cell % shards.len()],
-                    scheduling: scheds[cell % scheds.len()],
                     ..SimConfig::default()
                 };
                 cell += 1;
@@ -480,6 +474,32 @@ fn committed_golden_snapshots_still_restore_and_continue() {
             &format!("{protocol} [golden resume]"),
         );
     }
+}
+
+#[test]
+fn the_retired_scheduling_token_restores_and_unknown_tokens_are_corrupt() {
+    // Documents written while the engine had a second shard scheduler
+    // carry `"scheduling":"chunked"`. Outputs never depended on the token,
+    // so they restore under the one scheduler and re-checkpoint to the
+    // fixture's exact bytes; any other token is corrupt.
+    let committed = std::fs::read_to_string(golden_dir().join("two-hop.json")).unwrap();
+    let retag = |token: &str| {
+        let doc = committed.replace(
+            "\"scheduling\":\"balanced\"",
+            &format!("\"scheduling\":\"{token}\""),
+        );
+        assert_ne!(doc, committed, "the fixture's scheduling token moved");
+        doc
+    };
+    let snap = Snapshot::from_json(&retag("chunked")).expect("the retired token parses");
+    let resumed = dds_bench::protocols()
+        .restore(&snap)
+        .expect("the retired token restores");
+    assert_eq!(resumed.checkpoint().to_json(), committed);
+    assert!(matches!(
+        Snapshot::from_json(&retag("lifo")),
+        Err(RestoreError::Corrupt(_))
+    ));
 }
 
 #[test]

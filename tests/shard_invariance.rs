@@ -5,22 +5,20 @@
 //!
 //! Two differential layers:
 //!
-//! - **Fixed(K) vs Fixed(1)** for K ∈ {2, 3, 8} × scheduling ∈
-//!   {balanced, chunked}, inline and pooled: every registry protocol ×
-//!   er/flicker/sliding/p2p/hotspot, stepped round by round through
-//!   erased sessions — meters compared to `f64::to_bits` after *every*
-//!   round, per-round stats (minus the engine-measuring `shards` field),
-//!   and every supported query kind answered identically mid-run and
-//!   after settling. A heavy-batch flicker variant stresses the
+//! - **Fixed(K) vs Fixed(1)** for K ∈ {2, 3, 8}, inline and pooled:
+//!   every registry protocol × er/flicker/sliding/p2p/hotspot, stepped
+//!   round by round through erased sessions — meters compared to
+//!   `f64::to_bits` after *every* round, per-round stats (minus the
+//!   engine-measuring `shards` field), and every supported query kind
+//!   answered identically mid-run and after settling. A heavy-batch flicker variant stresses the
 //!   cross-shard merge with large simultaneous event sets; the
 //!   skewed-activity hotspot workload stresses the activity-weighted
-//!   boundary computation of balanced scheduling.
-//! - **proptests**: random (workload, n, rounds, seed, K, scheduling)
+//!   boundary computation.
+//! - **proptests**: random (workload, n, rounds, seed, K, parallel)
 //!   tuples through the robust 2-hop protocol, full-fingerprint compared.
 
 use dynamic_subgraphs::net::{
-    edge, engine, NodeId, Query, QueryKind, Scheduling, Session, Shards, SimConfig, Simulator,
-    Trace,
+    edge, engine, NodeId, Query, QueryKind, Session, Shards, SimConfig, Simulator, Trace,
 };
 use dynamic_subgraphs::robust::TwoHopNode;
 use dynamic_subgraphs::workloads::{registry, Params};
@@ -39,11 +37,10 @@ fn build(workload: &str, n: usize, rounds: usize, seed: u64) -> Trace {
     .expect("registered workload")
 }
 
-fn cfg(shards: Shards, parallel: bool, scheduling: Scheduling) -> SimConfig {
+fn cfg(shards: Shards, parallel: bool) -> SimConfig {
     SimConfig {
         shards,
         parallel,
-        scheduling,
         record_stats: true,
         ..SimConfig::default()
     }
@@ -107,17 +104,15 @@ fn scrubbed_stats(s: &Session) -> Vec<String> {
 /// Step a trace through one session per shard configuration, comparing
 /// everything observable after every round against the single-shard run.
 fn assert_shard_counts_identical(protocol: &str, trace: &Trace, parallel: bool, label: &str) {
-    let open = |shards: Shards, scheduling: Scheduling| {
+    let open = |shards: Shards| {
         dds_bench::protocols()
-            .open(protocol, trace.n, cfg(shards, parallel, scheduling))
+            .open(protocol, trace.n, cfg(shards, parallel))
             .expect("registered protocol")
     };
-    let mut base = open(Shards::Fixed(1), Scheduling::Balanced);
-    let mut sharded: Vec<(String, Session)> = Vec::new();
+    let mut base = open(Shards::Fixed(1));
+    let mut sharded: Vec<(usize, Session)> = Vec::new();
     for &k in &[2usize, 3, 8] {
-        for sched in [Scheduling::Balanced, Scheduling::Chunked] {
-            sharded.push((format!("{k}/{sched:?}"), open(Shards::Fixed(k), sched)));
-        }
+        sharded.push((k, open(Shards::Fixed(k))));
     }
     for (i, b) in trace.batches.iter().enumerate() {
         base.step(b);
@@ -302,23 +297,15 @@ proptest! {
         seed in 0u64..1_000,
         k in 2usize..10,
         par in 0u32..2,
-        sched in 0u32..2,
     ) {
         let parallel = par == 1;
-        let scheduling = if sched == 1 {
-            Scheduling::Chunked
-        } else {
-            Scheduling::Balanced
-        };
         let trace = build(WORKLOADS[w], n, rounds, seed);
-        let one: Simulator<TwoHopNode> =
-            engine::drive(&trace, cfg(Shards::Fixed(1), false, Scheduling::Balanced));
-        let many: Simulator<TwoHopNode> =
-            engine::drive(&trace, cfg(Shards::Fixed(k), parallel, scheduling));
+        let one: Simulator<TwoHopNode> = engine::drive(&trace, cfg(Shards::Fixed(1), false));
+        let many: Simulator<TwoHopNode> = engine::drive(&trace, cfg(Shards::Fixed(k), parallel));
         let a = fingerprint(&one, n);
         let b = fingerprint(&many, n);
-        prop_assert_eq!(&a.0, &b.0, "meters diverged (k={}, {:?})", k, scheduling);
-        prop_assert_eq!(&a.1, &b.1, "per-round stats diverged (k={}, {:?})", k, scheduling);
-        prop_assert_eq!(&a.2, &b.2, "query responses diverged (k={}, {:?})", k, scheduling);
+        prop_assert_eq!(&a.0, &b.0, "meters diverged (k={}, parallel={})", k, parallel);
+        prop_assert_eq!(&a.1, &b.1, "per-round stats diverged (k={}, parallel={})", k, parallel);
+        prop_assert_eq!(&a.2, &b.2, "query responses diverged (k={}, parallel={})", k, parallel);
     }
 }

@@ -7,17 +7,19 @@
 //! - `header` — format name + version, the protocol name, `n`, the round
 //!   the state was captured at, the full engine configuration
 //!   (engine/shards/parallel/record_stats/bandwidth, as the same tokens
-//!   the CLI accepts), and an FNV-1a checksum of the canonically
-//!   serialized body. The header is everything needed to decide *how* to
-//!   restore before touching the body. It also carries a fixed
-//!   `"scheduling":"balanced"` token, so documents stay byte-identical to
-//!   those written while the engine had a second shard scheduler; readers
-//!   accept that scheduler's retired `"chunked"` token too (outputs never
-//!   depended on it).
+//!   the CLI accepts), and the FNV-1a 64 checksum of the body's bytes as
+//!   they appear in the document. The header is everything needed to
+//!   decide *how* to restore before touching the body. It also carries a
+//!   fixed `"scheduling":"balanced"` token, so documents stay
+//!   byte-identical to those written while the engine had a second shard
+//!   scheduler; readers accept that scheduler's retired `"chunked"` token
+//!   too (outputs never depended on it).
 //!
 //!   The checksum exists only in the document: [`Snapshot::to_json`]
-//!   hashes the body bytes it writes and [`Snapshot::from_json`] checks
-//!   them. No in-memory [`SnapshotHeader`] holds it, so capturing a
+//!   hashes the body bytes it writes and [`Snapshot::from_json`] hashes
+//!   the same bytes where it reads them, without re-encoding anything. A
+//!   body reformatted to other bytes for the same value fails the check.
+//!   No in-memory [`SnapshotHeader`] holds the checksum, so capturing a
 //!   snapshot that is never written serializes nothing.
 //! - `body` — the full engine state: topology (timestamped edge set),
 //!   per-node protocol state (via [`Checkpointable`]), both amortized
@@ -244,11 +246,25 @@ impl Snapshot {
     /// Parse and validate an on-disk snapshot document: JSON shape, format
     /// name, version (refusing the future), header fields, and the body
     /// checksum — in that order, so the most informative error wins.
+    ///
+    /// The text is parsed once. The checksum is taken over the `body`
+    /// member's bytes exactly as they appear in `s`, the bytes
+    /// [`Snapshot::to_json`] hashed, and the parsed body is moved out of
+    /// the document, not copied.
     pub fn from_json(s: &str) -> Result<Snapshot, RestoreError> {
-        let doc: Value = serde_json::from_str(s).map_err(|e| RestoreError::Parse(e.to_string()))?;
-        let header = doc
-            .get("header")
-            .ok_or_else(|| RestoreError::Corrupt("missing `header` section".into()))?;
+        let (doc, spans) =
+            serde_json::from_str_spanned(s).map_err(|e| RestoreError::Parse(e.to_string()))?;
+        let mut sections = match doc {
+            Value::Obj(members) => members,
+            _ => Vec::new(),
+        };
+        let section = |name: &str| {
+            sections
+                .iter()
+                .position(|(k, _)| k == name)
+                .ok_or_else(|| RestoreError::Corrupt(format!("missing `{name}` section")))
+        };
+        let header = &sections[section("header")?].1;
         match header.get("format").and_then(Value::as_str) {
             Some(SNAPSHOT_FORMAT) => {}
             Some(other) => {
@@ -299,14 +315,12 @@ impl Snapshot {
                 .map_err(|e| RestoreError::Corrupt(format!("header: {e}")))?,
         };
         let expected = hu64("checksum")?;
-        let body = doc
-            .get("body")
-            .ok_or_else(|| RestoreError::Corrupt("missing `body` section".into()))?
-            .clone();
-        let actual = body_checksum(&body);
+        let at = section("body")?;
+        let actual = fnv1a64(s[spans[at].clone()].as_bytes());
         if actual != expected {
             return Err(RestoreError::ChecksumMismatch { expected, actual });
         }
+        let body = sections.swap_remove(at).1;
         Ok(Snapshot { header, body })
     }
 
@@ -399,13 +413,6 @@ fn checkpoint_file_round(name: &str) -> Option<u64> {
         return None;
     }
     digits.parse().ok()
-}
-
-/// The checksum a document's header carries: FNV-1a 64 over the body's
-/// canonical (compact) JSON serialization.
-fn body_checksum(body: &Value) -> u64 {
-    let canonical = serde_json::to_string(body).expect("json write is infallible");
-    fnv1a64(canonical.as_bytes())
 }
 
 /// FNV-1a 64-bit hash — the snapshot content checksum. Stable, dependency
@@ -564,6 +571,44 @@ mod tests {
         ));
     }
 
+    /// A body with a comma inside, as every real body has.
+    fn two_field_body() -> Value {
+        obj(vec![
+            ("round", Value::U64(7)),
+            ("nodes", Value::Arr(vec![Value::U64(1), Value::U64(2)])),
+        ])
+    }
+
+    #[test]
+    fn the_checksum_covers_the_body_bytes_as_written() {
+        let json = Snapshot::new(header(), two_field_body()).to_json();
+        assert!(Snapshot::from_json(&json).is_ok());
+        // Same JSON value, one more byte: the checksum is over the bytes
+        // `to_json` wrote, so a reformatted body no longer matches.
+        let spaced = json.replacen("\"nodes\":[1,2]", "\"nodes\":[1, 2]", 1);
+        assert_ne!(spaced, json, "reformat target not found");
+        assert!(matches!(
+            Snapshot::from_json(&spaced),
+            Err(RestoreError::ChecksumMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn sections_are_found_by_name_not_position() {
+        let snap = Snapshot::new(header(), two_field_body());
+        let body = serde_json::to_string(snap.body()).unwrap();
+        let json = snap.to_json();
+        let header = json
+            .strip_prefix("{\"header\":")
+            .and_then(|rest| rest.strip_suffix(&format!(",\"body\":{body}}}\n")))
+            .expect("to_json writes header then body");
+        let swapped = format!("{{\"body\":{body},\"header\":{header}}}");
+        let back = Snapshot::from_json(&swapped).unwrap();
+        assert_eq!(back.header, snap.header);
+        assert_eq!(back.body(), snap.body());
+        assert_eq!(back.to_json(), json);
+    }
+
     #[test]
     fn edge_codec_roundtrips_and_validates() {
         let e = edge(9, 2);
@@ -620,6 +665,23 @@ mod tests {
         assert!(path.ends_with("checkpoint_000009.json"));
         assert_eq!(scan.skipped.len(), 1, "only the truncated tail is skipped");
         assert!(scan.skipped[0].0.ends_with("checkpoint_000012.json"));
+        assert!(matches!(scan.skipped[0].1, RestoreError::Parse(_)));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn scan_skips_a_deeply_nested_tail_as_unparseable() {
+        let dir = scratch_dir("nested");
+        Snapshot::new(header(), body())
+            .write_file(&dir.join("checkpoint_000007.json"))
+            .unwrap();
+        // Well-formed JSON nested far past the parser's depth limit: it
+        // must be a typed skip, not a stack overflow that kills recovery.
+        let deep = format!("{}{}", "[".repeat(20_000), "]".repeat(20_000));
+        std::fs::write(dir.join("checkpoint_000008.json"), deep).unwrap();
+        let scan = scan_snapshot_dir(&dir).unwrap();
+        assert_eq!(scan.latest.expect("round 7 survives").1, 7);
+        assert_eq!(scan.skipped.len(), 1);
         assert!(matches!(scan.skipped[0].1, RestoreError::Parse(_)));
         std::fs::remove_dir_all(&dir).unwrap();
     }

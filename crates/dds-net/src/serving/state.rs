@@ -64,7 +64,7 @@ use crate::event::EventBatch;
 use crate::ids::Round;
 use crate::session::Session;
 use crate::sim::SimConfig;
-use serde::{Serialize, Value};
+use serde::Value;
 
 use super::fault::{CrashPoint, FaultPlan};
 use std::collections::{BTreeMap, BTreeSet};
@@ -403,7 +403,7 @@ impl ServingSession {
 /// Content digest of an ingest (verb-tagged so an `ingest` and a `step`
 /// can never alias).
 fn ingest_digest(batches: &[EventBatch]) -> u64 {
-    let doc = serde_json::to_string(&batches.to_vec().to_value()).expect("json is infallible");
+    let doc = serde_json::to_string(&batches).expect("json is infallible");
     fnv1a64(format!("ingest:{doc}").as_bytes())
 }
 
@@ -718,5 +718,18 @@ mod tests {
         assert_eq!(a, c, "same contents, same digest");
         assert_ne!(step_digest(3), step_digest(4));
         assert_ne!(a, step_digest(1), "verbs never alias");
+    }
+
+    #[test]
+    fn ingest_digest_is_pinned() {
+        // `meta.json` persists this digest and a restarted daemon compares
+        // retried writes against it, so its value must never change.
+        use crate::event::TopologyEvent;
+        use crate::ids::edge;
+        let mut second = EventBatch::new();
+        second.push(TopologyEvent::Delete(edge(0, 1)));
+        second.push(TopologyEvent::Insert(edge(4, 9)));
+        let batches = [EventBatch::insert(edge(0, 1)), second];
+        assert_eq!(ingest_digest(&batches), 0x24f5_a3c8_f855_3d94);
     }
 }

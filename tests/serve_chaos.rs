@@ -638,6 +638,57 @@ fn slow_loris_frames_are_cut_off_by_the_read_budget() {
     join.join().expect("server thread");
 }
 
+#[test]
+fn a_deeply_nested_request_is_a_typed_error_not_a_crash() {
+    use dynamic_subgraphs::net::serving::wire;
+    let (addr, join, stop) = boot_with(ServerOptions::default());
+    let mut client = Client::connect(&addr).expect("connect");
+    client.open("deep", "two-hop", 8).expect("open");
+
+    // 40 KB of well-formed JSON in an intact, checksummed frame, nested
+    // far deeper than any request: parsing it must stop at the depth
+    // limit with an ordinary error instead of overflowing the connection
+    // thread's stack and aborting the daemon.
+    let payload = format!("{}{}", "[".repeat(20_000), "]".repeat(20_000));
+    let mut hostile = std::net::TcpStream::connect(&addr).expect("connect hostile");
+    hostile
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("read timeout");
+    wire::write_frame(&mut hostile, payload.as_bytes()).expect("send frame");
+    let (reply, _) = wire::read_frame(&mut hostile)
+        .expect("a reply frame")
+        .expect("the daemon answers instead of closing");
+    let reply: serde::Value =
+        serde_json::from_str(std::str::from_utf8(&reply).expect("UTF-8 reply"))
+            .expect("a JSON reply");
+    let err = wire::check_response(&reply).expect_err("the request must be refused");
+    assert!(
+        err.starts_with("request is not JSON: "),
+        "typed error, got: {err}"
+    );
+    assert!(
+        err.contains("recursion limit"),
+        "names the limit, got: {err}"
+    );
+
+    // Every other connection keeps being served.
+    let mut other = Client::connect_with(
+        &addr,
+        ClientConfig {
+            deadline: Some(std::time::Duration::from_secs(5)),
+            ..ClientConfig::default()
+        },
+    )
+    .expect("connect after the hostile frame");
+    let reply = other
+        .query("deep", vec![(NodeId(0), Query::Edge(edge(0, 1)))])
+        .expect("query after the hostile frame");
+    assert_eq!(reply.watermark, 0);
+    drop((client, other, hostile));
+    stop();
+    join.join().expect("server thread");
+}
+
 // ---- fail-fast clients after a timeout --------------------------------
 
 #[test]

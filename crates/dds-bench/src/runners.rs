@@ -965,10 +965,9 @@ pub fn s3_sharded_tier(n: usize, rounds: usize) -> Table {
         ),
     ];
     for (label, workload, params) in cells {
-        let run = |shards: Shards, parallel: bool| {
+        let run = |shards: Shards| {
             let cfg = SimConfig {
                 shards,
-                parallel,
                 record_stats: true,
                 ..SimConfig::default()
             };
@@ -980,9 +979,9 @@ pub fn s3_sharded_tier(n: usize, rounds: usize) -> Table {
         // Untimed warm-up: the first run over a fresh million-node arena
         // pays every page fault; without it the second run's warmed heap
         // masquerades as a ~2x "speedup" even on one core.
-        let warm = run(Shards::Fixed(1), false);
-        let seq = run(Shards::Fixed(1), false);
-        let shd = run(Shards::Fixed(shards), true);
+        let warm = run(Shards::Fixed(1));
+        let seq = run(Shards::Fixed(1));
+        let shd = run(Shards::Fixed(shards));
         // Free extra determinism check: two identical runs, identical bits.
         assert_eq!(
             warm.amortized.to_bits(),
@@ -1098,10 +1097,9 @@ pub fn s4_skewed_tier(n: usize, rounds: usize) -> Table {
         ),
     ];
     for (label, params) in cells {
-        let run = |shards: Shards, parallel: bool| {
+        let run = |shards: Shards| {
             let cfg = SimConfig {
                 shards,
-                parallel,
                 record_stats: true,
                 ..SimConfig::default()
             };
@@ -1112,9 +1110,9 @@ pub fn s4_skewed_tier(n: usize, rounds: usize) -> Table {
         };
         // Untimed warm-up, as in S3: first touch of a fresh arena pays the
         // page faults and would otherwise inflate whichever mode runs last.
-        let warm = run(Shards::Fixed(1), false);
-        let seq = run(Shards::Fixed(1), false);
-        let balanced = run(Shards::Fixed(shards), true);
+        let warm = run(Shards::Fixed(1));
+        let seq = run(Shards::Fixed(1));
+        let balanced = run(Shards::Fixed(shards));
         assert_eq!(
             warm.amortized.to_bits(),
             seq.amortized.to_bits(),
@@ -1191,9 +1189,9 @@ pub fn s4_skewed_tier(n: usize, rounds: usize) -> Table {
 pub fn s5_serving_tier(n: usize, rounds: usize) -> Table {
     use dds_net::serving::{loadgen, Client, LoadgenOptions, Server};
 
-    // Every ingest verb republishes the settled view via checkpoint →
-    // restore, so the tier's cost scales with state size × churn rounds;
-    // serving behavior, not raw scale, is what s5 measures.
+    // Every ingest verb republishes the settled view by forking the
+    // writer's session, so the tier's cost scales with state size × churn
+    // rounds; serving behavior, not raw scale, is what s5 measures.
     let n = n.clamp(16, 2_000);
     let churn_rounds = rounds.clamp(10, 150);
     let mut t = Table::new(
@@ -1287,6 +1285,8 @@ pub fn s5_serving_tier(n: usize, rounds: usize) -> Table {
     t.note("each row: a live daemon on an ephemeral port, N reader connections issuing a fixed");
     t.note("query count each while one writer ingests the er schedule round by round; zero query");
     t.note("errors and post-burst checkpoint byte-identity vs a local session asserted in-runner");
+    t.note("QPS is read throughput: reader queries over the readers' own window (shared start to");
+    t.note("the last reader's finish), not over the time the writer takes to drain its churn");
     t
 }
 
@@ -1509,6 +1509,7 @@ pub fn s6_resilience_tier(n: usize, rounds: usize) -> Table {
     t.note("client; both checkpoints asserted byte-identical to a local session. recovery ms =");
     t.note("bind + --recover scan + first checkpoint answered from the durable dir; gated in-");
     t.note("runner against max(resim/10, 100ms), the PR 8 restore bound through the daemon path");
+    t.note("QPS is read throughput over the readers' own window, as in S5");
     t
 }
 

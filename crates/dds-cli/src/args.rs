@@ -68,11 +68,11 @@ mod tests {
 
     #[test]
     fn positionals_and_options() {
-        let a = parse("simulate --n 128 --protocol triangle --parallel").unwrap();
+        let a = parse("simulate --n 128 --protocol triangle --stream").unwrap();
         assert_eq!(a.positional, vec!["simulate"]);
         assert_eq!(a.get_or("protocol", "x"), "triangle");
         assert_eq!(a.num_or("n", 0usize).unwrap(), 128);
-        assert!(a.flag("parallel"));
+        assert!(a.flag("stream"));
         assert!(!a.flag("csv"));
     }
 

@@ -1,7 +1,7 @@
 //! `dds` — the dynamic-subgraphs command-line runner.
 //!
 //! ```text
-//! dds simulate --protocol triangle --workload er --n 128 --rounds 500 [--parallel] [--json]
+//! dds simulate --protocol triangle --workload er --n 128 --rounds 500 [--json]
 //! dds query --protocol triangle --workload er --n 32 --rounds 100 \
 //!           --settle 64 --query "list-triangles@0; edge:0-1"
 //! dds trace generate --workload p2p --n 64 --rounds 300 --out trace.json
@@ -34,7 +34,7 @@ pub const VERSION: &str = env!("CARGO_PKG_VERSION");
 pub const USAGE: &str = "\
 usage:
   dds simulate --protocol <name> --workload <name> [--n N] [--rounds R] [--seed S]
-               [--stream] [--seeds K] [--jobs J] [--parallel] [--record-stats]
+               [--stream] [--seeds K] [--jobs J] [--record-stats]
                [--engine sparse|dense] [--shards auto|K] [--sample-queries K]
                [--checkpoint-every K] [--checkpoint-dir D] [--resume FILE]
                [--json]
@@ -44,10 +44,10 @@ usage:
                 --engine picks the round engine — sparse [default] does
                 O(churn + traffic) work per round, dense visits all n nodes
                 (escape hatch; bit-identical results); --shards partitions each
-                round into K node-id-range tasks (auto [default] scales with
-                activity and the worker pool; boundaries follow per-node
-                activity weight; results are bit-identical for every K) and
-                --parallel fans them out over the work-stealing pool;
+                round into K node-id-range tasks, run on the work-stealing
+                pool when K > 1 (auto [default] scales with activity and the
+                worker pool; boundaries follow per-node activity weight;
+                results are bit-identical for every K);
                 --record-stats also reports per-round active-node counts and
                 per-shard peaks; --sample-queries K probes an edge query
                 mid-run every K rounds and reports the answered/inconsistent
@@ -105,9 +105,11 @@ usage:
                 [--client-seed S]] [--json]
                (drives N client threads of a deterministic mixed query
                 workload — M queries each — at a running daemon and reports
-                QPS plus latency median ± MAD; with --churn-rounds K a
-                dedicated writer connection concurrently ingests K workload
-                rounds, so the queries race a moving watermark;
+                read QPS [queries over the readers' own window] plus latency
+                median ± MAD; with --churn-rounds K a dedicated writer
+                connection concurrently ingests K workload rounds, so the
+                queries race a moving watermark, and the writer's rounds/s
+                is reported next to the read QPS;
                 --skip-rounds R fast-forwards the generator past the first R
                 rounds — required when churning a warm-started session, whose
                 topology already absorbed the snapshot's prefix;
@@ -194,7 +196,7 @@ fn cmd_list() -> Result<(), String> {
     println!("engine:");
     println!(
         "  worker pool:   {workers} daemon worker(s) + the driving thread \
-                 (--parallel fans shards out over them)"
+                 (rounds with 2+ shards fan out over them)"
     );
     println!(
         "  shards:        auto scales 1..={} with round activity; \
@@ -213,7 +215,6 @@ fn cmd_list() -> Result<(), String> {
 fn cmd_simulate(args: &Args) -> Result<(), String> {
     let protocol = args.get_or("protocol", "triangle").to_string();
     let cfg = dds_net::SimConfig {
-        parallel: args.flag("parallel"),
         record_stats: args.flag("record-stats"),
         engine: run::engine_from(args)?,
         shards: run::shards_from(args)?,
@@ -359,10 +360,8 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
             summary.budget_bits, summary.violations
         );
         println!(
-            "wall clock:           {:.3}s  ({:.0} rounds/sec{})",
-            summary.seconds,
-            summary.rounds_per_sec,
-            if cfg.parallel { ", parallel" } else { "" }
+            "wall clock:           {:.3}s  ({:.0} rounds/sec)",
+            summary.seconds, summary.rounds_per_sec
         );
         if cfg.record_stats {
             println!(
@@ -490,7 +489,6 @@ fn cmd_query(args: &Args) -> Result<(), String> {
         .get("query")
         .ok_or("query needs --query \"SPEC[; SPEC...]\" (see `dds --help` for the grammar)")?;
     let cfg = dds_net::SimConfig {
-        parallel: args.flag("parallel"),
         engine: run::engine_from(args)?,
         shards: run::shards_from(args)?,
         ..dds_net::SimConfig::default()

@@ -1,5 +1,6 @@
 //! `dds loadgen` — drive mixed query traffic at a running serve daemon
-//! and report throughput and latency.
+//! and report read QPS (over the readers' own window), the churn writer's
+//! rounds/s, and latency.
 //!
 //! ```text
 //! dds loadgen --addr 127.0.0.1:7421 --session main \
@@ -126,7 +127,12 @@ pub fn cmd_loadgen(args: &Args) -> Result<(), String> {
         println!("  \"errors\": {},", report.errors);
         println!("  \"churn_rounds\": {},", report.churn_rounds);
         println!("  \"wall_seconds\": {:.6},", report.wall_seconds);
+        println!("  \"read_seconds\": {:.6},", report.read_seconds);
         println!("  \"qps\": {:.1},", report.qps());
+        println!(
+            "  \"write_rounds_per_s\": {:.1},",
+            report.write_rounds_per_sec()
+        );
         println!("  \"latency_median_us\": {:.1},", lat_median * 1e6);
         println!("  \"latency_mad_us\": {:.1},", lat_mad * 1e6);
         println!("  \"retries\": {},", report.retries);
@@ -165,10 +171,18 @@ pub fn cmd_loadgen(args: &Args) -> Result<(), String> {
             report.answered, report.inconsistent, report.errors
         );
         println!(
-            "rate:      {:.0} queries/s over {:.3}s wall",
+            "reads:     {:.0} queries/s over the readers' {:.3}s ({:.3}s wall)",
             report.qps(),
+            report.read_seconds,
             report.wall_seconds
         );
+        if report.churn_rounds > 0 {
+            println!(
+                "writes:    {:.0} rounds/s over the writer's {:.3}s",
+                report.write_rounds_per_sec(),
+                report.write_seconds
+            );
+        }
         println!(
             "latency:   median {:.1}us ± {:.1} MAD",
             lat_median * 1e6,

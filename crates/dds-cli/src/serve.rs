@@ -155,7 +155,6 @@ pub fn cmd_serve(args: &Args) -> Result<(), String> {
         } else {
             let n: usize = args.num_or("n", 64)?;
             let cfg = SimConfig {
-                parallel: args.flag("parallel"),
                 engine: crate::run::engine_from(args)?,
                 shards: crate::run::shards_from(args)?,
                 ..SimConfig::default()

@@ -852,7 +852,7 @@ fn simulate_pooled_shards_match_one_shard() {
         assert!(ok, "{shards:?} run failed");
         out
     };
-    let pooled = run(&["--shards", "4", "--parallel"]);
+    let pooled = run(&["--shards", "4"]);
     let single = run(&["--shards", "1"]);
     // Same run, same outputs: every deterministic *output* field agrees.
     // (Wall-clock fields differ by nature; `shards` and

@@ -6,14 +6,16 @@
 //!
 //! - `header` — format name + version, the protocol name, `n`, the round
 //!   the state was captured at, the full engine configuration
-//!   (engine/shards/parallel/record_stats/bandwidth, as the same tokens
-//!   the CLI accepts), and the FNV-1a 64 checksum of the body's bytes as
-//!   they appear in the document. The header is everything needed to
-//!   decide *how* to restore before touching the body. It also carries a
-//!   fixed `"scheduling":"balanced"` token, so documents stay
-//!   byte-identical to those written while the engine had a second shard
-//!   scheduler; readers accept that scheduler's retired `"chunked"` token
-//!   too (outputs never depended on it).
+//!   (engine/shards/record_stats/bandwidth, as the same tokens the CLI
+//!   accepts), and the FNV-1a 64 checksum of the body's bytes as they
+//!   appear in the document. The header is everything needed to decide
+//!   *how* to restore before touching the body. It also carries two
+//!   retired fields at fixed values, so documents stay byte-identical to
+//!   those written while the engine had a second shard scheduler and a
+//!   user switch between inline and pooled shard execution:
+//!   `"scheduling":"balanced"` (readers accept the retired `"chunked"`
+//!   token too) and `"parallel":false` (readers accept either boolean).
+//!   Outputs never depended on either.
 //!
 //!   The checksum exists only in the document: [`Snapshot::to_json`]
 //!   hashes the body bytes it writes and [`Snapshot::from_json`] hashes
@@ -153,9 +155,6 @@ pub struct SnapshotHeader {
     pub engine: String,
     /// Shard policy token (`"auto"` or a count).
     pub shards: String,
-    /// Whether shard tasks fan out over the worker pool. Kept for
-    /// faithfulness; flipping it cannot change results.
-    pub parallel: bool,
     /// Whether a per-round stats log was kept.
     pub record_stats: bool,
     /// Bandwidth budget configuration.
@@ -172,7 +171,6 @@ impl SnapshotHeader {
             round,
             engine: cfg.engine.token().to_string(),
             shards: cfg.shards.token(),
-            parallel: cfg.parallel,
             record_stats: cfg.record_stats,
             bandwidth: cfg.bandwidth,
         }
@@ -185,7 +183,6 @@ impl SnapshotHeader {
         let corrupt = |e: String| RestoreError::Corrupt(format!("header: {e}"));
         Ok(crate::sim::SimConfig {
             bandwidth: self.bandwidth,
-            parallel: self.parallel,
             record_stats: self.record_stats,
             engine: self.engine.parse().map_err(corrupt)?,
             shards: self.shards.parse().map_err(corrupt)?,
@@ -234,7 +231,7 @@ impl Snapshot {
             ("engine", Value::Str(h.engine.clone())),
             ("shards", Value::Str(h.shards.clone())),
             ("scheduling", Value::Str(SCHEDULING_TOKENS[0].into())),
-            ("parallel", Value::Bool(h.parallel)),
+            ("parallel", Value::Bool(false)),
             ("record_stats", Value::Bool(h.record_stats)),
             ("bandwidth", serde::Serialize::to_value(&h.bandwidth)),
             ("checksum", Value::U64(fnv1a64(body.as_bytes()))),
@@ -302,6 +299,9 @@ impl Snapshot {
                 "header: unknown scheduling {scheduling:?}; expected \"balanced\" or \"chunked\""
             )));
         }
+        // The retired pool switch: still required to be a boolean, its
+        // value ignored (see the module docs).
+        hbool("parallel")?;
         let header = SnapshotHeader {
             version,
             protocol: hstr("protocol")?,
@@ -309,7 +309,6 @@ impl Snapshot {
             round: hu64("round")?,
             engine: hstr("engine")?,
             shards: hstr("shards")?,
-            parallel: hbool("parallel")?,
             record_stats: hbool("record_stats")?,
             bandwidth: crate::bandwidth::BandwidthConfig::from_value(hfield("bandwidth")?)
                 .map_err(|e| RestoreError::Corrupt(format!("header: {e}")))?,
@@ -498,7 +497,6 @@ mod tests {
             round: 7,
             engine: "sparse".into(),
             shards: "auto".into(),
-            parallel: false,
             record_stats: true,
             bandwidth: BandwidthConfig::default(),
         }

@@ -65,6 +65,12 @@ pub struct LoadgenReport {
     pub errors: u64,
     /// Wall-clock seconds from first to last request across all clients.
     pub wall_seconds: f64,
+    /// The readers' window: seconds from the shared start until the last
+    /// reader finished. Read QPS is measured over this, not over
+    /// `wall_seconds`, which also waits for the churn writer to drain.
+    pub read_seconds: f64,
+    /// The churn writer's own elapsed seconds (0 without churn).
+    pub write_seconds: f64,
     /// Client-observed per-request latencies in seconds, all clients
     /// concatenated (unordered).
     pub latencies: Vec<f64>,
@@ -81,12 +87,20 @@ pub struct LoadgenReport {
 }
 
 impl LoadgenReport {
-    /// Queries per wall-clock second.
+    /// Read throughput: queries per second of the readers' window.
     pub fn qps(&self) -> f64 {
-        if self.wall_seconds <= 0.0 {
+        if self.read_seconds <= 0.0 {
             return 0.0;
         }
-        self.queries as f64 / self.wall_seconds
+        self.queries as f64 / self.read_seconds
+    }
+
+    /// Write throughput: churn rounds per second of the writer's own time.
+    pub fn write_rounds_per_sec(&self) -> f64 {
+        if self.write_seconds <= 0.0 {
+            return 0.0;
+        }
+        self.churn_rounds as f64 / self.write_seconds
     }
 
     /// Total failed requests (all verbs, after retries).
@@ -112,6 +126,8 @@ impl LoadgenReport {
         self.errors += part.errors;
         self.latencies.extend(part.latencies);
         self.churn_rounds += part.churn_rounds;
+        self.read_seconds = self.read_seconds.max(part.read_seconds);
+        self.write_seconds = self.write_seconds.max(part.write_seconds);
         for (verb, count) in part.request_errors {
             *self.request_errors.entry(verb).or_insert(0) += count;
         }
@@ -168,6 +184,7 @@ pub fn run(
             let session = opts.session.clone();
             let tolerate = opts.tolerate.clone();
             scope.spawn(move || -> LoadgenReport {
+                let start = Instant::now();
                 let mut part = LoadgenReport::default();
                 let mut client = match connect(&addr, &tolerate, u64::MAX) {
                     Ok(c) => c,
@@ -191,6 +208,7 @@ pub fn run(
                 }
                 part.retries = client.retries();
                 part.reconnects = client.reconnects();
+                part.write_seconds = start.elapsed().as_secs_f64();
                 part
             })
         });
@@ -247,6 +265,7 @@ pub fn run(
                     }
                     report.retries += client.retries();
                     report.reconnects += client.reconnects();
+                    report.read_seconds = t0.elapsed().as_secs_f64();
                     Ok(report)
                 })
             })
@@ -318,11 +337,38 @@ mod tests {
     fn qps_handles_degenerate_walls() {
         let mut r = LoadgenReport {
             queries: 10,
+            churn_rounds: 6,
             ..LoadgenReport::default()
         };
         assert_eq!(r.qps(), 0.0);
-        r.wall_seconds = 2.0;
+        assert_eq!(r.write_rounds_per_sec(), 0.0);
+        r.read_seconds = 2.0;
+        r.write_seconds = 3.0;
         assert_eq!(r.qps(), 5.0);
+        assert_eq!(r.write_rounds_per_sec(), 2.0);
+    }
+
+    #[test]
+    fn read_and_write_windows_merge_by_their_maximum() {
+        // Two readers and a writer that outlasts them: read QPS divides by
+        // the last reader's finish, not by the writer's longer drain.
+        let reader = |queries, read_seconds| LoadgenReport {
+            queries,
+            read_seconds,
+            ..LoadgenReport::default()
+        };
+        let writer = LoadgenReport {
+            churn_rounds: 30,
+            write_seconds: 3.0,
+            ..LoadgenReport::default()
+        };
+        let mut total = LoadgenReport::default();
+        total.absorb(reader(100, 0.5));
+        total.absorb(writer);
+        total.absorb(reader(100, 1.0));
+        assert_eq!((total.read_seconds, total.write_seconds), (1.0, 3.0));
+        assert_eq!(total.qps(), 200.0);
+        assert_eq!(total.write_rounds_per_sec(), 10.0);
     }
 
     #[test]

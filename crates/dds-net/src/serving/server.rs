@@ -15,7 +15,10 @@
 //! a session cap with typed `[overloaded]` rejections, idle-timeout
 //! eviction with typed `[evicted]` lookups, and a per-connection frame
 //! read budget so a slow-loris peer costs one connection, never the
-//! daemon.
+//! daemon. Per-request caps ([`wire::MAX_STEP_ROUNDS`],
+//! [`wire::MAX_INGEST_BATCHES`], [`wire::MAX_OPEN_N`]) refuse a hostile
+//! but well-formed request `[too-large]` before it can hold a session's
+//! writer lock for good or allocate at will.
 
 use super::fault::{ConnFaults, FaultPlan, WriteFault};
 use super::metrics::ServerMetrics;
@@ -405,7 +408,8 @@ fn handle_payload(
 
 /// Turn an internal error string into the wire envelope, extracting the
 /// `[code] message` convention ([`Directory`] uses it for `overloaded`
-/// and `evicted`) into the typed `code` field.
+/// and `evicted`, the request caps for `too-large`) into the typed `code`
+/// field.
 fn error_value(e: &str) -> Value {
     if let Some(rest) = e.strip_prefix('[') {
         if let Some((code, message)) = rest.split_once("] ") {
@@ -415,6 +419,18 @@ fn error_value(e: &str) -> Value {
         }
     }
     wire::err_response(e)
+}
+
+/// Refuse a request whose `what` exceeds its per-request cap with a typed
+/// `[too-large]` error, before any work: nothing is applied, published,
+/// persisted or recorded for dedup.
+fn too_large(verb: &str, what: &str, value: u64, cap: u64) -> Result<(), String> {
+    if value > cap {
+        return Err(format!(
+            "[too-large] {verb}: {what} {value} is over the per-request cap of {cap}"
+        ));
+    }
+    Ok(())
 }
 
 /// Execute one (non-shutdown) verb against the directory.
@@ -433,6 +449,9 @@ fn handle_request(
             shards,
             snapshot,
         } => {
+            if let Some(n) = n {
+                too_large("open", "n", n as u64, wire::MAX_OPEN_N as u64)?;
+            }
             if state.durability.is_some() && !path_safe(&session) {
                 return Err(format!(
                     "open: session name {session:?} is not usable as a checkpoint \
@@ -443,6 +462,12 @@ fn handle_request(
             let serving = match snapshot {
                 Some(doc) => {
                     let snap = Snapshot::from_json(&doc).map_err(|e| e.to_string())?;
+                    too_large(
+                        "open",
+                        "the snapshot's n",
+                        snap.header.n as u64,
+                        wire::MAX_OPEN_N as u64,
+                    )?;
                     if let Some(p) = &protocol {
                         if *p != snap.header.protocol {
                             return Err(format!(
@@ -480,6 +505,12 @@ fn handle_request(
             batches,
             seq,
         } => {
+            too_large(
+                "ingest",
+                "batch count",
+                batches.len() as u64,
+                wire::MAX_INGEST_BATCHES as u64,
+            )?;
             let serving = state.directory.get(&session)?;
             let watermark = serving.ingest(registry, &batches, seq, faults)?;
             state
@@ -496,6 +527,7 @@ fn handle_request(
             rounds,
             seq,
         } => {
+            too_large("step", "rounds", rounds, wire::MAX_STEP_ROUNDS)?;
             let serving = state.directory.get(&session)?;
             let watermark = serving.step_quiet(rounds, seq, faults)?;
             state.metrics.rounds.fetch_add(rounds, Ordering::Relaxed);

@@ -20,9 +20,11 @@
 //! response `{"v": 1, "ok": true, ...}` or
 //! `{"v": 1, "ok": false, "error": "...", ["code": "..."]}` — the
 //! optional `code` carries machine-readable failure classes
-//! (`overloaded`, `evicted`). The version field is checked on both sides;
-//! frames larger than [`MAX_FRAME_BYTES`] are refused before allocation
-//! (a garbage length prefix must not OOM the daemon).
+//! (`overloaded`, `evicted`, `too-large`). The version field is checked on
+//! both sides; frames larger than [`MAX_FRAME_BYTES`] are refused before
+//! allocation (a garbage length prefix must not OOM the daemon), and a
+//! request past [`MAX_STEP_ROUNDS`], [`MAX_INGEST_BATCHES`] or
+//! [`MAX_OPEN_N`] is refused `too-large` before any work.
 //!
 //! Verbs: `open`, `ingest`, `step`, `query`, `list`, `stats`,
 //! `checkpoint`, `close`, `shutdown` — see [`Request`] for each verb's
@@ -48,6 +50,21 @@ pub const MAX_FRAME_BYTES: usize = 64 << 20;
 
 /// Bytes of frame header on the wire: 4 length + 8 checksum.
 pub const FRAME_HEADER_BYTES: usize = 12;
+
+/// Most quiet rounds one `step` may ask for. A write holds its session's
+/// writer lock until it finishes, so an unbounded count would hold it for
+/// good; a client splits a longer settle into several requests. Above the
+/// largest settle any benchmark sends in one `step` (≤ 100 000 rounds).
+pub const MAX_STEP_ROUNDS: u64 = 131_072;
+
+/// Most batches (one round each) one `ingest` may carry, for the same
+/// reason as [`MAX_STEP_ROUNDS`].
+pub const MAX_INGEST_BATCHES: usize = 131_072;
+
+/// Largest network an `open` may create, fresh or from a snapshot: the
+/// largest `n` any benchmark tier runs. Past it one frame could send the
+/// daemon into an allocation of its choosing.
+pub const MAX_OPEN_N: usize = 1_048_576;
 
 /// Write one frame: 4-byte big-endian length, 8-byte FNV-1a-64 payload
 /// checksum, then the payload. Returns the total bytes put on the wire
@@ -109,19 +126,12 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<(Vec<u8>, usize)>> {
 /// already read instead of desynchronizing the stream. Returns `Ok(None)`
 /// on clean close, or when `stop` fires between frames; a stop mid-frame
 /// is an error (the peer went quiet halfway through a frame).
-pub fn read_frame_poll(
-    r: &mut impl Read,
-    stop: &dyn Fn() -> bool,
-) -> io::Result<Option<(Vec<u8>, usize)>> {
-    read_frame_inner(r, Some(stop), None)
-}
-
-/// [`read_frame_poll`] with a per-frame read budget: once the first byte
-/// of a frame arrives, the whole frame must complete within `budget` or
-/// the read fails with `TimedOut`. This bounds how long a slow-loris peer
-/// (one byte per poll interval, forever) can pin a connection thread —
-/// the daemon closes *that* connection and keeps serving the rest. Idle
-/// time between frames is not budgeted.
+///
+/// Once the first byte of a frame arrives, the whole frame must complete
+/// within `budget` or the read fails with `TimedOut`. This bounds how long
+/// a slow-loris peer (one byte per poll interval, forever) can pin a
+/// connection thread — the daemon closes *that* connection and keeps
+/// serving the rest. Idle time between frames is not budgeted.
 pub fn read_frame_budget(
     r: &mut impl Read,
     stop: &dyn Fn() -> bool,
@@ -692,8 +702,7 @@ mod tests {
         assert!(err.to_string().contains("budget"), "{err}");
 
         // An idle connection (no bytes at all) is not budgeted: the stop
-        // poll decides, exactly as in read_frame_poll — even though the
-        // idle wait far exceeds the budget.
+        // poll decides, even though the idle wait far exceeds the budget.
         struct Idle;
         impl Read for Idle {
             fn read(&mut self, _buf: &mut [u8]) -> io::Result<usize> {
@@ -868,7 +877,8 @@ mod proptests {
 
         // A valid frame truncated at every possible cut: complete at the
         // full length, clean-EOF at zero, a typed error everywhere in
-        // between — and the poll-mode reader classifies identically.
+        // between — and the poll-mode reader (with a budget far above this
+        // test's run time) classifies identically.
         #[test]
         fn truncation_at_any_cut_is_total(raw in prop::collection::vec(0u16..256, 0..64), cut_seed in 0usize..4096) {
             let payload = bytes(&raw);
@@ -889,7 +899,7 @@ mod proptests {
             }
             let mut r = &buf[..cut];
             let stop = || false;
-            match (cut, read_frame_poll(&mut r, &stop)) {
+            match (cut, read_frame_budget(&mut r, &stop, Duration::from_secs(3600))) {
                 (0, Ok(None)) => {}
                 (c, Ok(Some((back, _)))) if c == buf.len() => prop_assert_eq!(back, payload.clone()),
                 (c, Err(_)) if c > 0 && c < buf.len() => {}

@@ -39,18 +39,18 @@
 //! Because the exchange is a deterministic sorted merge on globally unique
 //! `(receiver, sender)` keys, `shards = K` is **bit-identical** to
 //! `shards = 1` and to the sequential engine by construction, for every
-//! `K`. With `SimConfig::parallel = true` the shard tasks fan out over the
-//! persistent worker pool; with `parallel = false` the same shard
-//! structure runs inline on one thread — same results either way.
+//! `K`. A round with one shard runs inline on the calling thread with no
+//! allocation; a round with `K > 1` shards hands its tasks to the
+//! persistent work-stealing pool, which itself runs a job inline when it
+//! has no workers, when the call is nested, or when another job holds it.
 //!
 //! The cut points are **activity-proportional**: Region A splits the
 //! active set by a deterministic prefix-sum over `1 + degree` weights,
 //! and Region B independently splits the receiver list by `1 +
 //! inbox-size` weights — both pure functions of round data, so skewed
 //! (hub/hotspot) workloads get weight-balanced shards without any new
-//! synchronization. Pooled shard tasks run on the work-stealing
-//! scheduler. The partition never affects results — only which task
-//! computes them.
+//! synchronization. The partition never affects results — only which
+//! task computes them.
 
 use crate::bandwidth::{BandwidthConfig, BandwidthMeter};
 use crate::checkpoint::{self, Checkpointable};
@@ -116,9 +116,7 @@ pub enum Shards {
     /// per 1024 active nodes, capped at `pool workers + 1`. Re-evaluated
     /// from the **current round's** active set on every `step`, so a run
     /// that goes quiet drops back to the `k = 1` no-alloc path instead of
-    /// keeping the shard count of its busiest round. Never a function of
-    /// [`SimConfig::parallel`], so flipping `parallel` cannot change
-    /// per-round stats.
+    /// keeping the shard count of its busiest round.
     #[default]
     Auto,
     /// Exactly `K` shards per round (clamped to `1..=1024` and to the
@@ -158,10 +156,6 @@ impl Shards {
 pub struct SimConfig {
     /// Per-link bandwidth budget configuration.
     pub bandwidth: BandwidthConfig,
-    /// Fan the per-round shard tasks out over the persistent worker pool.
-    /// Results are bit-identical to the inline path; use for large active
-    /// sets on multi-core hosts.
-    pub parallel: bool,
     /// Keep a per-round [`RoundStats`] log (costs memory on long runs).
     pub record_stats: bool,
     /// Which round engine to run (default: [`Engine::Sparse`]).
@@ -600,7 +594,7 @@ impl<N: Node> Simulator<N> {
                     scratch_rest = sr;
                     base = hi;
                 }
-                run_shards(self.cfg.parallel, k, &|s| {
+                Pool::global().run(k, 1, k, &|s| {
                     run_region_a(&mut tasks[s].lock().expect("shard task"));
                 });
             }
@@ -697,7 +691,7 @@ impl<N: Node> Simulator<N> {
                     pos0 += recv_slice.len();
                     base = hi;
                 }
-                run_shards(self.cfg.parallel, k, &|s| {
+                Pool::global().run(k, 1, k, &|s| {
                     run_region_b(&mut tasks[s].lock().expect("shard task"));
                 });
             }
@@ -812,19 +806,6 @@ fn weighted_ranges(
     }
     bounds.push(n as u32);
     bounds
-}
-
-/// Run `f(s)` for every shard `s in 0..k` — over the work-stealing
-/// worker pool when requested (and the pool is free), inline otherwise.
-/// Bit-identical either way: shard tasks write only disjoint state.
-fn run_shards(parallel: bool, k: usize, f: &(dyn Fn(usize) + Sync)) {
-    if parallel && k > 1 {
-        Pool::global().run(k, 1, k, f)
-    } else {
-        for s in 0..k {
-            f(s);
-        }
-    }
 }
 
 /// One shard's send-region task: disjoint mutable slices of the node and
@@ -1231,24 +1212,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential() {
-        let run = |parallel: bool| {
-            let cfg = SimConfig {
-                parallel,
-                record_stats: true,
-                ..SimConfig::default()
-            };
-            churn_run(cfg, |sim| {
-                sim.stats()
-                    .iter()
-                    .map(|s| format!("{s:?}"))
-                    .collect::<Vec<_>>()
-            })
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
     fn sparse_matches_dense_bit_for_bit() {
         let run = |engine: Engine| {
             let cfg = SimConfig {
@@ -1336,15 +1299,14 @@ mod tests {
         assert_eq!(last.shards, 1, "quiet round must collapse to one shard");
     }
 
-    /// Structural sharding: `Fixed(K)` must be bit-identical to
-    /// `Fixed(1)` for every `K`, inline and pooled, including per-round
-    /// stats (modulo the `shards` column itself) and all meters.
+    /// Structural sharding: `Fixed(K)` (pooled) must be bit-identical to
+    /// `Fixed(1)` (inline) for every `K`, including per-round stats
+    /// (modulo the `shards` column itself) and all meters.
     #[test]
     fn sharded_matches_single_shard_bit_for_bit() {
-        let run = |shards: Shards, parallel: bool| {
+        let run = |shards: Shards| {
             let cfg = SimConfig {
                 shards,
-                parallel,
                 record_stats: true,
                 ..SimConfig::default()
             };
@@ -1364,10 +1326,9 @@ mod tests {
                 (stats, greeted)
             })
         };
-        let base = run(Shards::Fixed(1), false);
+        let base = run(Shards::Fixed(1));
         for k in [2, 3, 8] {
-            assert_eq!(base, run(Shards::Fixed(k), false), "k={k} inline");
-            assert_eq!(base, run(Shards::Fixed(k), true), "k={k} pooled");
+            assert_eq!(base, run(Shards::Fixed(k)), "k={k}");
         }
     }
 

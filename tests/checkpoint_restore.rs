@@ -500,6 +500,25 @@ fn the_retired_scheduling_token_restores_and_unknown_tokens_are_corrupt() {
         Snapshot::from_json(&retag("lifo")),
         Err(RestoreError::Corrupt(_))
     ));
+    // Documents written while shard execution had a user switch between
+    // inline and pooled may carry `"parallel":true`. Outputs never
+    // depended on it either: such a document restores under the one
+    // executor and re-checkpoints to the fixture's exact bytes, while a
+    // non-boolean value is corrupt.
+    let retag_parallel = |value: &str| {
+        let doc = committed.replace("\"parallel\":false", &format!("\"parallel\":{value}"));
+        assert_ne!(doc, committed, "the fixture's parallel field moved");
+        doc
+    };
+    let snap = Snapshot::from_json(&retag_parallel("true")).expect("the retired switch parses");
+    let resumed = dds_bench::protocols()
+        .restore(&snap)
+        .expect("the retired switch restores");
+    assert_eq!(resumed.checkpoint().to_json(), committed);
+    assert!(matches!(
+        Snapshot::from_json(&retag_parallel("\"yes\"")),
+        Err(RestoreError::Corrupt(_))
+    ));
 }
 
 #[test]

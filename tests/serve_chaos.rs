@@ -15,7 +15,7 @@ use dynamic_subgraphs::net::serving::{
     Server, ServerOptions, ServingSession, WriteFault,
 };
 use dynamic_subgraphs::net::{
-    edge, Answer, EventBatch, NodeId, Query, Response, Session, SimConfig, Trace,
+    edge, Answer, EventBatch, NodeId, Query, Response, Session, SimConfig, Snapshot, Trace,
 };
 use dynamic_subgraphs::workloads::{registry, Params};
 use proptest::prelude::*;
@@ -685,6 +685,100 @@ fn a_deeply_nested_request_is_a_typed_error_not_a_crash() {
         .expect("query after the hostile frame");
     assert_eq!(reply.watermark, 0);
     drop((client, other, hostile));
+    stop();
+    join.join().expect("server thread");
+}
+
+// ---- per-request caps --------------------------------------------------
+
+/// A fail-fast client whose every request must be answered within 5 s, so
+/// a wedged writer fails the test instead of hanging it.
+fn deadline_client(addr: &str) -> Client {
+    Client::connect_with(
+        addr,
+        ClientConfig {
+            deadline: Some(std::time::Duration::from_secs(5)),
+            ..ClientConfig::default()
+        },
+    )
+    .expect("connect")
+}
+
+#[test]
+fn an_unbounded_step_is_too_large_and_the_writer_stays_free() {
+    use dynamic_subgraphs::net::serving::wire::MAX_STEP_ROUNDS;
+    let (addr, join, stop) = boot_with(ServerOptions::default());
+    let mut client = deadline_client(&addr);
+    client.open("wedge", "two-hop", 8).expect("open");
+
+    // Stepping `u64::MAX` quiet rounds under the writer lock would hold
+    // it for good; the cap refuses the request before any round runs.
+    let err = client
+        .step("wedge", u64::MAX)
+        .expect_err("an unbounded step must be refused");
+    assert!(err.starts_with("[too-large]"), "typed code, got: {err}");
+    let err = client
+        .step("wedge", MAX_STEP_ROUNDS + 1)
+        .expect_err("one round over the cap must be refused");
+    assert!(err.starts_with("[too-large]"), "typed code, got: {err}");
+
+    // The same session still takes a write and answers a read, at the
+    // watermark the refused steps left alone.
+    let watermark = client
+        .ingest("wedge", vec![EventBatch::insert(edge(0, 1))])
+        .expect("ingest after the refused step");
+    assert_eq!(watermark, 1);
+    let reply = client
+        .query("wedge", vec![(NodeId(0), Query::Edge(edge(0, 1)))])
+        .expect("query after the refused step");
+    assert_eq!(reply.watermark, 1);
+    drop(client);
+    stop();
+    join.join().expect("server thread");
+}
+
+#[test]
+fn oversized_opens_and_ingests_are_too_large_and_change_nothing() {
+    use dynamic_subgraphs::net::serving::wire::{MAX_INGEST_BATCHES, MAX_OPEN_N};
+    let (addr, join, stop) = boot_with(ServerOptions::default());
+    let mut client = deadline_client(&addr);
+
+    // A fresh session one node over the cap, and a snapshot whose header
+    // claims as much, are refused before anything is allocated.
+    let err = client
+        .open("huge", "two-hop", MAX_OPEN_N + 1)
+        .expect_err("n over the cap must be refused");
+    assert!(err.starts_with("[too-large]"), "typed code, got: {err}");
+    let golden = std::fs::read_to_string(
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/snapshots/two-hop.json"),
+    )
+    .expect("golden snapshot");
+    let claimed = golden.replacen("\"n\":16,", &format!("\"n\":{},", MAX_OPEN_N + 1), 1);
+    assert_ne!(claimed, golden, "the fixture's n moved");
+    let snap = Snapshot::from_json(&claimed).expect("the header is well-formed");
+    let err = client
+        .open_from_snapshot("huge", &snap)
+        .expect_err("a snapshot over the cap must be refused");
+    assert!(err.starts_with("[too-large]"), "typed code, got: {err}");
+    let err = client
+        .query("huge", vec![(NodeId(0), Query::Edge(edge(0, 1)))])
+        .expect_err("no session was created");
+    assert!(err.starts_with("no session named"), "got: {err}");
+
+    // An ingest one batch over the cap applies none of them.
+    client.open("busy", "two-hop", 8).expect("open");
+    client
+        .ingest("busy", vec![EventBatch::insert(edge(0, 1))])
+        .expect("ingest");
+    let err = client
+        .ingest("busy", vec![EventBatch::new(); MAX_INGEST_BATCHES + 1])
+        .expect_err("batches over the cap must be refused");
+    assert!(err.starts_with("[too-large]"), "typed code, got: {err}");
+    let reply = client
+        .query("busy", vec![(NodeId(0), Query::Edge(edge(0, 1)))])
+        .expect("query after the refused ingest");
+    assert_eq!(reply.watermark, 1, "the refused ingest moved the watermark");
+    drop(client);
     stop();
     join.join().expect("server thread");
 }

@@ -15,9 +15,9 @@
 //! trace is ever materialized) and runs it through the shared protocol
 //! registry.
 
+use dds_net::pool::Pool;
 use dds_net::{RunSummary, SimConfig};
 use dds_workloads::{registry, Params};
-use rayon::pool::Pool;
 use std::sync::Mutex;
 
 /// Worker count to use when the caller does not care: the persistent
@@ -48,17 +48,9 @@ where
     F: Fn(usize, T) -> R + Sync,
 {
     let n = items.len();
-    let pool = Pool::global();
-    if jobs <= 1 || n <= 1 || pool.workers() == 0 {
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| f(i, t))
-            .collect();
-    }
     let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    pool.run(n, 1, jobs, &|i| {
+    Pool::global().run(n, jobs, &|i| {
         let item = slots[i]
             .lock()
             .expect("slot lock")

@@ -44,9 +44,9 @@ usage:
                 --engine picks the round engine — sparse [default] does
                 O(churn + traffic) work per round, dense visits all n nodes
                 (escape hatch; bit-identical results); --shards partitions each
-                round into K node-id-range tasks, run on the work-stealing
-                pool when K > 1 (auto [default] scales with activity and the
-                worker pool; boundaries follow per-node activity weight;
+                round into K node-id-range tasks, run on the worker pool when
+                K > 1 (auto [default] scales with activity and the worker
+                pool; boundaries follow per-node activity weight;
                 results are bit-identical for every K);
                 --record-stats also reports per-round active-node counts and
                 per-shard peaks; --sample-queries K probes an edge query
@@ -191,7 +191,7 @@ fn cmd_list() -> Result<(), String> {
             println!("      --{:<18} {} (default {})", p.key, p.help, p.default);
         }
     }
-    let pool = rayon::pool::Pool::global();
+    let pool = dds_net::pool::Pool::global();
     let workers = pool.workers();
     println!("engine:");
     println!(
@@ -204,10 +204,8 @@ fn cmd_list() -> Result<(), String> {
         (workers + 1).max(1)
     );
     println!(
-        "  pool counters: {} job(s) submitted, {} range(s) stolen so far \
-                 in this process",
-        pool.jobs(),
-        pool.steals()
+        "  pool counters: {} job(s) submitted so far in this process",
+        pool.jobs()
     );
     Ok(())
 }

@@ -583,12 +583,11 @@ fn make_snapshot(dir: &std::path::Path) -> std::path::PathBuf {
 /// JSON summary lines with the volatile (machine-measuring) fields
 /// dropped, for bit-identity comparison between two runs.
 fn stable_summary_lines(json: &str) -> Vec<String> {
-    const VOLATILE: [&str; 5] = [
+    const VOLATILE: [&str; 4] = [
         "\"seconds\"",
         "\"rounds_per_sec\"",
         "\"peak_rss_mb\"",
         "\"pool_workers\"",
-        "\"pool_steals\"",
     ];
     json.lines()
         .filter(|l| !VOLATILE.iter().any(|f| l.contains(f)))

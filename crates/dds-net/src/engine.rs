@@ -92,11 +92,6 @@ pub struct RunSummary {
     /// sharded region ran inline). A pool property, not a run property —
     /// reported here so JSON consumers see the execution substrate.
     pub pool_workers: usize,
-    /// Successful work steals recorded by the process-wide pool at
-    /// summary time, across *all* jobs this process has run (the pool
-    /// counter is global; deltas between summaries attribute steals to a
-    /// run only in single-run processes).
-    pub pool_steals: u64,
 }
 
 /// Replay a recorded trace through a fresh simulator and return it for
@@ -199,8 +194,7 @@ pub fn summarize<N: Node>(
         peak_rss_mb: (peak_rss_mb() - rss_baseline_mb).max(0.0),
         shards: sim.shards(),
         per_shard_peak_active: sim.shard_peak_active().to_vec(),
-        pool_workers: rayon::pool::Pool::global().workers(),
-        pool_steals: rayon::pool::Pool::global().steals(),
+        pool_workers: crate::pool::Pool::global().workers(),
     }
 }
 

@@ -29,6 +29,7 @@ pub mod event;
 pub mod ids;
 pub mod message;
 pub mod metrics;
+pub mod pool;
 pub mod protocol;
 pub mod query;
 mod round;

@@ -41,8 +41,9 @@
 //! `shards = 1` and to the sequential engine by construction, for every
 //! `K`. A round with one shard runs inline on the calling thread with no
 //! allocation; a round with `K > 1` shards hands its tasks to the
-//! persistent work-stealing pool, which itself runs a job inline when it
-//! has no workers, when the call is nested, or when another job holds it.
+//! persistent worker pool ([`crate::pool`]), which itself runs a job
+//! inline when it has no workers, when the call is nested, or when
+//! another job holds it.
 //!
 //! The cut points are **activity-proportional**: Region A splits the
 //! active set by a deterministic prefix-sum over `1 + degree` weights,
@@ -58,10 +59,10 @@ use crate::event::EventBatch;
 use crate::ids::{Edge, NodeId, Round};
 use crate::message::{Addressed, BitSized, Flags, Received};
 use crate::metrics::{AmortizedMeter, PerNodeMeter, RoundStats};
+use crate::pool::Pool;
 use crate::protocol::Node;
 use crate::round::{LocalView, RecvParts, RoundBuffers, ShardParts, ShardScratch};
 use crate::topology::Topology;
-use rayon::pool::Pool;
 use serde::{Deserialize as _, Serialize as _, Value};
 use std::sync::Mutex;
 
@@ -594,7 +595,7 @@ impl<N: Node> Simulator<N> {
                     scratch_rest = sr;
                     base = hi;
                 }
-                Pool::global().run(k, 1, k, &|s| {
+                Pool::global().run(k, k, &|s| {
                     run_region_a(&mut tasks[s].lock().expect("shard task"));
                 });
             }
@@ -691,7 +692,7 @@ impl<N: Node> Simulator<N> {
                     pos0 += recv_slice.len();
                     base = hi;
                 }
-                Pool::global().run(k, 1, k, &|s| {
+                Pool::global().run(k, k, &|s| {
                     run_region_b(&mut tasks[s].lock().expect("shard task"));
                 });
             }

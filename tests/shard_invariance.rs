@@ -5,7 +5,7 @@
 //! Two differential layers:
 //!
 //! - **Fixed(K) vs Fixed(1)** for K ∈ {2, 3, 8} (K > 1 runs on the
-//!   work-stealing pool, or inline when the call is nested inside a pool
+//!   worker pool, or inline when the call is nested inside a pool
 //!   job; K = 1 always inline): every registry protocol ×
 //!   er/flicker/sliding/p2p/hotspot, stepped round by round through erased
 //!   sessions — meters compared to `f64::to_bits` after *every* round,

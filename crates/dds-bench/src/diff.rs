@@ -1,46 +1,16 @@
-//! Statistical comparison of two `BENCH_*.json` reports — the engine
-//! behind `dds bench diff OLD NEW`.
+//! Row comparison of two `BENCH_*.json` reports — the engine behind
+//! `dds bench diff OLD NEW`.
 //!
-//! Two checks per table id present in both reports:
-//!
-//! - **Row identity** on deterministic cells: headers and every row must
-//!   match, except cells in *volatile* columns (wall-clock measures such
-//!   as `rounds/s`, `speedup`, `peak RSS MB`, recognized by header name).
-//!   The workspace's tables are deterministic by construction, so any
-//!   drift here is a correctness bug, not noise.
-//! - **Timing significance** on the production cost: the change in median
-//!   seconds is *significant* only when it clears a MAD-based noise band
-//!   (`sigmas × (old MAD + new MAD)`) **and** a relative floor **and** an
-//!   absolute floor. Single-sample baselines (every report before PR 7)
-//!   have `MAD = 0`, so for them the floors alone decide — weaker
-//!   evidence, flagged as such in the rendering.
+//! For each table id in both reports, the headers and every row must
+//! match, except cells in *volatile* columns (wall-clock measures such as
+//! `rounds/s`, `speedup`, `peak RSS MB`, recognized by header name). The
+//! workspace's tables are deterministic by construction, so any drift is
+//! a correctness bug, not noise. A table in OLD but missing from NEW is
+//! drift too. Timings are not compared: the paper's claims are round and
+//! message counts, and the repository benchmark (`perfbench/`) is the
+//! timing gate.
 
 use crate::report::{Report, TimedTable};
-
-/// Significance thresholds for timing changes. All three must be cleared
-/// for a change to count (ANDed — each guards a different failure mode:
-/// the MAD band against sample noise, the relative floor against
-/// micro-table jitter amplification, the absolute floor against
-/// sub-centisecond tables where *everything* is jitter).
-#[derive(Clone, Copy, Debug)]
-pub struct Thresholds {
-    /// How many `(old MAD + new MAD)` units the median shift must exceed.
-    pub sigmas: f64,
-    /// Minimum relative shift, as a fraction of the old median.
-    pub rel_floor: f64,
-    /// Minimum absolute shift in seconds.
-    pub abs_floor: f64,
-}
-
-impl Default for Thresholds {
-    fn default() -> Self {
-        Thresholds {
-            sigmas: 3.0,
-            rel_floor: 0.25,
-            abs_floor: 0.05,
-        }
-    }
-}
 
 /// Is this column wall-clock-dependent (excluded from row identity)?
 /// Recognized by header name; everything else in the workspace's tables
@@ -67,34 +37,10 @@ pub fn volatile_column(header: &str) -> bool {
 pub struct TableDiff {
     /// Table id.
     pub id: String,
-    /// Old/new median production seconds.
-    pub old_median: f64,
-    /// New median production seconds.
-    pub new_median: f64,
-    /// Old/new MAD of the production seconds.
-    pub old_mad: f64,
-    /// New MAD of the production seconds.
-    pub new_mad: f64,
-    /// `new_median - old_median`.
-    pub delta: f64,
-    /// True when the shift clears every threshold.
-    pub significant: bool,
     /// Deterministic-cell mismatches (empty = rows identical). Each entry
     /// describes one divergence; capped, with a trailing summary line when
     /// there are more.
     pub row_drift: Vec<String>,
-}
-
-impl TableDiff {
-    /// A significant slowdown.
-    pub fn is_regression(&self) -> bool {
-        self.significant && self.delta > 0.0
-    }
-
-    /// A significant speedup.
-    pub fn is_improvement(&self) -> bool {
-        self.significant && self.delta < 0.0
-    }
 }
 
 /// The full comparison of two reports.
@@ -104,10 +50,8 @@ pub struct DiffReport {
     pub tables: Vec<TableDiff>,
     /// Ids only in the new report (growth, not drift).
     pub added: Vec<String>,
-    /// Ids only in the old report (dropped tables — suspicious).
+    /// Ids only in the old report (dropped tables: a failure, like drift).
     pub removed: Vec<String>,
-    /// The thresholds used.
-    pub thresholds: Thresholds,
 }
 
 impl DiffReport {
@@ -116,43 +60,18 @@ impl DiffReport {
         self.tables.iter().any(|t| !t.row_drift.is_empty())
     }
 
-    /// Any statistically significant slowdown anywhere?
-    pub fn has_regression(&self) -> bool {
-        self.tables.iter().any(TableDiff::is_regression)
-    }
-
-    /// Render the comparison as an aligned text table plus notes.
+    /// Render the comparison as one line per table plus its drift.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:<6} {:>12} {:>12} {:>9} {:>8}  {:<13} rows",
-            "table", "old median", "new median", "delta", "%", "timing"
-        );
+        let _ = writeln!(out, "{:<6} rows", "table");
         for t in &self.tables {
-            let pct = if t.old_median > 0.0 {
-                100.0 * t.delta / t.old_median
-            } else {
-                0.0
-            };
-            let timing = if t.is_regression() {
-                "REGRESSION"
-            } else if t.is_improvement() {
-                "improvement"
-            } else {
-                "~"
-            };
             let rows = if t.row_drift.is_empty() {
                 "identical"
             } else {
                 "DRIFTED"
             };
-            let _ = writeln!(
-                out,
-                "{:<6} {:>11.3}s {:>11.3}s {:>8.3}s {:>+7.1}%  {:<13} {}",
-                t.id, t.old_median, t.new_median, t.delta, pct, timing, rows
-            );
+            let _ = writeln!(out, "{:<6} {rows}", t.id);
             for d in &t.row_drift {
                 let _ = writeln!(out, "       drift: {d}");
             }
@@ -162,24 +81,6 @@ impl DiffReport {
         }
         for id in &self.removed {
             let _ = writeln!(out, "{id:<6} (MISSING from the new report)");
-        }
-        let single = self
-            .tables
-            .iter()
-            .any(|t| t.old_mad == 0.0 && t.new_mad == 0.0);
-        let _ = writeln!(
-            out,
-            "thresholds: |Δmedian| > {}·(old MAD + new MAD), > {:.0}% of old, > {:.0}ms",
-            self.thresholds.sigmas,
-            self.thresholds.rel_floor * 100.0,
-            self.thresholds.abs_floor * 1000.0
-        );
-        if single {
-            let _ = writeln!(
-                out,
-                "note: some tables carry single samples (MAD = 0); for them only the \
-                 relative/absolute floors separate signal from noise"
-            );
         }
         out
     }
@@ -231,30 +132,19 @@ fn row_drift(old: &TimedTable, new: &TimedTable, cap: usize) -> Vec<String> {
     drift
 }
 
-/// Compare two reports: row identity on deterministic cells, MAD-based
-/// significance on production timings.
-pub fn diff_reports(old: &Report, new: &Report, thresholds: Thresholds) -> DiffReport {
-    let mut tables = Vec::new();
-    for nt in &new.tables {
-        let Some(ot) = old.table(&nt.id) else {
-            continue;
-        };
-        let delta = nt.median - ot.median;
-        let band = thresholds.sigmas * (ot.mad + nt.mad);
-        let significant = delta.abs() > band
-            && delta.abs() > thresholds.rel_floor * ot.median
-            && delta.abs() > thresholds.abs_floor;
-        tables.push(TableDiff {
-            id: nt.id.clone(),
-            old_median: ot.median,
-            new_median: nt.median,
-            old_mad: ot.mad,
-            new_mad: nt.mad,
-            delta,
-            significant,
-            row_drift: row_drift(ot, nt, 8),
-        });
-    }
+/// Compare two reports row by row on deterministic cells.
+pub fn diff_reports(old: &Report, new: &Report) -> DiffReport {
+    let tables = new
+        .tables
+        .iter()
+        .filter_map(|nt| {
+            let ot = old.table(&nt.id)?;
+            Some(TableDiff {
+                id: nt.id.clone(),
+                row_drift: row_drift(ot, nt, 8),
+            })
+        })
+        .collect();
     DiffReport {
         tables,
         added: new
@@ -269,7 +159,6 @@ pub fn diff_reports(old: &Report, new: &Report, thresholds: Thresholds) -> DiffR
             .filter(|t| new.table(&t.id).is_none())
             .map(|t| t.id.clone())
             .collect(),
-        thresholds,
     }
 }
 
@@ -278,12 +167,16 @@ mod tests {
     use super::*;
     use crate::table::Table;
 
-    fn table(headers: &[&str], rows: &[&[&str]]) -> Table {
-        let mut t = Table::new("T", headers);
+    fn timed(id: &str, seconds: f64, headers: &[&str], rows: &[&[&str]]) -> TimedTable {
+        let mut table = Table::new("T", headers);
         for r in rows {
-            t.row(r.iter().map(|s| s.to_string()).collect());
+            table.row(r.iter().map(|s| s.to_string()).collect());
         }
-        t
+        TimedTable {
+            id: id.into(),
+            seconds,
+            table,
+        }
     }
 
     fn report(tables: Vec<TimedTable>) -> Report {
@@ -310,34 +203,37 @@ mod tests {
     }
 
     #[test]
-    fn identical_reports_diff_clean() {
-        let mk = || {
-            report(vec![TimedTable::from_samples(
-                "e1",
-                vec![0.5, 0.5, 0.5],
-                table(&["n", "amortized"], &[&["64", "1.00"]]),
-            )])
-        };
-        let d = diff_reports(&mk(), &mk(), Thresholds::default());
+    fn timings_alone_never_drift() {
+        let old = report(vec![timed(
+            "e1",
+            0.5,
+            &["n", "amortized"],
+            &[&["64", "1.00"]],
+        )]);
+        let slow = report(vec![timed(
+            "e1",
+            9.0,
+            &["n", "amortized"],
+            &[&["64", "1.00"]],
+        )]);
+        let d = diff_reports(&old, &slow);
         assert!(!d.has_row_drift());
-        assert!(!d.has_regression());
         assert!(d.added.is_empty() && d.removed.is_empty());
+        assert_eq!(d.render(), "table  rows\ne1     identical\n");
     }
 
     #[test]
     fn deterministic_cell_drift_is_caught_but_volatile_is_not() {
-        let old = report(vec![TimedTable::from_samples(
+        let headers = ["n", "rounds/s", "identical"];
+        let old = report(vec![timed(
             "s3",
-            vec![1.0],
-            table(&["n", "rounds/s", "identical"], &[&["1000", "5000", "yes"]]),
+            1.0,
+            &headers,
+            &[&["1000", "5000", "yes"]],
         )]);
         // rounds/s moved (fine), `identical` flipped (bug).
-        let new = report(vec![TimedTable::from_samples(
-            "s3",
-            vec![1.0],
-            table(&["n", "rounds/s", "identical"], &[&["1000", "9999", "no"]]),
-        )]);
-        let d = diff_reports(&old, &new, Thresholds::default());
+        let new = report(vec![timed("s3", 1.0, &headers, &[&["1000", "9999", "no"]])]);
+        let d = diff_reports(&old, &new);
         assert!(d.has_row_drift());
         let drift = &d.tables[0].row_drift;
         assert_eq!(drift.len(), 1, "{drift:?}");
@@ -345,58 +241,10 @@ mod tests {
     }
 
     #[test]
-    fn significance_needs_mad_band_and_floors() {
-        let t = Thresholds::default();
-        let old = report(vec![TimedTable::from_samples(
-            "e1",
-            vec![1.0, 1.0, 1.0],
-            table(&["n"], &[&["64"]]),
-        )]);
-        // +200% with zero spread: significant regression.
-        let slow = report(vec![TimedTable::from_samples(
-            "e1",
-            vec![3.0, 3.0, 3.0],
-            table(&["n"], &[&["64"]]),
-        )]);
-        assert!(diff_reports(&old, &slow, t).has_regression());
-        // +200% but the spread swamps it: not significant.
-        let noisy = report(vec![TimedTable::from_samples(
-            "e1",
-            vec![0.5, 3.0, 9.0],
-            table(&["n"], &[&["64"]]),
-        )]);
-        assert!(!diff_reports(&old, &noisy, t).has_regression());
-        // Tiny shift above neither floor: not significant.
-        let tiny = report(vec![TimedTable::from_samples(
-            "e1",
-            vec![1.04, 1.04, 1.04],
-            table(&["n"], &[&["64"]]),
-        )]);
-        assert!(!diff_reports(&old, &tiny, t).has_regression());
-        // Large *improvement* is significant but not a regression.
-        let fast = report(vec![TimedTable::from_samples(
-            "e1",
-            vec![0.3, 0.3, 0.3],
-            table(&["n"], &[&["64"]]),
-        )]);
-        let d = diff_reports(&old, &fast, t);
-        assert!(!d.has_regression());
-        assert!(d.tables[0].is_improvement());
-    }
-
-    #[test]
     fn added_and_removed_tables_are_reported() {
-        let old = report(vec![TimedTable::from_samples(
-            "e1",
-            vec![1.0],
-            table(&["n"], &[&["64"]]),
-        )]);
-        let new = report(vec![TimedTable::from_samples(
-            "s4",
-            vec![1.0],
-            table(&["n"], &[&["64"]]),
-        )]);
-        let d = diff_reports(&old, &new, Thresholds::default());
+        let old = report(vec![timed("e1", 1.0, &["n"], &[&["64"]])]);
+        let new = report(vec![timed("s4", 1.0, &["n"], &[&["64"]])]);
+        let d = diff_reports(&old, &new);
         assert_eq!(d.added, vec!["s4".to_string()]);
         assert_eq!(d.removed, vec!["e1".to_string()]);
         assert!(d.render().contains("MISSING"));

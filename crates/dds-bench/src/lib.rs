@@ -3,7 +3,8 @@
 //! One runner per paper claim (tables E1–E9, figure reproductions F2/F3,
 //! ablations A1–A3, scale tiers S1–S6 — see DESIGN.md's per-experiment
 //! index). The `experiments` binary prints every table and, with
-//! `--repeat`, records each table's wall-clock cost as a median and MAD.
+//! `--json`, records them in a report; `dds bench diff` checks two
+//! reports' deterministic cells row by row.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -16,7 +17,7 @@ pub mod scheduler;
 pub mod sweep;
 pub mod table;
 
-pub use diff::{diff_reports, DiffReport, Thresholds};
+pub use diff::{diff_reports, DiffReport};
 pub use driver::protocols;
 pub use report::{Report, ReportError, TimedTable};
 pub use scheduler::{available_jobs, map_ordered, SweepPoint};

@@ -1296,9 +1296,8 @@ pub fn s5_serving_tier(n: usize, rounds: usize) -> Table {
 /// drop/torn/corrupt faults armed, absorbed by the tolerant client's
 /// retries. Both runs must end byte-identical to a local session; the
 /// chaos row additionally reports how long warm recovery from the durable
-/// checkpoint directory takes versus re-simulating the whole schedule,
-/// and the runner gates `recovery < max(resim / 10, 100ms)` — the same
-/// shape as the PR 8 restore gate, now measured through the daemon path.
+/// checkpoint directory takes, which the runner gates under 100 ms; the
+/// cost of re-simulating the whole schedule is recorded for comparison.
 pub fn s6_resilience_tier(n: usize, rounds: usize) -> Table {
     use dds_net::serving::{
         loadgen, Client, ClientConfig, DurabilityOptions, FaultPlan, LoadgenOptions, Server,
@@ -1351,8 +1350,8 @@ pub fn s6_resilience_tier(n: usize, rounds: usize) -> Table {
         let trace = er_trace(n, churn_rounds, 0x66);
         let mix = loadgen::default_mix(n, clients * queries_per_client, &[]);
 
-        // Local truth — and the re-simulation cost the recovery gate
-        // compares against: what a cold start would have to pay.
+        // Local truth — and the re-simulation cost recorded next to the
+        // recovery time: what a cold start would have to pay.
         let resim_t = Instant::now();
         let mut local = open(protocol, n);
         local.run_trace(&trace);
@@ -1495,10 +1494,9 @@ pub fn s6_resilience_tier(n: usize, rounds: usize) -> Table {
         thread.join().expect("server thread");
         let _ = std::fs::remove_dir_all(&dir);
 
-        let bound = (resim_s / 10.0).max(0.1);
         assert!(
-            recovery_s < bound,
-            "{protocol}: recovery {recovery_s:.3}s breaches max(resim/10, 100ms) = {bound:.3}s"
+            recovery_s < 0.1,
+            "{protocol}: recovery {recovery_s:.3}s breaches the 100 ms ceiling"
         );
         let mut row = chaos_row.expect("chaos mode ran");
         row.extend([f2(recovery_s * 1e3), f2(resim_s * 1e3), "pass".to_string()]);
@@ -1508,7 +1506,7 @@ pub fn s6_resilience_tier(n: usize, rounds: usize) -> Table {
     t.note("then the same burst with seed=13 drop/torn/corrupt faults absorbed by the tolerant");
     t.note("client; both checkpoints asserted byte-identical to a local session. recovery ms =");
     t.note("bind + --recover scan + first checkpoint answered from the durable dir; gated in-");
-    t.note("runner against max(resim/10, 100ms), the PR 8 restore bound through the daemon path");
+    t.note("runner: recovery under 100 ms; re-simulation recorded for comparison");
     t.note("QPS is read throughput over the readers' own window, as in S5");
     t
 }
@@ -1536,7 +1534,7 @@ mod tests {
     #[test]
     fn s6_resilience_survives_chaos_and_gates_recovery_at_reduced_scale() {
         // Byte-identity under faults, zero failed requests, and the
-        // recovery-vs-resim gate are all asserted inside the runner; this
+        // 100 ms recovery gate are all asserted inside the runner; this
         // exercises them at CI scale and pins the shape.
         let t = s6_resilience_tier(120, 12);
         assert_eq!(t.rows.len(), 4, "two protocols x clean/chaos");

@@ -70,13 +70,12 @@ usage:
   dds trace generate --workload <name> [--n N] [--rounds R] [--seed S] --out FILE
   dds trace info FILE
   dds trace validate FILE
-  dds bench diff OLD.json NEW.json [--fail-on-regression]
+  dds bench diff OLD.json NEW.json
                (compares two experiment reports written by `experiments
-                --json`: deterministic table cells must match row-for-row
-                [wall-clock columns excluded], and per-table timings are
-                compared median-vs-median against a MAD noise band;
-                --fail-on-regression exits non-zero on row drift, on a table
-                missing from NEW, or on a statistically significant slowdown)
+                --json`: headers and deterministic table cells must match
+                row-for-row [wall-clock columns excluded]; exits non-zero on
+                any drift or on a table missing from NEW. Timings are not
+                compared)
   dds serve    [--listen ADDR] [--resume SNAPSHOT] [--protocol <name> --n N]
                [--session NAME] [--checkpoint-dir DIR [--checkpoint-every K]]
                [--recover DIR] [--chaos SPEC] [--max-sessions N]
@@ -719,11 +718,10 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
     }
 }
 
-/// `dds bench diff OLD NEW`: compare two `experiments --json` reports —
-/// row-for-row identity on deterministic cells (wall-clock columns
-/// excluded) and median-vs-median timing against a MAD noise band. With
-/// `--fail-on-regression`, row drift or a significant slowdown errors, so
-/// CI can gate on the recorded trajectory instead of eyeballing tables.
+/// `dds bench diff OLD NEW`: compare two `experiments --json` reports
+/// row-for-row on deterministic cells (wall-clock columns excluded).
+/// Drift, or a table missing from NEW, is an error, so CI gates on the
+/// recorded trajectory instead of eyeballing tables.
 fn cmd_bench(args: &Args) -> Result<(), String> {
     match args.positional.get(1).map(String::as_str) {
         Some("diff") => {
@@ -740,35 +738,24 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
             // json is a runtime diagnostic, not a usage problem.
             let old = dds_bench::Report::load(old_path).map_err(|e| e.to_string())?;
             let new = dds_bench::Report::load(new_path).map_err(|e| e.to_string())?;
-            let d = dds_bench::diff_reports(&old, &new, dds_bench::Thresholds::default());
+            let d = dds_bench::diff_reports(&old, &new);
             print!("{}", d.render());
-            if args.flag("fail-on-regression") {
-                if !d.removed.is_empty() {
-                    // A table that silently vanishes from the new report is
-                    // coverage drift, not noise — fail just like a changed
-                    // cell would.
-                    return Err(format!(
-                        "bench diff: table(s) present in {old_path} but MISSING \
-                         from {new_path}: {}",
-                        d.removed.join(", ")
-                    ));
-                }
-                if d.has_row_drift() {
-                    return Err(format!(
-                        "bench diff: deterministic table cells drifted between \
-                         {old_path} and {new_path} (see the DRIFTED rows above)"
-                    ));
-                }
-                if d.has_regression() {
-                    return Err(format!(
-                        "bench diff: statistically significant timing regression \
-                         between {old_path} and {new_path} (see REGRESSION above)"
-                    ));
-                }
+            if !d.removed.is_empty() {
+                return Err(format!(
+                    "bench diff: table(s) present in {old_path} but MISSING \
+                     from {new_path}: {}",
+                    d.removed.join(", ")
+                ));
+            }
+            if d.has_row_drift() {
+                return Err(format!(
+                    "bench diff: deterministic table cells drifted between \
+                     {old_path} and {new_path} (see the DRIFTED rows above)"
+                ));
             }
             Ok(())
         }
-        _ => Err("bench subcommand: diff OLD.json NEW.json [--fail-on-regression]".into()),
+        _ => Err("bench subcommand: diff OLD.json NEW.json".into()),
     }
 }
 

@@ -471,73 +471,44 @@ fn bounds_prints_lower_bound_curves() {
 }
 
 #[test]
-fn bench_diff_compares_reports_and_gates_on_regression() {
+fn bench_diff_fails_on_row_drift_and_ignores_timings() {
     let dir = std::env::temp_dir().join(format!("dds-bench-diff-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    // Old schema (single `seconds`, no samples/median/mad) on purpose: the
-    // diff must accept every pre-existing BENCH_*.json as the OLD side.
-    let table = r#""table": {"title": "T", "headers": ["n", "changes", "rounds/s"],
-                             "rows": [["64", "120", "5000"]], "notes": []}"#;
-    let old = format!(
-        r#"{{"version": "0.1.0", "rounds": 300, "total_seconds": 1.0,
-            "tables": [{{"id": "e1", "seconds": 1.0, {table}}}]}}"#
-    );
-    // Same deterministic cells, different rounds/s (volatile), 3x slower.
-    let slow = r#"{"version": "0.1.0", "rounds": 300, "total_seconds": 3.0,
-        "tables": [{"id": "e1", "seconds": 3.0, "samples": [3.0, 3.0, 3.0],
-                    "median": 3.0, "mad": 0.0,
-                    "table": {"title": "T", "headers": ["n", "changes", "rounds/s"],
-                              "rows": [["64", "120", "1700"]], "notes": []}}]}"#;
-    // Deterministic cell drifted (changes 120 -> 121), timing unchanged.
-    let drifted = old.replace("120", "121");
+    let report = |seconds: f64, changes: &str, rate: &str| {
+        format!(
+            r#"{{"version": "0.1.0", "rounds": 300, "total_seconds": {seconds},
+                "tables": [{{"id": "e1", "seconds": {seconds},
+                            "table": {{"title": "T", "headers": ["n", "changes", "rounds/s"],
+                                      "rows": [["64", "{changes}", "{rate}"]], "notes": []}}}}]}}"#
+        )
+    };
     let old_p = dir.join("old.json");
     let slow_p = dir.join("slow.json");
     let drift_p = dir.join("drift.json");
-    std::fs::write(&old_p, &old).unwrap();
-    std::fs::write(&slow_p, slow).unwrap();
-    std::fs::write(&drift_p, &drifted).unwrap();
+    std::fs::write(&old_p, report(1.0, "120", "5000")).unwrap();
+    // Same deterministic cells, 3x the seconds and a lower rounds/s
+    // (volatile): not drift.
+    std::fs::write(&slow_p, report(3.0, "120", "1700")).unwrap();
+    // A deterministic cell drifted (changes 120 -> 121), timing unchanged.
+    std::fs::write(&drift_p, report(1.0, "121", "5000")).unwrap();
     let (old_s, slow_s, drift_s) = (
         old_p.to_str().unwrap(),
         slow_p.to_str().unwrap(),
         drift_p.to_str().unwrap(),
     );
 
-    // Identical reports: clean under the gate.
-    assert!(dds_cli::real_main(argv(&[
-        "bench",
-        "diff",
-        old_s,
-        old_s,
-        "--fail-on-regression"
-    ]))
-    .is_ok());
-    // Slowdown: reported always, fatal only under the gate.
-    assert!(dds_cli::real_main(argv(&["bench", "diff", old_s, slow_s])).is_ok());
-    let err = dds_cli::real_main(argv(&[
-        "bench",
-        "diff",
-        old_s,
-        slow_s,
-        "--fail-on-regression",
-    ]))
-    .unwrap_err();
-    assert!(err.contains("regression"), "{err}");
-    // Deterministic-cell drift: fatal under the gate even with no slowdown.
-    let err = dds_cli::real_main(argv(&[
-        "bench",
-        "diff",
-        old_s,
-        drift_s,
-        "--fail-on-regression",
-    ]))
-    .unwrap_err();
-    assert!(err.contains("drifted"), "{err}");
-    // The binary renders the comparison table.
+    assert!(dds_cli::real_main(argv(&["bench", "diff", old_s, old_s])).is_ok());
     let (ok, stdout, _) = run_bin(&["bench", "diff", old_s, slow_s]);
-    assert!(ok, "un-gated diff exits zero");
-    assert!(stdout.contains("REGRESSION"), "diff output: {stdout}");
-    let (ok, _, _) = run_bin(&["bench", "diff", old_s, slow_s, "--fail-on-regression"]);
-    assert!(!ok, "gated diff exits non-zero on regression");
+    assert!(ok, "a slower run with identical rows exits zero");
+    assert_eq!(
+        stdout, "table  rows\ne1     identical\n",
+        "no timing verdict"
+    );
+    let err = dds_cli::real_main(argv(&["bench", "diff", old_s, drift_s])).unwrap_err();
+    assert!(err.contains("drifted"), "{err}");
+    let (ok, stdout, _) = run_bin(&["bench", "diff", old_s, drift_s]);
+    assert!(!ok, "row drift exits non-zero");
+    assert!(stdout.contains("DRIFTED"), "diff output: {stdout}");
     // Malformed invocations error out.
     assert!(dds_cli::real_main(argv(&["bench", "diff", old_s])).is_err());
     assert!(dds_cli::real_main(argv(&["bench", "nope"])).is_err());
@@ -790,20 +761,11 @@ fn bench_diff_reports_missing_tables_as_drift() {
     std::fs::write(&new_p, &new).unwrap();
     let (old_s, new_s) = (old_p.to_str().unwrap(), new_p.to_str().unwrap());
 
-    // Reported either way; fatal only under the gate.
-    assert!(dds_cli::real_main(argv(&["bench", "diff", old_s, new_s])).is_ok());
-    let err = dds_cli::real_main(argv(&[
-        "bench",
-        "diff",
-        old_s,
-        new_s,
-        "--fail-on-regression",
-    ]))
-    .unwrap_err();
+    let err = dds_cli::real_main(argv(&["bench", "diff", old_s, new_s])).unwrap_err();
     assert!(err.contains("MISSING"), "{err}");
     assert!(err.contains("s2"), "{err}");
-    let (ok, _, stderr) = run_bin(&["bench", "diff", old_s, new_s, "--fail-on-regression"]);
-    assert!(!ok, "missing table must gate");
+    let (ok, _, stderr) = run_bin(&["bench", "diff", old_s, new_s]);
+    assert!(!ok, "a missing table exits non-zero");
     assert!(stderr.contains("MISSING"), "stderr: {stderr}");
 
     std::fs::remove_dir_all(&dir).ok();

@@ -151,10 +151,7 @@ fn main() {
             "a1" => Box::new(runners::a1_timestamp_ablation),
             "a2" => Box::new(move || runners::a2_two_hop_insufficient(rounds)),
             "a3" => Box::new(move || runners::a3_bandwidth(rounds)),
-            // The inner stage stays sequential: nested fan-out would
-            // oversubscribe the machine under --jobs and pollute the
-            // recorded per-table seconds.
-            "s1" => Box::new(move || runners::s1_streamed_tier(100_000.min(max_n), rounds, 1)),
+            "s1" => Box::new(move || runners::s1_streamed_tier(100_000.min(max_n), rounds)),
             "s2" => Box::new(move || runners::s2_low_churn_tier(100_000.min(max_n), rounds)),
             "s3" => Box::new(move || runners::s3_sharded_tier(1_000_000.min(max_n), rounds)),
             "s4" => Box::new(move || runners::s4_skewed_tier(1_000_000.min(max_n), rounds)),

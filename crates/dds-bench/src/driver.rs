@@ -69,7 +69,7 @@ mod tests {
         )
         .unwrap();
         for spec in protocols().specs() {
-            let s = spec.run(&trace, SimConfig::default());
+            let s = spec.run_stream(&mut trace.replay(), SimConfig::default());
             assert_eq!(s.rounds, 60, "{}", spec.name);
             assert_eq!(s.n, 16, "{}", spec.name);
             if spec.name != "flood" {
@@ -132,7 +132,7 @@ mod tests {
             let mut session = protocols()
                 .open(spec.name, trace.n, SimConfig::default())
                 .unwrap();
-            session.run_trace(&trace);
+            session.drain(&mut trace.replay());
             session.settle(256).expect("settles");
             let resp = session
                 .query(NodeId(0), &Query::Edge(edge(0, 1)))

@@ -5,7 +5,7 @@
 use crate::scheduler;
 use crate::table::{f2, f3, Table};
 use dds_baselines::SnapshotNode;
-use dds_net::engine::{drive, drive_source};
+use dds_net::engine::drive_source;
 use dds_net::{BoxedSource, NodeId, Query, Response, Session, SimConfig, Simulator, Trace};
 use dds_oracle::DynamicGraph;
 use dds_robust::{listing_verdict, ThreeHopNode, TwoHopNode};
@@ -62,7 +62,7 @@ fn er_trace(n: usize, rounds: usize, seed: u64) -> Trace {
 }
 
 fn run_on<N: dds_net::Node>(trace: &Trace) -> Simulator<N> {
-    drive(trace, SimConfig::default())
+    drive_source(&mut trace.replay(), SimConfig::default())
 }
 
 /// E1 — Theorem 7: robust 2-hop maintenance has O(1) amortized complexity,
@@ -84,11 +84,10 @@ pub fn e1_two_hop_sizes(ns: &[usize], rounds: usize) -> Table {
             "bits/link/round",
         ],
     );
-    // One scheduler job per (size, workload) cell; every cell streams its
-    // workload (nothing materialized) and rows aggregate in input order.
-    // Cells run sequentially (jobs = 1): table-level parallelism belongs
-    // to the experiments binary's --jobs fan-out, and sequential cells
-    // keep per-table seconds comparable with the recorded BENCH_* runs.
+    // One row per (size, workload) cell, in input order; every cell streams
+    // its workload (nothing materialized). Cells run one after another:
+    // table-level parallelism belongs to the experiments binary's --jobs
+    // fan-out.
     let mut cells: Vec<(usize, &'static str, String, Params)> = Vec::new();
     for &n in ns {
         let base = Params::new().with("n", n).with("rounds", rounds);
@@ -113,22 +112,19 @@ pub fn e1_two_hop_sizes(ns: &[usize], rounds: usize) -> Table {
                 .with("triadic", true),
         ));
     }
-    let rows = scheduler::map_ordered(1, cells, |_, (n, name, workload, params)| {
+    for (n, name, workload, params) in cells {
         let mut src = source_for(&workload, params);
         let sim: Simulator<TwoHopNode> = drive_source(&mut src, SimConfig::default());
         let m = sim.meter();
         let links = sim.topology().edge_count().max(1) as f64;
-        vec![
+        t.row(vec![
             n.to_string(),
             name.into(),
             m.changes().to_string(),
             m.inconsistent_rounds().to_string(),
             f3(m.amortized()),
             f2(sim.bandwidth().total_bits() as f64 / m.rounds() as f64 / links),
-        ]
-    });
-    for row in rows {
-        t.row(row);
+        ]);
     }
     t.note("paper: O(1) amortized (flat in n); budget = 8·ceil(log2 n) bits/link/round");
     t
@@ -333,21 +329,18 @@ pub fn e5_three_hop_sizes(ns: &[usize], rounds: usize) -> Table {
             base.clone().with("seed", 43 + n as u64),
         ));
     }
-    let rows = scheduler::map_ordered(1, cells, |_, (n, name, workload, params)| {
+    for (n, name, workload, params) in cells {
         let mut src = source_for(&workload, params);
         let sim: Simulator<ThreeHopNode> = drive_source(&mut src, SimConfig::default());
         let m = sim.meter();
         let links = sim.topology().edge_count().max(1) as f64;
-        vec![
+        t.row(vec![
             n.to_string(),
             name.into(),
             m.changes().to_string(),
             f3(m.amortized()),
             f2(sim.bandwidth().total_bits() as f64 / m.rounds() as f64 / links),
-        ]
-    });
-    for row in rows {
-        t.row(row);
+        ]);
     }
     t.note("paper: O(1) amortized with constant ≈ 3 (+ flag echoes); flat in n");
     t
@@ -619,8 +612,8 @@ pub fn a1_timestamp_ablation() -> Table {
 
     let mut naive = open("naive", trace.n);
     let mut sound = open("two-hop", trace.n);
-    naive.run_trace(&trace);
-    sound.run_trace(&trace);
+    naive.drain(&mut trace.replay());
+    sound.drain(&mut trace.replay());
     let ask = |s: &Session| -> Response<bool> {
         s.query(NodeId(0), &probe)
             .expect("every protocol answers edge queries")
@@ -740,7 +733,7 @@ pub fn a3_bandwidth(rounds: usize) -> Table {
         ("flooding (calibrator)", "flood"),
     ] {
         let s = crate::driver::protocols()
-            .run(protocol, &trace, SimConfig::default())
+            .run_stream(protocol, &mut trace.replay(), SimConfig::default())
             .expect("registered protocol");
         let links = s.final_edges.max(1) as f64;
         t.row(vec![
@@ -758,10 +751,10 @@ pub fn a3_bandwidth(rounds: usize) -> Table {
 /// S1 — the streamed scenario tier: runs at sizes whose schedules would be
 /// wasteful (or impossible) to hold in memory. Every row is driven from a
 /// lazy [`TraceSource`](dds_net::TraceSource) — exactly one batch alive at
-/// a time — through the batch scheduler, and reports the process peak RSS
-/// next to an estimate of what the materialized trace alone would occupy
-/// (events only, excluding per-batch overhead: a deliberate underestimate).
-pub fn s1_streamed_tier(n: usize, rounds: usize, jobs: usize) -> Table {
+/// a time — and reports the process peak RSS next to an estimate of what
+/// the materialized trace alone would occupy (events only, excluding
+/// per-batch overhead: a deliberate underestimate).
+pub fn s1_streamed_tier(n: usize, rounds: usize) -> Table {
     let mut t = Table::new(
         "S1 / streamed tier — large-n runs the materialized path cannot hold",
         &[
@@ -801,14 +794,14 @@ pub fn s1_streamed_tier(n: usize, rounds: usize, jobs: usize) -> Table {
                 .with("period", 2),
         ),
     ];
-    let rows = scheduler::map_ordered(jobs, cells, |_, (label, workload, params)| {
+    for (label, workload, params) in cells {
         let mut src = source_for(workload, params);
         let s = crate::driver::protocols()
             .run_stream("two-hop", &mut src, SimConfig::default())
             .expect("two-hop is registered");
         let est_mb = s.changes as f64 * std::mem::size_of::<dds_net::TopologyEvent>() as f64
             / (1024.0 * 1024.0);
-        vec![
+        t.row(vec![
             label.to_string(),
             s.n.to_string(),
             s.rounds.to_string(),
@@ -817,16 +810,13 @@ pub fn s1_streamed_tier(n: usize, rounds: usize, jobs: usize) -> Table {
             f2(s.rounds_per_sec),
             f2(s.peak_rss_mb),
             f2(est_mb),
-        ]
-    });
-    for row in rows {
-        t.row(row);
+        ]);
     }
     t.note("driven end-to-end from lazy TraceSources: one batch in memory at any time");
     t.note(
         "peak RSS is the growth of the process high-water mark over the run (VmHWM minus a \
          baseline at run start) — if an earlier run in this process peaked higher, a row can \
-         read 0; standalone runs (`dds simulate --stream`, CI perf-smoke) are the \
+         read 0; standalone runs (`dds simulate`, CI perf-smoke) are the \
          authoritative measurement. est. trace = events only",
     );
     t
@@ -1250,7 +1240,7 @@ pub fn s5_serving_tier(n: usize, rounds: usize) -> Table {
         // concurrent reads, and must land bit-exactly where a plain local
         // session lands over the same schedule.
         let mut local = open(protocol, n);
-        local.run_trace(&trace);
+        local.drain(&mut trace.replay());
         let served = admin.checkpoint("bench").expect("served checkpoint");
         assert_eq!(
             served.to_json(),
@@ -1354,7 +1344,7 @@ pub fn s6_resilience_tier(n: usize, rounds: usize) -> Table {
         // recovery time: what a cold start would have to pay.
         let resim_t = Instant::now();
         let mut local = open(protocol, n);
-        local.run_trace(&trace);
+        local.drain(&mut trace.replay());
         let resim_s = resim_t.elapsed().as_secs_f64();
         let truth_json = local.checkpoint().to_json();
 
@@ -1611,7 +1601,7 @@ mod tests {
 
     #[test]
     fn s1_streams_at_reduced_scale() {
-        let t = s1_streamed_tier(2000, 60, 2);
+        let t = s1_streamed_tier(2000, 60);
         assert_eq!(t.rows.len(), 2);
         for row in &t.rows {
             assert_eq!(row[2], "60", "all rounds executed: {row:?}");

@@ -34,13 +34,13 @@ pub const VERSION: &str = env!("CARGO_PKG_VERSION");
 pub const USAGE: &str = "\
 usage:
   dds simulate --protocol <name> --workload <name> [--n N] [--rounds R] [--seed S]
-               [--stream] [--seeds K] [--jobs J] [--record-stats]
+               [--seeds K] [--jobs J] [--record-stats]
                [--engine sparse|dense] [--shards auto|K] [--sample-queries K]
                [--checkpoint-every K] [--checkpoint-dir D] [--resume FILE]
                [--json]
-               (--stream drives the run from a lazy trace source: one batch in
-                memory at a time; --seeds K runs K seeded replicas on J scheduler
-                workers, streamed, with seed-ordered aggregate statistics;
+               (every run streams its workload from a lazy trace source: one
+                batch in memory at a time; --seeds K runs K seeded replicas on
+                J scheduler workers with seed-ordered aggregate statistics;
                 --engine picks the round engine — sparse [default] does
                 O(churn + traffic) work per round, dense visits all n nodes
                 (escape hatch; bit-identical results); --shards partitions each
@@ -57,7 +57,8 @@ usage:
                 snapshot and continues the SAME workload bit-identically —
                 pass the same workload flags as the original run; on resume
                 the snapshot header's engine/shards configuration wins over
-                the CLI flags)
+                the CLI flags; --sample-queries combines with
+                --checkpoint-every and --resume, not with --seeds)
   dds query    --protocol <name> --workload <name> [--n N] [--rounds R] [--seed S]
                [--at ROUND] [--settle MAX] [--shards auto|K] [--resume FILE]
                --query \"SPEC[; SPEC...]\" [--json]
@@ -218,91 +219,67 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
         ..dds_net::SimConfig::default()
     };
     let seeds: usize = args.num_or("seeds", 1)?;
-    let sample_every: usize = args.num_or("sample-queries", 0)?;
+    let sample_every: u64 = args.num_or("sample-queries", 0)?;
     let ckpt_every: u64 = args.num_or("checkpoint-every", 0)?;
-    let checkpointing = ckpt_every > 0 || args.options.contains_key("resume");
-    if checkpointing && seeds > 1 {
-        return Err("--checkpoint-every/--resume do not combine with --seeds; run one seed".into());
-    }
-    if checkpointing && sample_every > 0 {
-        return Err("--checkpoint-every/--resume do not combine with --sample-queries".into());
-    }
     if seeds > 1 {
+        if ckpt_every > 0 || args.options.contains_key("resume") {
+            return Err(
+                "--checkpoint-every/--resume do not combine with --seeds; run one seed".into(),
+            );
+        }
         if sample_every > 0 {
             return Err("--sample-queries does not combine with --seeds; run one seed".into());
         }
         return cmd_simulate_sweep(args, &protocol, cfg, seeds);
     }
-    let mut samples: Option<(u64, u64)> = None;
-    let active_series: Vec<usize>;
-    let summary = if checkpointing {
-        // Checkpointed streaming driver: step batch-by-batch so snapshots
-        // land exactly on round boundaries. A resumed session is rebuilt
-        // from the snapshot header's configuration verbatim (the CLI
-        // engine/shards flags are ignored on resume — the header is the
-        // source of truth for bit-exactness), and the workload source is
-        // fast-forwarded past the rounds the original run already
-        // consumed.
-        let mut src = run::build_workload_source(args)?;
-        let mut session = match args.options.get("resume") {
-            Some(path) => {
-                let session = run::restore_session(args, path)?;
-                if session.n() != src.n() {
-                    return Err(format!(
-                        "--resume: snapshot has n = {} but the workload generates n = {}; \
-                         pass the same workload flags the checkpoint was taken with",
-                        session.n(),
-                        src.n()
-                    ));
-                }
-                run::fast_forward(&mut *src, &session)?;
-                session
+    // One streamed loop: open or resume the session, step it batch by
+    // batch, and run the checkpoint and sample hooks on the rounds they are
+    // due. A resumed session is rebuilt from the snapshot header's
+    // configuration verbatim (the CLI engine/shards flags are ignored on
+    // resume — the header is the source of truth for bit-exactness), and
+    // the workload source is fast-forwarded past the rounds the original
+    // run already consumed.
+    let mut src = run::build_workload_source(args)?;
+    let n = src.n();
+    if sample_every > 0 && n < 2 {
+        return Err("--sample-queries needs at least 2 nodes".into());
+    }
+    let mut session = match args.options.get("resume") {
+        Some(path) => {
+            let session = run::restore_session(args, path)?;
+            if session.n() != n {
+                return Err(format!(
+                    "--resume: snapshot has n = {} but the workload generates n = {n}; \
+                     pass the same workload flags the checkpoint was taken with",
+                    session.n()
+                ));
             }
-            None => dds_bench::protocols().open(&protocol, src.n(), cfg)?,
-        };
-        let dir = args.get_or("checkpoint-dir", "checkpoints").to_string();
-        if ckpt_every > 0 {
-            std::fs::create_dir_all(&dir).map_err(|e| format!("--checkpoint-dir {dir}: {e}"))?;
+            run::fast_forward(&mut *src, &session)?;
+            session
         }
-        let mut written = 0usize;
-        while let Some(batch) = src.next_batch() {
-            session.step(&batch);
-            if ckpt_every > 0 && session.round() % ckpt_every == 0 {
-                let path = std::path::Path::new(&dir)
-                    .join(format!("checkpoint_{:06}.json", session.round()));
-                session
-                    .checkpoint()
-                    .write_file(&path)
-                    .map_err(|e| e.to_string())?;
-                written += 1;
-            }
+        None => dds_bench::protocols().open(&protocol, n, cfg)?,
+    };
+    let dir = args.get_or("checkpoint-dir", "checkpoints").to_string();
+    if ckpt_every > 0 {
+        std::fs::create_dir_all(&dir).map_err(|e| format!("--checkpoint-dir {dir}: {e}"))?;
+    }
+    let mut written = 0usize;
+    let (mut answered, mut inconsistent) = (0u64, 0u64);
+    while let Some(batch) = src.next_batch() {
+        session.step(&batch);
+        let r = session.round();
+        if ckpt_every > 0 && r % ckpt_every == 0 {
+            let path = std::path::Path::new(&dir).join(format!("checkpoint_{r:06}.json"));
+            session
+                .checkpoint()
+                .write_file(&path)
+                .map_err(|e| e.to_string())?;
+            written += 1;
         }
-        if ckpt_every > 0 {
-            // To stderr so `--json` output stays a single parseable object.
-            eprintln!(
-                "checkpoints:          {written} snapshot(s) every {ckpt_every} round(s) in {dir}/"
-            );
-        }
-        active_series = session.stats().iter().map(|s| s.active_nodes).collect();
-        session.summary()
-    } else if sample_every > 0 {
-        // Mid-run query sampling: drive a live session and probe an edge
-        // query every `sample_every` rounds — the serving-path smoke test
-        // (how often is the structure answerable under this churn?).
-        let mut src = run::build_workload_source(args)?;
-        let n = src.n();
-        if n < 2 {
-            return Err("--sample-queries needs at least 2 nodes".into());
-        }
-        let mut session = dds_bench::protocols().open(&protocol, n, cfg)?;
-        let (mut answered, mut inconsistent) = (0u64, 0u64);
-        while let Some(batch) = src.next_batch() {
-            session.step(&batch);
-            let r = session.round();
-            if r % sample_every as u64 != 0 {
-                continue;
-            }
-            // Deterministic rotating probe: the edge {r, r+1} (mod n),
+        if sample_every > 0 && r % sample_every == 0 {
+            // Mid-run query sampling, the serving-path smoke test (how
+            // often is the structure answerable under this churn?): a
+            // deterministic rotating probe of the edge {r, r+1} (mod n),
             // asked at its first endpoint. Edge queries are the one kind
             // every registered protocol supports.
             let u = (r % n as u64) as u32;
@@ -312,29 +289,22 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
                 Response::Inconsistent => inconsistent += 1,
             }
         }
-        samples = Some((answered, inconsistent));
-        active_series = session.stats().iter().map(|s| s.active_nodes).collect();
-        session.summary()
-    } else if args.flag("stream") {
-        let mut src = run::build_workload_source(args)?;
-        let mut session = dds_bench::protocols().open(&protocol, src.n(), cfg)?;
-        session.drain(&mut src);
-        active_series = session.stats().iter().map(|s| s.active_nodes).collect();
-        session.summary()
-    } else {
-        let trace = run::build_workload(args)?;
-        let mut session = dds_bench::protocols().open(&protocol, trace.n, cfg)?;
-        session.run_trace(&trace);
-        active_series = session.stats().iter().map(|s| s.active_nodes).collect();
-        session.summary()
-    };
-    if let Some((answered, inconsistent)) = samples {
-        // To stderr so `--json` output stays a single parseable object.
+    }
+    // Hook reports go to stderr so `--json` output stays a single
+    // parseable object.
+    if ckpt_every > 0 {
         eprintln!(
-            "query samples:        {} answered / {} inconsistent (every {} rounds)",
-            answered, inconsistent, sample_every
+            "checkpoints:          {written} snapshot(s) every {ckpt_every} round(s) in {dir}/"
         );
     }
+    if sample_every > 0 {
+        eprintln!(
+            "query samples:        {answered} answered / {inconsistent} inconsistent \
+             (every {sample_every} rounds)"
+        );
+    }
+    let active_series: Vec<usize> = session.stats().iter().map(|s| s.active_nodes).collect();
+    let summary = session.summary();
     if args.flag("json") {
         println!(
             "{}",
@@ -403,12 +373,7 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
                 }
             );
         }
-        if args.flag("stream") {
-            println!(
-                "peak RSS:             {:.1} MB (streamed)",
-                summary.peak_rss_mb
-            );
-        }
+        println!("peak RSS:             {:.1} MB", summary.peak_rss_mb);
     }
     Ok(())
 }

@@ -2,12 +2,15 @@
 //! over the engine layer's registries.
 //!
 //! Workloads are built by `dds-workloads::registry` (name → parameter
-//! schema → trace) and protocols run through the shared
+//! schema → streaming source, or a recorded trace for `dds trace
+//! generate`) and protocols run through the shared
 //! [`dds_bench::driver::protocols`] registry, so the name lists printed by
-//! `dds list` are derived, never hand-maintained here.
+//! `dds list` are derived, never hand-maintained here. Every run streams
+//! its source through a live [`Session`]; nothing here materializes a
+//! schedule to drive it.
 
 use crate::args::Args;
-use dds_net::{BoxedSource, RestoreError, RunSummary, Session, SimConfig, Snapshot, Trace};
+use dds_net::{BoxedSource, RestoreError, Session, Snapshot, Trace};
 use dds_workloads::registry;
 use dds_workloads::Params;
 
@@ -30,23 +33,16 @@ fn params_from(args: &Args) -> Params {
         .collect()
 }
 
-/// Build a recorded trace for the named workload from CLI options.
+/// Build a recorded trace for the named workload from CLI options (what
+/// `dds trace generate` writes).
 pub fn build_workload(args: &Args) -> Result<Trace, String> {
     registry::build_trace(args.get_or("workload", "er"), &params_from(args))
 }
 
-/// Build a streaming source for the named workload from CLI options
-/// (the `--stream` path: no trace is ever materialized).
+/// Build a streaming source for the named workload from CLI options (no
+/// trace is ever materialized).
 pub fn build_workload_source(args: &Args) -> Result<BoxedSource, String> {
     registry::build_source(args.get_or("workload", "er"), &params_from(args))
-}
-
-/// Run the named protocol over a recorded trace. `cmd_simulate` itself
-/// drives a live session (it reads the per-round active series before
-/// summarizing); this run-to-completion wrapper is the one-call surface
-/// the differential unit tests below exercise.
-pub fn simulate(protocol: &str, trace: &Trace, cfg: SimConfig) -> Result<RunSummary, String> {
-    dds_bench::protocols().run(protocol, trace, cfg)
 }
 
 /// Registry parameters for one seed of a `--seeds` sweep: the CLI options
@@ -124,12 +120,16 @@ mod tests {
         }
     }
 
+    fn run(protocol: &str, a: &Args) -> Result<dds_net::RunSummary, String> {
+        let mut src = build_workload_source(a)?;
+        dds_bench::protocols().run_stream(protocol, &mut src, dds_net::SimConfig::default())
+    }
+
     #[test]
     fn runs_every_protocol() {
         let a = args("x --workload er --n 16 --rounds 60 --seed 3");
-        let t = build_workload(&a).unwrap();
         for p in protocol_names() {
-            let s = simulate(p, &t, SimConfig::default()).unwrap_or_else(|e| panic!("{p}: {e}"));
+            let s = run(p, &a).unwrap_or_else(|e| panic!("{p}: {e}"));
             assert_eq!(s.rounds, 60, "{p}");
             if p != "flood" {
                 assert_eq!(s.violations, 0, "{p} broke the budget");
@@ -141,8 +141,8 @@ mod tests {
     fn unknown_names_error() {
         let a = args("x --workload nope");
         assert!(build_workload(&a).is_err());
-        let t = build_workload(&args("x --workload er --n 8 --rounds 5")).unwrap();
-        assert!(simulate("nope", &t, SimConfig::default()).is_err());
+        assert!(build_workload_source(&a).is_err());
+        assert!(run("nope", &args("x --workload er --n 8 --rounds 5")).is_err());
     }
 
     #[test]

@@ -96,45 +96,6 @@ fn binary_simulate_json_reports_a_run() {
 }
 
 #[test]
-fn binary_simulate_stream_matches_materialized_run() {
-    let base = [
-        "simulate",
-        "--protocol",
-        "two-hop",
-        "--workload",
-        "sliding",
-        "--n",
-        "32",
-        "--rounds",
-        "50",
-        "--seed",
-        "9",
-        "--json",
-    ];
-    let (ok_m, out_m, err_m) = run_bin(&base);
-    assert!(ok_m, "stderr: {err_m}");
-    let mut streamed = base.to_vec();
-    streamed.push("--stream");
-    let (ok_s, out_s, err_s) = run_bin(&streamed);
-    assert!(ok_s, "stderr: {err_s}");
-    // Same meters either way; only wall-clock fields may differ.
-    for key in [
-        "\"changes\"",
-        "\"amortized\"",
-        "\"bits\"",
-        "\"final_edges\"",
-    ] {
-        let pick = |s: &str| {
-            s.lines()
-                .find(|l| l.contains(key))
-                .map(String::from)
-                .unwrap_or_default()
-        };
-        assert_eq!(pick(&out_m), pick(&out_s), "{key} diverged");
-    }
-}
-
-#[test]
 fn binary_simulate_seeds_sweeps_with_jobs() {
     let (ok, stdout, stderr) = run_bin(&[
         "simulate",
@@ -773,24 +734,44 @@ fn bench_diff_reports_missing_tables_as_drift() {
 
 #[test]
 fn checkpoint_flags_reject_incompatible_modes() {
-    for extra in [["--seeds", "3"], ["--sample-queries", "5"]] {
-        let mut args = vec![
-            "simulate",
-            "--workload",
-            "er",
-            "--n",
-            "16",
-            "--rounds",
-            "10",
-            "--checkpoint-every",
-            "5",
-        ];
-        args.extend(extra);
+    let base = [
+        "simulate",
+        "--workload",
+        "er",
+        "--n",
+        "16",
+        "--rounds",
+        "10",
+        "--checkpoint-every",
+        "5",
+    ];
+    let mut seeds = base.to_vec();
+    seeds.extend(["--seeds", "3"]);
+    assert!(
+        dds_cli::real_main(argv(&seeds)).is_err(),
+        "--checkpoint-every with --seeds must be rejected"
+    );
+    // Query sampling rides along in the same streamed loop.
+    let dir = std::env::temp_dir().join(format!("dds-ckpt-sample-{}", std::process::id()));
+    let cks = dir.join("cks");
+    let mut sampled = base.to_vec();
+    sampled.extend([
+        "--sample-queries",
+        "5",
+        "--checkpoint-dir",
+        cks.to_str().unwrap(),
+    ]);
+    let (ok, _, stderr) = run_bin(&sampled);
+    assert!(ok, "stderr: {stderr}");
+    assert!(stderr.contains("checkpoints:"), "stderr: {stderr}");
+    assert!(stderr.contains("query samples:"), "stderr: {stderr}");
+    for r in ["000005", "000010"] {
         assert!(
-            dds_cli::real_main(argv(&args)).is_err(),
-            "--checkpoint-every with {extra:?} must be rejected"
+            cks.join(format!("checkpoint_{r}.json")).exists(),
+            "missing checkpoint_{r}.json"
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

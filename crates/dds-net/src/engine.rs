@@ -1,20 +1,20 @@
 //! The engine layer: one driver for every frontend.
 //!
-//! Running "protocol X over trace Y under config Z and summarizing the
+//! Running "protocol X over schedule Y under config Z and summarizing the
 //! meters" used to be copy-pasted between the CLI, the experiment runners
-//! and the seed sweeps. This module is the single implementation:
+//! and the seed sweeps. This module is the single implementation, and every
+//! schedule reaches it as a [`TraceSource`] (a recorded trace through
+//! [`Trace::replay`](crate::trace::Trace::replay)):
 //!
-//! - [`drive`] replays a recorded [`Trace`] through a fresh simulator, and
-//!   [`drive_source`] streams any [`TraceSource`] through one without ever
-//!   materializing the schedule;
-//! - [`run_trace_as`] / [`run_source_as`] do the same and condense the
-//!   meters into a [`RunSummary`] (with wall-clock rounds/sec and the peak
-//!   process RSS delta);
+//! - [`drive_source`] streams a source through a fresh typed simulator
+//!   without ever materializing the schedule, and [`summarize`] condenses
+//!   the meters into a [`RunSummary`] (with wall-clock rounds/sec and the
+//!   peak process RSS delta);
 //! - [`ProtocolRegistry`] maps protocol *names* to [`Session`] openers so
 //!   frontends can dispatch dynamically without a hand-maintained `match`
 //!   per call site: [`ProtocolRegistry::open`] hands out a live,
-//!   type-erased, queryable run, and `run`/`run_stream` are thin
-//!   run-to-completion wrappers over it. The registry entries for the
+//!   type-erased, queryable run, and `run_stream` is the thin
+//!   run-to-completion wrapper over it. The registry entries for the
 //!   concrete protocols live in `dds-bench::driver` (the one crate that
 //!   depends on every protocol implementation); this module only provides
 //!   the machinery.
@@ -25,9 +25,7 @@ use crate::query::{QueryKind, Queryable};
 use crate::session::Session;
 use crate::sim::{SimConfig, Simulator};
 use crate::source::TraceSource;
-use crate::trace::Trace;
 use serde::Serialize;
-use std::time::Instant;
 
 /// End-of-run summary of one simulation: the meters every experiment and
 /// CLI invocation reports, plus wall-clock throughput.
@@ -78,7 +76,7 @@ pub struct RunSummary {
     /// in the same process peaked higher than this run ever reaches, the
     /// delta reads 0 (an underestimate), and concurrent runs (`--jobs`)
     /// all observe the same shared peak. Single-run processes (the CI
-    /// perf-smoke `dds simulate --stream` invocation) are the authoritative
+    /// perf-smoke `dds simulate` invocation) are the authoritative
     /// measurement.
     pub peak_rss_mb: f64,
     /// Shard count of the final round (1 for unsharded runs; under
@@ -94,41 +92,16 @@ pub struct RunSummary {
     pub pool_workers: usize,
 }
 
-/// Replay a recorded trace through a fresh simulator and return it for
-/// inspection (queries, meters, topology).
-pub fn drive<N: Node>(trace: &Trace, cfg: SimConfig) -> Simulator<N> {
-    let mut sim: Simulator<N> = Simulator::with_config(trace.n, cfg);
-    for batch in &trace.batches {
-        sim.step(batch);
-    }
-    sim
-}
-
-/// Drive a fresh simulator from a streaming source. Exactly one batch is
-/// alive at a time, so memory stays bounded by the generator state plus
-/// the simulator itself, independent of run length or change volume.
+/// Drive a fresh simulator from a streaming source and return it for
+/// inspection (queries, meters, topology). Exactly one batch is alive at a
+/// time, so memory stays bounded by the generator state plus the simulator
+/// itself, independent of run length or change volume.
 pub fn drive_source<N: Node>(src: &mut dyn TraceSource, cfg: SimConfig) -> Simulator<N> {
     let mut sim: Simulator<N> = Simulator::with_config(src.n(), cfg);
     while let Some(batch) = src.next_batch() {
         sim.step(&batch);
     }
     sim
-}
-
-/// Replay a trace as protocol `N` and summarize the meters.
-pub fn run_trace_as<N: Node>(name: &str, trace: &Trace, cfg: SimConfig) -> RunSummary {
-    let rss_baseline = peak_rss_mb();
-    let start = Instant::now();
-    let sim: Simulator<N> = drive(trace, cfg);
-    summarize(name, &sim, start.elapsed().as_secs_f64(), rss_baseline)
-}
-
-/// Stream a source through protocol `N` and summarize the meters.
-pub fn run_source_as<N: Node>(name: &str, src: &mut dyn TraceSource, cfg: SimConfig) -> RunSummary {
-    let rss_baseline = peak_rss_mb();
-    let start = Instant::now();
-    let sim: Simulator<N> = drive_source(src, cfg);
-    summarize(name, &sim, start.elapsed().as_secs_f64(), rss_baseline)
 }
 
 /// Peak resident set size of this process in MiB (Linux `VmHWM` from
@@ -239,14 +212,6 @@ impl ProtocolSpec {
         self.supported
     }
 
-    /// Run this protocol over a recorded trace (by reference — the session
-    /// steps each batch in place, so the replay hot path copies nothing).
-    pub fn run(&self, trace: &Trace, cfg: SimConfig) -> RunSummary {
-        let mut session = self.open(trace.n, cfg);
-        session.run_trace(trace);
-        session.summary()
-    }
-
     /// Run this protocol from a streaming source (never materializes).
     pub fn run_stream(&self, src: &mut dyn TraceSource, cfg: SimConfig) -> RunSummary {
         let mut session = self.open(src.n(), cfg);
@@ -352,12 +317,6 @@ impl ProtocolRegistry {
         spec.restore(snap)
     }
 
-    /// Run the named protocol over a trace (zero-copy, by reference), or
-    /// report the known names.
-    pub fn run(&self, name: &str, trace: &Trace, cfg: SimConfig) -> Result<RunSummary, String> {
-        Ok(self.resolve(name)?.run(trace, cfg))
-    }
-
     /// Run the named protocol from a streaming source, or report the known
     /// names. The source is never materialized.
     pub fn run_stream(
@@ -413,8 +372,8 @@ mod tests {
         }
     }
 
-    fn sample_trace() -> Trace {
-        let mut t = Trace::new(4);
+    fn sample_trace() -> crate::trace::Trace {
+        let mut t = crate::trace::Trace::new(4);
         t.push(crate::event::EventBatch::insert(edge(0, 1)));
         t.push(crate::event::EventBatch::new());
         t
@@ -425,14 +384,15 @@ mod tests {
         let mut reg = ProtocolRegistry::new();
         reg.register::<Idle>("idle", "does nothing");
         assert_eq!(reg.names(), vec!["idle"]);
+        let trace = sample_trace();
         let s = reg
-            .run("idle", &sample_trace(), SimConfig::default())
+            .run_stream("idle", &mut trace.replay(), SimConfig::default())
             .unwrap();
         assert_eq!(s.protocol, "idle");
         assert_eq!(s.rounds, 2);
         assert_eq!(s.changes, 1);
         assert!(reg
-            .run("nope", &sample_trace(), SimConfig::default())
+            .run_stream("nope", &mut trace.replay(), SimConfig::default())
             .is_err());
     }
 
@@ -445,51 +405,34 @@ mod tests {
     }
 
     #[test]
-    fn streamed_and_replayed_runs_agree() {
+    fn typed_and_erased_runs_agree() {
         let trace = sample_trace();
         let cfg = SimConfig::default();
-        let a = run_trace_as::<Idle>("idle", &trace, cfg);
-        let b = run_source_as::<Idle>("idle", &mut trace.replay(), cfg);
-        let c = run_source_as::<Idle>("idle", &mut trace.clone().into_source(), cfg);
-        for s in [&b, &c] {
-            assert_eq!(a.rounds, s.rounds);
-            assert_eq!(a.changes, s.changes);
-            assert_eq!(a.amortized.to_bits(), s.amortized.to_bits());
-            assert_eq!(a.messages, s.messages);
-            assert_eq!(a.bits, s.bits);
-            assert_eq!(a.final_edges, s.final_edges);
-        }
-    }
-
-    #[test]
-    fn registry_runs_streams() {
+        let sim: Simulator<Idle> = drive_source(&mut trace.replay(), cfg);
+        let a = summarize("idle", &sim, 0.0, 0.0);
         let mut reg = ProtocolRegistry::new();
         reg.register::<Idle>("idle", "does nothing");
-        let trace = sample_trace();
-        let s = reg
-            .run_stream("idle", &mut trace.replay(), SimConfig::default())
-            .unwrap();
-        assert_eq!(s.rounds, 2);
-        assert!(reg
-            .run_stream("nope", &mut trace.replay(), SimConfig::default())
-            .is_err());
+        let b = reg.run_stream("idle", &mut trace.replay(), cfg).unwrap();
+        assert_eq!(a.rounds, b.rounds);
+        assert_eq!(a.changes, b.changes);
+        assert_eq!(a.amortized.to_bits(), b.amortized.to_bits());
+        assert_eq!(a.messages, b.messages);
+        assert_eq!(a.bits, b.bits);
+        assert_eq!(a.final_edges, b.final_edges);
     }
 
     #[test]
     fn unknown_name_message_is_shared_across_entry_points() {
         let mut reg = ProtocolRegistry::new();
         reg.register::<Idle>("idle", "does nothing");
-        let trace = sample_trace();
         let cfg = SimConfig::default();
-        let from_run = reg.run("nope", &trace, cfg).unwrap_err();
         let from_stream = reg
-            .run_stream("nope", &mut trace.replay(), cfg)
+            .run_stream("nope", &mut sample_trace().replay(), cfg)
             .unwrap_err();
         let from_open = reg.open("nope", 4, cfg).unwrap_err();
-        assert_eq!(from_run, from_stream);
-        assert_eq!(from_run, from_open);
-        assert!(from_run.contains("expected one of"), "{from_run}");
-        assert!(from_run.contains("idle"), "{from_run}");
+        assert_eq!(from_stream, from_open);
+        assert!(from_stream.contains("expected one of"), "{from_stream}");
+        assert!(from_stream.contains("idle"), "{from_stream}");
     }
 
     #[test]
@@ -498,7 +441,7 @@ mod tests {
         reg.register::<Idle>("idle", "does nothing");
         assert!(reg.resolve("idle").unwrap().supported_queries().is_empty());
         let mut session = reg.open("idle", 4, SimConfig::default()).unwrap();
-        session.run_trace(&sample_trace());
+        session.drain(&mut sample_trace().replay());
         assert_eq!(session.round(), 2);
         assert_eq!(session.summary().changes, 1);
         // Idle supports nothing: every query is a capability error.
@@ -513,7 +456,7 @@ mod tests {
         let mut reg = ProtocolRegistry::new();
         reg.register::<Idle>("idle", "does nothing");
         let mut session = reg.open("idle", 4, SimConfig::default()).unwrap();
-        session.run_trace(&sample_trace());
+        session.drain(&mut sample_trace().replay());
         let snap = session.checkpoint();
         let restored = reg.restore(&snap).unwrap();
         assert_eq!(restored.protocol(), "idle");
@@ -544,9 +487,10 @@ mod tests {
             record_stats: true,
             ..SimConfig::default()
         };
-        let s = run_trace_as::<Idle>("idle", &sample_trace(), cfg);
-        assert!(s.seconds >= 0.0);
-        assert!(s.rounds_per_sec > 0.0);
+        let sim: Simulator<Idle> = drive_source(&mut sample_trace().replay(), cfg);
+        let s = summarize("idle", &sim, 0.5, 0.0);
+        assert_eq!(s.seconds, 0.5);
+        assert_eq!(s.rounds_per_sec, 4.0, "2 rounds in 0.5 s");
         // Idle sends nothing, so the peaks are zero but present.
         assert_eq!(s.peak_round_messages, 0);
         assert_eq!(s.peak_round_bits, 0);

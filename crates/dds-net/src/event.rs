@@ -54,10 +54,13 @@ pub struct LocalEvent {
 
 /// A batch of topology changes applied at the beginning of one round.
 ///
-/// Invariants enforced by [`EventBatch::push`] / checked by the simulator:
-/// an edge appears at most once per batch (the model applies one change per
+/// An edge appears at most once per batch (the model applies one change per
 /// edge per round; flicker within a single round is meaningless because the
-/// graph `G_i` is a set).
+/// graph `G_i` is a set). Every constructor keeps that invariant:
+/// [`EventBatch::push`] panics on a repeat and deserialization returns an
+/// error, so no `EventBatch` value ever holds one. Whether a batch fits the
+/// current graph (endpoints in range, inserts absent, deletes present) is
+/// [`Topology::validate`](crate::topology::Topology::validate)'s rule.
 #[derive(Clone, Debug, Default)]
 pub struct EventBatch {
     events: Vec<TopologyEvent>,
@@ -86,9 +89,8 @@ impl Eq for EventBatch {}
 
 // Hand-written (de)serialization so the JSON shape stays exactly what the
 // derive produced before the `touched` index existed: `{"events": [...]}`.
-// Deserialization is lenient about in-batch duplicates — `Trace::validate`
-// is the authority on untrusted input and reports them as errors rather
-// than panicking mid-parse.
+// Deserialization enforces the at-most-once rule as an error rather than
+// a panic: wire requests and trace files are untrusted input.
 impl Serialize for EventBatch {
     fn to_value(&self) -> Value {
         Value::Obj(vec![("events".to_string(), self.events.to_value())])
@@ -101,12 +103,14 @@ impl Deserialize for EventBatch {
             Some(evs) => Vec::<TopologyEvent>::from_value(evs)?,
             None => return Err("EventBatch: missing `events` field".to_string()),
         };
-        let touched = if events.len() >= TOUCHED_INDEX_THRESHOLD {
-            events.iter().map(|ev| ev.edge()).collect()
-        } else {
-            FxHashSet::default()
+        let mut batch = EventBatch {
+            events: Vec::with_capacity(events.len()),
+            touched: FxHashSet::default(),
         };
-        Ok(EventBatch { events, touched })
+        for ev in events {
+            batch.try_push(ev)?;
+        }
+        Ok(batch)
     }
 }
 
@@ -135,11 +139,20 @@ impl EventBatch {
     /// # Panics
     /// Panics if the batch already contains an event for the same edge.
     pub fn push(&mut self, ev: TopologyEvent) {
-        assert!(
-            !self.touches(ev.edge()),
-            "duplicate event for edge {:?} within one round",
-            ev.edge()
-        );
+        if let Err(e) = self.try_push(ev) {
+            panic!("{e}");
+        }
+    }
+
+    /// [`EventBatch::push`] returning the repeat as an error: the
+    /// decoder's door for untrusted input.
+    fn try_push(&mut self, ev: TopologyEvent) -> Result<(), String> {
+        if self.touches(ev.edge()) {
+            return Err(format!(
+                "duplicate event for edge {:?} within one round",
+                ev.edge()
+            ));
+        }
         if self.events.len() + 1 == TOUCHED_INDEX_THRESHOLD {
             // Crossing the threshold: index everything so far.
             self.touched = self.events.iter().map(|p| p.edge()).collect();
@@ -148,6 +161,7 @@ impl EventBatch {
             self.touched.insert(ev.edge());
         }
         self.events.push(ev);
+        Ok(())
     }
 
     /// Whether this batch already contains an event for edge `e`.
@@ -223,6 +237,28 @@ mod tests {
     fn batch_rejects_duplicate_edge() {
         let mut b = EventBatch::insert(edge(0, 1));
         b.push_delete(edge(1, 0)); // same canonical edge
+    }
+
+    #[test]
+    fn decoding_refuses_a_repeated_edge_at_every_size() {
+        // Below and above the hashed-index threshold: the two scans differ.
+        for len in [2, TOUCHED_INDEX_THRESHOLD + 4] {
+            let mut events: Vec<TopologyEvent> = (1..len as u32)
+                .map(|i| TopologyEvent::Insert(edge(0, i)))
+                .collect();
+            events.push(TopologyEvent::Delete(edge(len as u32 - 1, 0)));
+            let doc = Value::Obj(vec![("events".to_string(), events.to_value())]);
+            let err = EventBatch::from_value(&doc).unwrap_err();
+            assert!(err.contains("duplicate event for edge"), "{len}: {err}");
+            events.pop();
+            let ok = EventBatch::from_value(&Value::Obj(vec![(
+                "events".to_string(),
+                events.to_value(),
+            )]))
+            .unwrap();
+            assert_eq!(ok.len(), len - 1);
+            assert!(ok.touches(edge(0, 1)));
+        }
     }
 
     #[test]

@@ -44,10 +44,7 @@ pub use bandwidth::{BandwidthConfig, BandwidthMeter, BandwidthPolicy};
 pub use checkpoint::{
     Checkpointable, RestoreError, Snapshot, SnapshotHeader, SNAPSHOT_FORMAT, SNAPSHOT_VERSION,
 };
-pub use engine::{
-    drive, drive_source, peak_rss_mb, run_source_as, run_trace_as, ProtocolRegistry, ProtocolSpec,
-    RunSummary,
-};
+pub use engine::{drive_source, peak_rss_mb, ProtocolRegistry, ProtocolSpec, RunSummary};
 pub use event::{EventBatch, LocalEvent, TopologyEvent};
 pub use ids::{edge, Edge, NodeId, Round, NEVER};
 pub use message::{node_bits, Addressed, BitSized, Flags, Outbox, Received};
@@ -57,6 +54,6 @@ pub use protocol::{Node, Response};
 pub use query::{Answer, Query, QueryError, QueryKind, Queryable};
 pub use session::Session;
 pub use sim::{Engine, Shards, SimConfig, Simulator};
-pub use source::{BoxedSource, OwnedReplay, TraceReplay, TraceSource, Validated};
+pub use source::{BoxedSource, TraceReplay, TraceSource};
 pub use topology::Topology;
 pub use trace::Trace;

@@ -333,7 +333,9 @@ impl ServingSession {
     ///
     /// Each batch is validated against the current topology *before* it is
     /// applied: wire input is untrusted, and `Session::step` panics on
-    /// invalid batches by contract. An invalid batch stops the ingest with
+    /// invalid batches by contract. (A batch that names one edge twice
+    /// never reaches here: decoding an [`EventBatch`] refuses it.) An
+    /// invalid batch stops the ingest with
     /// an error naming the round and the offending event; the valid prefix
     /// stays applied and published (the client can re-sync from the
     /// returned error + a `list` of the session's round).

@@ -2,9 +2,10 @@
 //!
 //! A [`Session`] is one protocol instance on one network, opened by name
 //! through the [`ProtocolRegistry`](crate::engine::ProtocolRegistry) and
-//! driven round by round. Unlike the run-to-completion entry points (which
-//! return only a [`RunSummary`]), a session stays *live*: it can be
-//! stepped with explicit batches or [`TraceSource`]s, inspected mid-run
+//! driven round by round. Unlike the run-to-completion entry point (which
+//! returns only a [`RunSummary`]), a session stays *live*: it can be
+//! stepped with explicit batches or [`TraceSource`]s (a recorded trace
+//! through [`Trace::replay`](crate::trace::Trace::replay)), inspected mid-run
 //! (meters, topology, round number), settled, and — the point of the
 //! paper — asked subgraph [`Query`]s routed to any node, answering with
 //! zero communication or an explicit `Inconsistent`.
@@ -27,7 +28,6 @@ use crate::query::{Answer, Query, QueryError, QueryKind, Queryable};
 use crate::sim::{SimConfig, Simulator};
 use crate::source::TraceSource;
 use crate::topology::Topology;
-use crate::trace::Trace;
 use std::time::Instant;
 
 /// The object-safe view of a [`Simulator`] the session layer drives: every
@@ -327,14 +327,6 @@ impl Session {
         }
     }
 
-    /// Replay a recorded trace by reference (no per-round batch clones —
-    /// the zero-copy fast path the registry's `run` uses).
-    pub fn run_trace(&mut self, trace: &Trace) {
-        for batch in &trace.batches {
-            self.step(batch);
-        }
-    }
-
     /// The query kinds this protocol can answer (capability discovery).
     pub fn supported_queries(&self) -> &'static [QueryKind] {
         self.supported
@@ -492,8 +484,8 @@ mod tests {
         }
     }
 
-    fn sample_trace() -> Trace {
-        let mut t = Trace::new(4);
+    fn sample_trace() -> crate::trace::Trace {
+        let mut t = crate::trace::Trace::new(4);
         t.push(EventBatch::insert(edge(0, 1)));
         t.push(EventBatch::new());
         t.push(EventBatch::insert(edge(1, 2)));
@@ -505,7 +497,7 @@ mod tests {
         let mut s = Session::open::<EdgeSet>("edge-set", 4, SimConfig::default());
         assert_eq!(s.protocol(), "edge-set");
         assert_eq!(s.round(), 0);
-        s.run_trace(&sample_trace());
+        s.drain(&mut sample_trace().replay());
         assert_eq!(s.round(), 3);
         assert_eq!(s.meter().changes(), 2);
         // EdgeSet uses the conservative `idle` default, so the sparse

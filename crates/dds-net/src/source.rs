@@ -6,25 +6,30 @@
 //! ([`crate::engine::drive_source`]) holds exactly one batch in memory,
 //! making run length and change volume independent of RAM.
 //!
+//! Every driver takes a `&mut dyn TraceSource` and nothing else: the
+//! engine's [`drive_source`](crate::engine::drive_source), the registry's
+//! `run_stream` and [`Session::drain`](crate::session::Session::drain) /
+//! `run_to`. A recorded schedule reaches them through [`Trace::replay`].
+//!
 //! The contract every source must satisfy:
 //!
 //! - **Determinism / replayability**: a source is constructed from explicit
 //!   parameters (including any RNG seed); two sources built from the same
 //!   parameters yield bit-identical batch sequences. Replay = rebuild.
-//! - **Validity**: starting from the empty graph on `n` nodes, the streamed
-//!   events must form a valid schedule (no duplicate edge within a batch,
-//!   no insert of a present edge, no delete of an absent one, all endpoints
-//!   `< n`) — exactly what [`Trace::validate`] accepts. [`Validated`]
-//!   checks this incrementally for untrusted sources.
+//! - **Validity**: starting from the empty graph on `n` nodes, every
+//!   streamed batch must pass
+//!   [`Topology::validate`](crate::topology::Topology::validate) against
+//!   the graph the batches before it built (endpoints `< n`, no insert of a
+//!   present edge, no delete of an absent one) — exactly what
+//!   [`Trace::validate`] accepts. At most one event per edge within a batch
+//!   holds by construction: [`EventBatch`] refuses a repeat.
 //! - **Memory bound**: a source may keep whatever generator state it needs
 //!   (its own shadow edge set, RNG, phase counters) but must not buffer
 //!   future batches; [`TraceSource::materialize`] is the explicit escape
 //!   hatch back to a fully recorded [`Trace`].
 
 use crate::event::EventBatch;
-use crate::ids::Edge;
 use crate::trace::Trace;
-use rustc_hash::FxHashSet;
 
 /// A lazy, seeded, replayable producer of per-round event batches.
 pub trait TraceSource {
@@ -135,126 +140,6 @@ impl TraceSource for TraceReplay<'_> {
     }
 }
 
-/// An owning replay: consumes a [`Trace`] and streams its batches without
-/// cloning. Obtained via [`Trace::into_source`].
-#[derive(Debug)]
-pub struct OwnedReplay {
-    n: usize,
-    batches: std::vec::IntoIter<EventBatch>,
-}
-
-impl OwnedReplay {
-    /// Stream `trace` from its first round, consuming it.
-    pub fn new(trace: Trace) -> Self {
-        OwnedReplay {
-            n: trace.n,
-            batches: trace.batches.into_iter(),
-        }
-    }
-}
-
-impl TraceSource for OwnedReplay {
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn next_batch(&mut self) -> Option<EventBatch> {
-        self.batches.next()
-    }
-
-    fn rounds_hint(&self) -> Option<usize> {
-        Some(self.batches.len())
-    }
-}
-
-/// Incremental validation wrapper: checks every streamed batch against the
-/// [`Trace::validate`] rules without materializing anything. On the first
-/// violation it records the error and ends the stream, so a clean full
-/// drain is a proof that the materialized counterpart would validate.
-///
-/// **Check [`Validated::error`] after draining.** To downstream consumers
-/// (the engine, `materialize`) a rejected stream is indistinguishable from
-/// a legitimately shorter schedule — the stream just ends early. A run
-/// summary computed over a `Validated` source is only trustworthy once
-/// `error()` has returned `None`.
-pub struct Validated<S> {
-    inner: S,
-    present: FxHashSet<Edge>,
-    round: usize,
-    error: Option<String>,
-}
-
-impl<S: TraceSource> Validated<S> {
-    /// Wrap a source for incremental validation.
-    pub fn new(inner: S) -> Self {
-        Validated {
-            inner,
-            present: FxHashSet::default(),
-            round: 0,
-            error: None,
-        }
-    }
-
-    /// The first violation seen, if any (`None` while the stream is clean).
-    pub fn error(&self) -> Option<&str> {
-        self.error.as_deref()
-    }
-
-    fn check(&mut self, batch: &EventBatch) -> Result<(), String> {
-        let i = self.round;
-        let mut seen: FxHashSet<Edge> = FxHashSet::default();
-        for ev in batch.iter() {
-            let e = ev.edge();
-            if e.hi().index() >= self.inner.n() {
-                return Err(format!("round {}: edge {e:?} out of range", i + 1));
-            }
-            if !seen.insert(e) {
-                return Err(format!("round {}: duplicate event for {e:?}", i + 1));
-            }
-            match ev {
-                crate::event::TopologyEvent::Insert(_) => {
-                    if !self.present.insert(e) {
-                        return Err(format!("round {}: insert of present {e:?}", i + 1));
-                    }
-                }
-                crate::event::TopologyEvent::Delete(_) => {
-                    if !self.present.remove(&e) {
-                        return Err(format!("round {}: delete of absent {e:?}", i + 1));
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-impl<S: TraceSource> TraceSource for Validated<S> {
-    fn n(&self) -> usize {
-        self.inner.n()
-    }
-
-    fn next_batch(&mut self) -> Option<EventBatch> {
-        if self.error.is_some() {
-            return None;
-        }
-        let batch = self.inner.next_batch()?;
-        match self.check(&batch) {
-            Ok(()) => {
-                self.round += 1;
-                Some(batch)
-            }
-            Err(e) => {
-                self.error = Some(e);
-                None
-            }
-        }
-    }
-
-    fn rounds_hint(&self) -> Option<usize> {
-        self.inner.rounds_hint()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,39 +179,9 @@ mod tests {
     }
 
     #[test]
-    fn validated_passes_clean_streams() {
-        let t = sample();
-        let mut v = Validated::new(t.replay());
-        let m = v.materialize();
-        assert_eq!(m, t);
-        assert!(v.error().is_none());
-    }
-
-    #[test]
-    fn validated_stops_on_phantom_delete() {
-        let mut bad = Trace::new(4);
-        bad.push(EventBatch::insert(edge(0, 1)));
-        bad.push(EventBatch::delete(edge(2, 3)));
-        let mut v = Validated::new(bad.replay());
-        assert!(v.next_batch().is_some());
-        assert!(v.next_batch().is_none());
-        let err = v.error().expect("violation recorded");
-        assert!(err.contains("delete of absent"), "{err}");
-    }
-
-    #[test]
-    fn validated_rejects_out_of_range_endpoints() {
-        let mut bad = Trace::new(2);
-        bad.push(EventBatch::insert(edge(0, 5)));
-        let mut v = Validated::new(bad.replay());
-        assert!(v.next_batch().is_none());
-        assert!(v.error().unwrap().contains("out of range"));
-    }
-
-    #[test]
     fn boxed_and_borrowed_sources_delegate() {
         let t = sample();
-        let mut boxed: BoxedSource = Box::new(t.clone().into_source());
+        let mut boxed: Box<dyn TraceSource + '_> = Box::new(t.replay());
         assert_eq!(boxed.n(), 4);
         assert_eq!(boxed.rounds_hint(), Some(2));
         assert_eq!(boxed.materialize(), t);

@@ -86,6 +86,9 @@ impl Topology {
 
     /// Validate a batch against the current graph: insertions must be of
     /// absent edges, deletions of present edges, and endpoints in range.
+    /// This is the one home of those rules; the other batch rule, at most
+    /// one event per edge, is [`EventBatch`]'s own invariant, so checking
+    /// each event against the graph as it was before the batch is exact.
     pub fn validate(&self, batch: &EventBatch) -> Result<(), String> {
         for ev in batch.iter() {
             let e = ev.edge();

@@ -1,9 +1,16 @@
 //! Recorded executions: a trace is the full per-round sequence of event
 //! batches, serializable with serde so that workloads (including adversarial
 //! ones) can be stored, replayed, and shared between tests and benchmarks.
+//!
+//! A trace does not drive anything itself: [`Trace::replay`] turns it into a
+//! [`TraceSource`](crate::source::TraceSource), the one input every driver
+//! takes. Nor does it restate the batch rules: parsing enforces at most one
+//! event per edge ([`EventBatch`]), and [`Trace::validate`] replays the
+//! batches through [`Topology::validate`].
 
 use crate::event::{EventBatch, TopologyEvent};
-use crate::ids::{Edge, NodeId};
+use crate::ids::{Edge, NodeId, Round};
+use crate::topology::Topology;
 use rustc_hash::FxHashSet;
 use serde::{Deserialize, Serialize};
 
@@ -36,14 +43,10 @@ impl Trace {
     }
 
     /// Replay this trace as a streaming [`TraceSource`](crate::source::TraceSource)
-    /// (batches are cloned out one at a time).
+    /// (batches are cloned out one at a time): the one bridge from a
+    /// recorded schedule to the drivers.
     pub fn replay(&self) -> crate::source::TraceReplay<'_> {
         crate::source::TraceReplay::new(self)
-    }
-
-    /// Consume this trace into an owning streaming source (no clones).
-    pub fn into_source(self) -> crate::source::OwnedReplay {
-        crate::source::OwnedReplay::new(self)
     }
 
     /// Total number of topology changes across all rounds.
@@ -51,34 +54,18 @@ impl Trace {
         self.batches.iter().map(|b| b.len()).sum()
     }
 
-    /// Validate the trace as a whole: starting from the empty graph, every
-    /// insertion must be of an absent edge and every deletion of a present
-    /// one, and all endpoints must be `< n`.
+    /// Validate the trace as a whole: replay it through
+    /// [`Topology::validate`] and [`Topology::apply`] on the empty graph on
+    /// `n` nodes, so every insertion must be of an absent edge, every
+    /// deletion of a present one, and all endpoints `< n`. The error names
+    /// the first failing round.
     pub fn validate(&self) -> Result<(), String> {
-        let mut present: FxHashSet<Edge> = FxHashSet::default();
+        let mut topo = Topology::new(self.n);
         for (i, batch) in self.batches.iter().enumerate() {
-            let mut seen: FxHashSet<Edge> = FxHashSet::default();
-            for ev in batch.iter() {
-                let e = ev.edge();
-                if e.hi().index() >= self.n {
-                    return Err(format!("round {}: edge {e:?} out of range", i + 1));
-                }
-                if !seen.insert(e) {
-                    return Err(format!("round {}: duplicate event for {e:?}", i + 1));
-                }
-                match ev {
-                    TopologyEvent::Insert(_) => {
-                        if !present.insert(e) {
-                            return Err(format!("round {}: insert of present {e:?}", i + 1));
-                        }
-                    }
-                    TopologyEvent::Delete(_) => {
-                        if !present.remove(&e) {
-                            return Err(format!("round {}: delete of absent {e:?}", i + 1));
-                        }
-                    }
-                }
-            }
+            let round = i as Round + 1;
+            topo.validate(batch)
+                .map_err(|e| format!("round {round}: {e}"))?;
+            topo.apply(batch, round);
         }
         Ok(())
     }
@@ -115,7 +102,8 @@ impl Trace {
         serde_json::to_string_pretty(self).expect("trace serializes")
     }
 
-    /// Parse from JSON, validating the event sequence.
+    /// Parse from JSON, validating the event sequence. A batch that
+    /// repeats an edge already fails the parse.
     pub fn from_json(s: &str) -> Result<Self, String> {
         let t: Trace = serde_json::from_str(s).map_err(|e| e.to_string())?;
         t.validate()?;
@@ -175,6 +163,24 @@ mod tests {
         let mut t = Trace::new(4);
         t.push(EventBatch::delete(edge(0, 1)));
         assert!(t.validate().is_err());
+    }
+
+    #[test]
+    fn validation_names_the_first_failing_round() {
+        let mut t = sample();
+        t.push(EventBatch::insert(edge(2, 9)));
+        assert_eq!(
+            t.validate().unwrap_err(),
+            "round 3: edge {v2,v9} out of range for n = 4"
+        );
+    }
+
+    #[test]
+    fn a_repeated_edge_fails_the_parse() {
+        let json =
+            r#"{"n":4,"batches":[{"events":[{"Insert":{"a":0,"b":1}},{"Delete":{"a":0,"b":1}}]}]}"#;
+        let err = Trace::from_json(json).unwrap_err();
+        assert!(err.contains("duplicate event for edge"), "{err}");
     }
 
     #[test]

@@ -47,5 +47,5 @@ pub use hotspot::{Hotspot, HotspotConfig};
 pub use planted::{Planted, PlantedConfig, Shape};
 pub use preferential::{Preferential, PreferentialConfig};
 pub use registry::{build_source, build_trace, ParamSpec, Params, WorkloadSpec};
-pub use schedule::{record, run_trace, EdgeLedger, Workload};
+pub use schedule::{record, EdgeLedger, Workload};
 pub use sliding::{SlidingWindow, SlidingWindowConfig};

@@ -109,14 +109,6 @@ impl WorkloadSpec {
     pub fn source(&self, p: &Params) -> Result<BoxedSource, String> {
         (self.source)(p)
     }
-
-    /// Build a recorded trace from parameters (materializes the source).
-    pub fn build(&self, p: &Params) -> Result<Trace, String> {
-        let mut src = self.source(p)?;
-        let trace = src.materialize();
-        debug_assert!(trace.validate().is_ok(), "workload produced invalid trace");
-        Ok(trace)
-    }
 }
 
 /// Common parameters shared by every workload.
@@ -494,15 +486,12 @@ pub fn build_source(name: &str, params: &Params) -> Result<BoxedSource, String> 
     }
 }
 
-/// Build a recorded trace for the named workload, or report known names.
+/// Build a recorded trace for the named workload (materializes
+/// [`build_source`]), or report known names.
 pub fn build_trace(name: &str, params: &Params) -> Result<Trace, String> {
-    match find(name) {
-        Some(spec) => spec.build(params),
-        None => Err(format!(
-            "unknown workload {name:?}; expected one of {:?}",
-            names()
-        )),
-    }
+    let trace = build_source(name, params)?.materialize();
+    debug_assert!(trace.validate().is_ok(), "workload produced invalid trace");
+    Ok(trace)
 }
 
 #[cfg(test)]
@@ -516,9 +505,7 @@ mod tests {
             .with("rounds", 40)
             .with("seed", 7);
         for spec in workloads() {
-            let t = spec
-                .build(&p)
-                .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
+            let t = build_trace(spec.name, &p).unwrap_or_else(|e| panic!("{}: {e}", spec.name));
             assert!(t.validate().is_ok(), "{} trace invalid", spec.name);
             assert!(t.rounds() > 0, "{} produced an empty trace", spec.name);
         }
@@ -531,7 +518,7 @@ mod tests {
             .with("rounds", 30)
             .with("seed", 5);
         for spec in workloads() {
-            let trace = spec.build(&p).unwrap();
+            let trace = build_trace(spec.name, &p).unwrap();
             let mut src = spec.source(&p).unwrap();
             assert_eq!(src.n(), trace.n, "{}", spec.name);
             for (i, want) in trace.batches.iter().enumerate() {

@@ -9,7 +9,7 @@
 //! [`record`] / [`TraceSource::materialize`](dds_net::TraceSource::materialize)
 //! are the explicit escape hatches back to one.
 
-use dds_net::{EventBatch, Node, SimConfig, Simulator, Trace};
+use dds_net::{EventBatch, Trace};
 use rustc_hash::FxHashSet;
 
 /// A per-round schedule of topology changes: the engine's streaming
@@ -30,12 +30,6 @@ pub fn record(mut w: impl Workload, max_rounds: usize) -> Trace {
     }
     debug_assert!(trace.validate().is_ok(), "workload produced invalid trace");
     trace
-}
-
-/// Drive a fresh simulator through an entire recorded trace; returns the
-/// simulator for inspection. Alias for [`dds_net::engine::drive`].
-pub fn run_trace<N: Node>(trace: &Trace, cfg: SimConfig) -> Simulator<N> {
-    dds_net::engine::drive(trace, cfg)
 }
 
 /// Book-keeping helper shared by generators: tracks the current edge set

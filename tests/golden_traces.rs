@@ -55,9 +55,8 @@ fn every_workload_reproduces_its_golden_trace_byte_for_byte() {
     let mut missing = Vec::new();
     for spec in registry::workloads() {
         let p = golden_params(spec.name);
-        let trace = spec
-            .build(&p)
-            .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
+        let trace =
+            registry::build_trace(spec.name, &p).unwrap_or_else(|e| panic!("{}: {e}", spec.name));
         assert!(trace.validate().is_ok(), "{}: invalid trace", spec.name);
         let produced = trace.to_json();
         let path = golden_path(spec.name);

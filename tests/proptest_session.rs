@@ -1,17 +1,19 @@
 //! Property: a type-erased [`Session`] stepped batch-by-batch under the
-//! **sparse** engine is round-for-round identical to the typed `drive`
-//! path under the **dense** engine on the same trace — one differential
-//! covering both the erasure layer and the engine equivalence, mid-run
-//! via `Session::step`.
+//! **sparse** engine is round-for-round identical to the typed
+//! `drive_source` path under the **dense** engine on the same trace — one
+//! differential covering both the erasure layer and the engine
+//! equivalence, mid-run via `Session::step`.
 //!
 //! For arbitrary registry workloads (n, rounds, seed chosen by proptest)
 //! and each of the paper's protocols: after **every** round, the session's
 //! meters equal the typed simulator's — amortized measures compared via
 //! `f64::to_bits`, i.e. bit-identical, not approximately — and the final
-//! summaries agree with `run_trace_as` field for field.
+//! summaries agree with `drive_source` plus `engine::summarize` field for
+//! field.
 
+use dynamic_subgraphs::net::engine::summarize;
 use dynamic_subgraphs::net::{
-    drive, run_trace_as, Engine, Queryable, RunSummary, SimConfig, Simulator, Trace,
+    drive_source, Engine, Queryable, RunSummary, SimConfig, Simulator, Trace,
 };
 use dynamic_subgraphs::robust::{ThreeHopNode, TriangleNode, TwoHopNode};
 use dynamic_subgraphs::workloads::{registry, Params};
@@ -93,7 +95,8 @@ fn session_equals_drive<N: Queryable + 'static>(protocol: &str, trace: &Trace) {
         );
     }
     // And the condensed summaries agree with the typed one-shot driver.
-    let want: RunSummary = run_trace_as::<N>(protocol, trace, cfg);
+    let driven: Simulator<N> = drive_source(&mut trace.replay(), cfg);
+    let want: RunSummary = summarize(protocol, &driven, 0.0, 0.0);
     let got = session.summary();
     assert_eq!(want.rounds, got.rounds);
     assert_eq!(want.changes, got.changes);
@@ -107,12 +110,6 @@ fn session_equals_drive<N: Queryable + 'static>(protocol: &str, trace: &Trace) {
     assert_eq!(want.bits, got.bits);
     assert_eq!(want.violations, got.violations);
     assert_eq!(want.final_edges, got.final_edges);
-    // drive() is the same loop again — spot-check it matches too.
-    let driven: Simulator<N> = drive(trace, cfg);
-    assert_eq!(
-        driven.meter().amortized().to_bits(),
-        got.amortized.to_bits()
-    );
 }
 
 fn cases() -> u32 {

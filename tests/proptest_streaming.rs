@@ -1,20 +1,29 @@
-//! Property: the streaming validator and `Trace::validate` are the same
-//! judge.
+//! Property: each batch rule has one home, and the homes together judge a
+//! schedule exactly as one validator checking every rule in one loop.
 //!
 //! For arbitrary event scripts — valid and invalid alike (duplicate edges
 //! within a batch, double inserts, phantom deletes, out-of-range
-//! endpoints) — wrapping the schedule in [`Validated`] and draining it
-//! must agree *exactly* with materializing the schedule and calling
-//! [`Trace::validate`]: clean stream ⇔ `Ok`, and a rejecting stream stops
-//! at the first offending batch with the same error text.
+//! endpoints):
+//!
+//! - the at-most-once-per-edge rule lives in `EventBatch`: a script's JSON
+//!   fails to parse exactly when one of its batches repeats an edge;
+//! - range, present and absent live in `Topology::validate`: for every
+//!   other script — as drawn, repaired into a valid schedule, and repaired
+//!   with one event switched between insert and delete — [`Trace::validate`]
+//!   (which replays the batches through it) agrees with [`reference_judge`]
+//!   (the all-in-one loop kept here as the specification) on the verdict,
+//!   the first failing round and the offending edge.
 
-use dynamic_subgraphs::net::{Trace, TraceSource, Validated};
+use dynamic_subgraphs::net::{edge, EventBatch, TopologyEvent, Trace};
 use proptest::prelude::*;
+use rustc_hash::FxHashSet;
 
-/// Render an arbitrary (possibly invalid) script as trace JSON and parse
-/// it through the lenient deserializer — the only door that admits
-/// invalid schedules, exactly like untrusted `dds trace` input.
-fn lenient_trace(n: u32, script: &[Vec<(u32, u32, bool)>]) -> Trace {
+/// One scripted event: endpoints (any order) and insert/delete.
+type Op = (u32, u32, bool);
+
+/// Render a script as trace JSON, exactly like untrusted `dds trace`
+/// input, and parse it.
+fn parse_script(n: u32, script: &[Vec<Op>]) -> Result<Trace, String> {
     let mut batches = Vec::new();
     for ops in script {
         let events: Vec<String> = ops
@@ -28,7 +37,130 @@ fn lenient_trace(n: u32, script: &[Vec<(u32, u32, bool)>]) -> Trace {
         batches.push(format!("{{\"events\":[{}]}}", events.join(",")));
     }
     let json = format!("{{\"n\":{n},\"batches\":[{}]}}", batches.join(","));
-    serde_json::from_str(&json).expect("shape is always parseable")
+    serde_json::from_str(&json).map_err(|e| e.to_string())
+}
+
+fn canonical(&(a, b, _): &Op) -> (u32, u32) {
+    (a.min(b), a.max(b))
+}
+
+/// Whether some batch of the script names one edge twice.
+fn repeats_an_edge(script: &[Vec<Op>]) -> bool {
+    script.iter().any(|ops| {
+        let mut seen = FxHashSet::default();
+        !ops.iter().all(|op| seen.insert(canonical(op)))
+    })
+}
+
+/// The script with every repeat of an edge within a batch dropped (the
+/// first event for each edge stays).
+fn without_repeats(script: &[Vec<Op>]) -> Vec<Vec<Op>> {
+    script
+        .iter()
+        .map(|ops| {
+            let mut seen = FxHashSet::default();
+            ops.iter()
+                .copied()
+                .filter(|op| seen.insert(canonical(op)))
+                .collect()
+        })
+        .collect()
+}
+
+/// The script with each event's kind set from its edge's presence so far
+/// (insert when absent, delete when present): a schedule that is valid
+/// whenever its endpoints are in range. Takes a script without repeats.
+fn repaired(script: &[Vec<Op>]) -> Vec<Vec<Op>> {
+    let mut present = FxHashSet::default();
+    script
+        .iter()
+        .map(|ops| {
+            ops.iter()
+                .map(|&(a, b, _)| {
+                    let insert = present.insert(canonical(&(a, b, true)));
+                    if !insert {
+                        present.remove(&canonical(&(a, b, true)));
+                    }
+                    (a, b, insert)
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// The script with event `k` (counted across batches, modulo the event
+/// count) switched between insert and delete.
+fn flipped(mut script: Vec<Vec<Op>>, k: usize) -> Vec<Vec<Op>> {
+    let total: usize = script.iter().map(Vec::len).sum();
+    if total > 0 {
+        let mut k = k % total;
+        for ops in &mut script {
+            if k < ops.len() {
+                ops[k].2 = !ops[k].2;
+                break;
+            }
+            k -= ops.len();
+        }
+    }
+    script
+}
+
+/// The specification: every batch rule checked in one loop over the
+/// schedule, starting from the empty graph on `n` nodes. Returns the first
+/// failing round (1-based) with its message.
+fn reference_judge(trace: &Trace) -> Result<(), (usize, String)> {
+    let mut present = FxHashSet::default();
+    for (i, batch) in trace.batches.iter().enumerate() {
+        let mut seen = FxHashSet::default();
+        for ev in batch.iter() {
+            let e = ev.edge();
+            if e.hi().index() >= trace.n {
+                return Err((i + 1, format!("edge {e:?} out of range")));
+            }
+            if !seen.insert(e) {
+                return Err((i + 1, format!("duplicate event for {e:?}")));
+            }
+            match ev {
+                TopologyEvent::Insert(_) => {
+                    if !present.insert(e) {
+                        return Err((i + 1, format!("insert of present {e:?}")));
+                    }
+                }
+                TopologyEvent::Delete(_) => {
+                    if !present.remove(&e) {
+                        return Err((i + 1, format!("delete of absent {e:?}")));
+                    }
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The `{vA,vB}` edge a validation message names.
+fn named_edge(msg: &str) -> &str {
+    let start = msg.find('{').expect("message names an edge");
+    let end = msg[start..].find('}').expect("edge is closed") + start;
+    &msg[start..=end]
+}
+
+/// Whether [`Trace::validate`] and [`reference_judge`] agree on a script
+/// without repeats: the same verdict and, on failure, the same first
+/// failing round and offending edge.
+fn agree(n: u32, script: &[Vec<Op>]) -> Result<(), String> {
+    let trace = parse_script(n, script)?;
+    match (trace.validate(), reference_judge(&trace)) {
+        (Ok(()), Ok(())) => Ok(()),
+        (Err(got), Err((round, want)))
+            if got.starts_with(&format!("round {round}: "))
+                && named_edge(&got) == named_edge(&want) =>
+        {
+            Ok(())
+        }
+        (got, want) => Err(format!(
+            "validate says {got:?}, the reference judge {want:?}"
+        )),
+    }
 }
 
 /// Raw generated script: per batch, `((a, b), flag)` ops. Endpoints up to
@@ -46,7 +178,7 @@ fn script_strategy() -> impl Strategy<Value = RawScript> {
 
 /// Decode the raw script, dropping self-loops (rejected at `Edge`
 /// construction, not validation, so unrepresentable anyway).
-fn decode(raw: RawScript) -> Vec<Vec<(u32, u32, bool)>> {
+fn decode(raw: RawScript) -> Vec<Vec<Op>> {
     raw.into_iter()
         .map(|batch| {
             batch
@@ -69,56 +201,39 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     #[test]
-    fn validated_stream_agrees_with_trace_validate(
+    fn a_script_parses_exactly_when_no_batch_repeats_an_edge(
         script in script_strategy(),
         n in 4u32..9,
     ) {
         let script = decode(script);
-        let trace = lenient_trace(n, &script);
-        let verdict = trace.validate();
-
-        let mut v = Validated::new(trace.replay());
-        let mut clean_rounds = 0usize;
-        while v.next_batch().is_some() {
-            clean_rounds += 1;
-        }
-        match &verdict {
-            Ok(()) => {
-                prop_assert!(
-                    v.error().is_none(),
-                    "validate accepted but stream rejected: {:?}",
-                    v.error()
-                );
-                prop_assert_eq!(clean_rounds, trace.rounds());
+        match parse_script(n, &script) {
+            Ok(trace) => {
+                prop_assert!(!repeats_an_edge(&script), "a repeated edge parsed");
+                prop_assert_eq!(trace.rounds(), script.len());
+                prop_assert_eq!(trace.total_changes(), script.iter().map(Vec::len).sum::<usize>());
             }
-            Err(want) => {
-                let got = v.error().unwrap_or("<stream stayed clean>");
-                prop_assert_eq!(
-                    got, want.as_str(),
-                    "stream and validate disagree on the first violation"
-                );
-                prop_assert!(clean_rounds < trace.rounds());
+            Err(err) => {
+                prop_assert!(repeats_an_edge(&script), "a clean script failed to parse: {}", err);
+                prop_assert!(err.contains("duplicate event for edge"), "{}", err);
             }
         }
     }
 
     #[test]
-    fn clean_streams_materialize_to_valid_traces(
+    fn trace_validate_agrees_with_the_reference_judge(
         script in script_strategy(),
-        n in 4u32..9,
+        n in 4u32..10,
+        flip in 0usize..64,
     ) {
-        let script = decode(script);
-        let trace = lenient_trace(n, &script);
-        // Any source that streams fully clean through Validated must also
-        // materialize to a trace passing validate() — the contract every
-        // generator relies on.
-        let mut v = Validated::new(trace.replay());
-        let materialized = v.materialize();
-        if v.error().is_none() {
-            prop_assert!(materialized.validate().is_ok());
-            prop_assert_eq!(materialized.rounds(), trace.rounds());
-        } else {
-            prop_assert!(trace.validate().is_err());
+        // The script as drawn (random kinds, so most fail early), repaired
+        // into a schedule that fails only on an out-of-range endpoint, and
+        // repaired with one event switched so it fails there.
+        let drawn = without_repeats(&decode(script));
+        let valid = repaired(&drawn);
+        for candidate in [flipped(valid.clone(), flip), valid, drawn] {
+            if let Err(e) = agree(n, &candidate) {
+                prop_assert!(false, "{}: {:?}", e, candidate);
+            }
         }
     }
 
@@ -127,13 +242,23 @@ proptest! {
         a in 0u32..4,
         b in 4u32..8,
     ) {
-        // Direct duplicate-in-batch construction (insert + delete of the
-        // same edge in one round): both judges must refuse it.
-        let script = vec![vec![(a, b, true), (a, b, false)]];
-        let trace = lenient_trace(8, &script);
-        prop_assert!(trace.validate().is_err());
-        let mut v = Validated::new(trace.replay());
-        prop_assert!(v.next_batch().is_none());
-        prop_assert!(v.error().unwrap().contains("duplicate event"));
+        // Insert + insert and insert + delete of one edge in one round:
+        // both doors into an `EventBatch` refuse both — parsing with an
+        // error naming the edge, `push` with a panic.
+        for second in [true, false] {
+            let err = parse_script(8, &[vec![(a, b, true), (b, a, second)]])
+                .expect_err("a repeated edge must not parse");
+            prop_assert!(err.contains("duplicate event for edge"), "{}", err);
+            prop_assert!(err.contains(&format!("{:?}", edge(a, b))), "{}", err);
+            let pushed = std::panic::catch_unwind(|| {
+                let mut batch = EventBatch::insert(edge(a, b));
+                if second {
+                    batch.push_insert(edge(b, a));
+                } else {
+                    batch.push_delete(edge(b, a));
+                }
+            });
+            prop_assert!(pushed.is_err(), "push accepted a repeated edge");
+        }
     }
 }

@@ -783,6 +783,74 @@ fn oversized_opens_and_ingests_are_too_large_and_change_nothing() {
     join.join().expect("server thread");
 }
 
+// ---- batches that repeat an edge ----------------------------------------
+
+#[test]
+fn a_batch_repeating_an_edge_is_a_typed_error_and_the_session_stays_writable() {
+    use dynamic_subgraphs::net::serving::wire;
+    use serde::Deserialize as _;
+    let (addr, join, stop) = boot_with(ServerOptions::default());
+    let mut client = deadline_client(&addr);
+    client.open("dup", "two-hop", 8).expect("open");
+
+    // The client cannot build such a batch (`EventBatch::push` panics), so
+    // the frames are written raw, all on one connection.
+    let mut raw = std::net::TcpStream::connect(&addr).expect("connect raw");
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .expect("read timeout");
+    let mut send = |events: &str| -> Result<u64, String> {
+        let payload = format!(
+            "{{\"v\":1,\"verb\":\"ingest\",\"session\":\"dup\",\
+             \"batches\":[{{\"events\":[{events}]}}]}}"
+        );
+        wire::write_frame(&mut raw, payload.as_bytes()).expect("send frame");
+        let (reply, _) = wire::read_frame(&mut raw)
+            .expect("a reply within the deadline")
+            .expect("the daemon answers instead of closing");
+        let reply: serde::Value =
+            serde_json::from_str(std::str::from_utf8(&reply).expect("UTF-8 reply"))
+                .expect("a JSON reply");
+        let ok = wire::check_response(&reply)?;
+        Ok(u64::from_value(ok.get("watermark").expect("watermark")).expect("a round"))
+    };
+    let insert = |a: u32, b: u32| format!("{{\"Insert\":{{\"a\":{a},\"b\":{b}}}}}");
+    let delete = |a: u32, b: u32| format!("{{\"Delete\":{{\"a\":{a},\"b\":{b}}}}}");
+
+    // Applying such a batch panics under the writer lock, which would
+    // close the connection and poison the lock for every later write to
+    // the session: the request must be refused before it gets there.
+    let err = send(&format!("{},{}", insert(0, 1), insert(0, 1)))
+        .expect_err("insert + insert of one edge must be refused");
+    assert!(
+        err.contains("duplicate event for edge {v0,v1}"),
+        "names the duplicate, got: {err}"
+    );
+    assert_eq!(
+        send(&insert(2, 3)),
+        Ok(1),
+        "a valid ingest on the same connection"
+    );
+    let err = send(&format!("{},{}", delete(2, 3), delete(2, 3)))
+        .expect_err("delete + delete of one edge must be refused");
+    assert!(
+        err.contains("duplicate event for edge {v2,v3}"),
+        "names the duplicate, got: {err}"
+    );
+
+    // The session still takes a write and answers a read.
+    let watermark = client
+        .ingest("dup", vec![EventBatch::insert(edge(0, 1))])
+        .expect("ingest after the refused batches");
+    assert_eq!(watermark, 2);
+    let reply = client
+        .query("dup", vec![(NodeId(2), Query::Edge(edge(2, 3)))])
+        .expect("query after the refused batches");
+    assert_eq!(reply.watermark, 2);
+    drop((client, raw));
+    stop();
+    join.join().expect("server thread");
+}
+
 // ---- fail-fast clients after a timeout --------------------------------
 
 #[test]

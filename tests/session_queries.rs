@@ -248,7 +248,7 @@ fn session_summary_equals_registry_run_bitwise() {
             .with("rounds", 30)
             .with("seed", 8);
         let trace = registry::build_trace("er", &p).unwrap();
-        let via_run = spec.run(&trace, SimConfig::default());
+        let via_run = spec.run_stream(&mut trace.replay(), SimConfig::default());
         let mut session = spec.open(trace.n, SimConfig::default());
         for b in &trace.batches {
             session.step(b);

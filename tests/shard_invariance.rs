@@ -210,8 +210,10 @@ proptest! {
         k in 2usize..10,
     ) {
         let trace = build(WORKLOADS[w], n, rounds, seed);
-        let one: Simulator<TwoHopNode> = engine::drive(&trace, cfg(Shards::Fixed(1)));
-        let many: Simulator<TwoHopNode> = engine::drive(&trace, cfg(Shards::Fixed(k)));
+        let one: Simulator<TwoHopNode> =
+            engine::drive_source(&mut trace.replay(), cfg(Shards::Fixed(1)));
+        let many: Simulator<TwoHopNode> =
+            engine::drive_source(&mut trace.replay(), cfg(Shards::Fixed(k)));
         let a = fingerprint(&one, n);
         let b = fingerprint(&many, n);
         prop_assert_eq!(&a.0, &b.0, "meters diverged (k={})", k);

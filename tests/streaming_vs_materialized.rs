@@ -29,9 +29,8 @@ fn small_params() -> Params {
 fn every_workload_streams_bit_identical_batches() {
     for spec in registry::workloads() {
         let p = small_params();
-        let trace = spec
-            .build(&p)
-            .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
+        let trace =
+            registry::build_trace(spec.name, &p).unwrap_or_else(|e| panic!("{}: {e}", spec.name));
         let mut src = spec.source(&p).unwrap();
         assert_eq!(src.n(), trace.n, "{}: n", spec.name);
         let mut streamed: Vec<EventBatch> = Vec::new();
@@ -54,9 +53,9 @@ fn engine_meters_match_across_stream_and_replay_for_every_protocol() {
     let reg = dds_bench::protocols();
     for spec in registry::workloads() {
         let p = small_params();
-        let trace = spec.build(&p).unwrap();
+        let trace = registry::build_trace(spec.name, &p).unwrap();
         for proto in reg.specs() {
-            let a = proto.run(&trace, SimConfig::default());
+            let a = proto.run_stream(&mut trace.replay(), SimConfig::default());
             let mut src = spec.source(&p).unwrap();
             let b = proto.run_stream(&mut src, SimConfig::default());
             let ctx = format!("{} over {}", proto.name, spec.name);
@@ -191,7 +190,7 @@ fn streamed_run_settles_to_the_same_answers() {
         .with("seed", 3);
     let trace = registry::build_trace("flicker", &p).unwrap();
     let mut via_trace: Simulator<TwoHopNode> =
-        dynamic_subgraphs::net::drive(&trace, SimConfig::default());
+        dynamic_subgraphs::net::drive_source(&mut trace.replay(), SimConfig::default());
     let mut src = registry::build_source("flicker", &p).unwrap();
     let mut via_stream: Simulator<TwoHopNode> =
         dynamic_subgraphs::net::drive_source(&mut src, SimConfig::default());

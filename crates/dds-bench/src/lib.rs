@@ -21,5 +21,5 @@ pub use diff::{diff_reports, DiffReport};
 pub use driver::protocols;
 pub use report::{Report, ReportError, TimedTable};
 pub use scheduler::{available_jobs, map_ordered, SweepPoint};
-pub use sweep::{sweep, sweep_jobs, Stats};
+pub use sweep::{sweep_jobs, Stats};
 pub use table::Table;

@@ -6,7 +6,10 @@ use crate::scheduler;
 use crate::table::{f2, f3, Table};
 use dds_baselines::SnapshotNode;
 use dds_net::engine::drive_source;
-use dds_net::{BoxedSource, NodeId, Query, Response, Session, SimConfig, Simulator, Trace};
+use dds_net::{
+    BoxedSource, Claim, Engine, Fingerprint, NodeId, Query, Response, RunSummary, Session, Shards,
+    SimConfig, Simulator, Trace,
+};
 use dds_oracle::DynamicGraph;
 use dds_robust::{listing_verdict, ThreeHopNode, TwoHopNode};
 use dds_workloads::{bounds, registry, staggered_flicker_trace, Params, Thm4Adversary, Workload};
@@ -34,6 +37,29 @@ fn open(protocol: &str, n: usize) -> Session {
     crate::driver::protocols()
         .open(protocol, n, SimConfig::default())
         .unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Stream a registered workload through the robust 2-hop protocol on
+/// `engine` with `shards`, keeping the stats log: the run's summary, and
+/// the fingerprint the scale tiers compare.
+fn two_hop_run(
+    workload: &str,
+    params: &Params,
+    engine: Engine,
+    shards: Shards,
+) -> (RunSummary, Fingerprint) {
+    let cfg = SimConfig {
+        engine,
+        shards,
+        record_stats: true,
+        ..SimConfig::default()
+    };
+    let mut src = source_for(workload, params.clone());
+    let mut session = crate::driver::protocols()
+        .open("two-hop", src.n(), cfg)
+        .expect("two-hop is registered");
+    session.drain(&mut src);
+    (session.summary(), session.fingerprint())
 }
 
 /// Ask one cycle query at every node of the candidate cycle through the
@@ -826,14 +852,12 @@ pub fn s1_streamed_tier(n: usize, rounds: usize) -> Table {
 /// O(1) recovery guarantees shine (huge network, a trickle of changes)
 /// and where the round loop used to be simulation-bound at Ω(n + m) per
 /// round regardless of batch size. Each workload runs twice — once per
-/// round engine — on identical streamed schedules; `changes` and
-/// `peak active` are deterministic and must agree row-for-row across
-/// engines (the differential tests lock the full bit-identity), while
-/// `rounds/s` and `speedup` are the wall-clock payoff: the sparse engine
-/// does O(churn + traffic) work per round instead of visiting all `n`
-/// nodes.
+/// round engine — on identical streamed schedules. The runner asserts
+/// that both runs' fingerprints share their `outcome` before it emits a
+/// row. `rounds/s` and `speedup` are the wall-clock payoff: the sparse
+/// engine does O(churn + traffic) work per round instead of visiting all
+/// `n` nodes, which is also why `peak active` differs.
 pub fn s2_low_churn_tier(n: usize, rounds: usize) -> Table {
-    use dds_net::Engine;
     let mut t = Table::new(
         "S2 / low-churn tier — activity-proportional rounds: sparse vs dense engine",
         &[
@@ -870,19 +894,12 @@ pub fn s2_low_churn_tier(n: usize, rounds: usize) -> Table {
         ),
     ];
     for (label, workload, params) in cells {
-        let run = |engine: Engine| {
-            let cfg = SimConfig {
-                engine,
-                record_stats: true,
-                ..SimConfig::default()
-            };
-            let mut src = source_for(workload, params.clone());
-            crate::driver::protocols()
-                .run_stream("two-hop", &mut src, cfg)
-                .expect("two-hop is registered")
-        };
-        let dense = run(Engine::Dense);
-        let sparse = run(Engine::Sparse);
+        let (dense, dense_fp) = two_hop_run(workload, &params, Engine::Dense, Shards::Auto);
+        let (sparse, sparse_fp) = two_hop_run(workload, &params, Engine::Sparse, Shards::Auto);
+        // The tier's contract: the engine may change wall clock and the
+        // active set, never what the run computed.
+        let ctx = format!("{label}: sparse vs dense");
+        dense_fp.assert_same(&sparse_fp, Claim::Engine, &ctx);
         for (engine, s) in [("dense", &dense), ("sparse", &sparse)] {
             t.row(vec![
                 label.to_string(),
@@ -900,36 +917,82 @@ pub fn s2_low_churn_tier(n: usize, rounds: usize) -> Table {
             ]);
         }
     }
-    t.note("identical streamed schedules per workload; changes must match across engines");
+    t.note("identical streamed schedules per workload; the runner asserts both engines'");
+    t.note("fingerprint outcome identical (meters by their bits, stats log) before a row");
     t.note("rounds/s and speedup are wall-clock (machine-dependent); the acceptance bar is");
     t.note("sparse >= 5x dense at n = 100k — activity, not n, now prices a round");
     t
 }
 
+/// The S3 and S4 columns.
+const SHARD_TIER_HEADERS: [&str; 9] = [
+    "workload",
+    "mode",
+    "n",
+    "rounds",
+    "changes",
+    "peak active",
+    "rounds/s",
+    "speedup",
+    "identical",
+];
+
+/// One S3/S4 cell: stream `workload` through the robust 2-hop protocol
+/// on one shard (an untimed warm-up, then the timed run) and on `shards`
+/// shards, and emit the sequential and the sharded row, the latter named
+/// by `sharded_mode`. The tier's contract is enforced first: the repeat
+/// of the sequential run is identical in every part, and the sharded run
+/// may change only wall clock and the fingerprint's `shards` part.
+fn shard_tier_cell(
+    t: &mut Table,
+    label: &str,
+    workload: &str,
+    params: &Params,
+    shards: usize,
+    sharded_mode: impl Fn(&RunSummary) -> String,
+) {
+    let run = |k| two_hop_run(workload, params, Engine::Sparse, Shards::Fixed(k));
+    // The warm-up pays the page faults of a fresh million-node arena;
+    // without it the next run's warmed heap masquerades as a ~2x
+    // "speedup" even on one core.
+    let (_, warm) = run(1);
+    let (seq, seq_fp) = run(1);
+    let (shd, shd_fp) = run(shards);
+    warm.assert_same(&seq_fp, Claim::Same, &format!("{label}: repeat run"));
+    let ctx = format!("{label}: sharded vs sequential");
+    seq_fp.assert_same(&shd_fp, Claim::ShardCount, &ctx);
+    for (mode, s) in [
+        ("1 shard, inline".to_string(), &seq),
+        (sharded_mode(&shd), &shd),
+    ] {
+        t.row(vec![
+            label.to_string(),
+            mode,
+            s.n.to_string(),
+            s.rounds.to_string(),
+            s.changes.to_string(),
+            s.peak_round_active.to_string(),
+            f2(s.rounds_per_sec),
+            f2(s.rounds_per_sec / seq.rounds_per_sec.max(1e-9)),
+            "yes".to_string(),
+        ]);
+    }
+}
+
 /// S3 — the sharded **million-node** tier: the regime the sharded engine
 /// exists for (n ≥ 10⁶, a trickle of churn, streamed schedules). Each
 /// workload runs twice on identical streamed low-churn schedules — one
-/// shard inline vs K shards fanned over the worker pool — and every
-/// deterministic output (meters bit-for-bit via `f64::to_bits`, traffic
-/// totals, per-round peaks) is asserted identical *inside the runner*, so
-/// a row only ever prints with `identical = yes`. Wall clock is the one
-/// column allowed to differ: `speedup` is the multi-core payoff, and on a
-/// single-core host (empty pool) it hovers near 1.
+/// shard inline vs K shards fanned over the worker pool — and the two
+/// runs' fingerprints are asserted to share their `outcome` and
+/// `activity` *inside the runner* (every deterministic meter by its
+/// bits, the per-round stats log and active set), so a row only ever
+/// prints with `identical = yes`. Wall clock is the one column allowed
+/// to differ: `speedup` is the multi-core payoff, and on a single-core
+/// host (empty pool) it hovers near 1.
 pub fn s3_sharded_tier(n: usize, rounds: usize) -> Table {
-    use dds_net::Shards;
     let mut t = Table::new(
         "S3 / sharded tier — million-node rounds on worker shards, bit-identical to sequential",
-        &[
-            "workload",
-            "mode",
-            "n",
-            "rounds",
-            "changes",
-            "peak active",
-            "rounds/s",
-            "speedup",
-            "identical",
-        ],
+        &SHARD_TIER_HEADERS,
     );
     let shards = scheduler::available_jobs().max(2);
     let cells: Vec<(&'static str, &'static str, Params)> = vec![
@@ -955,83 +1018,12 @@ pub fn s3_sharded_tier(n: usize, rounds: usize) -> Table {
         ),
     ];
     for (label, workload, params) in cells {
-        let run = |shards: Shards| {
-            let cfg = SimConfig {
-                shards,
-                record_stats: true,
-                ..SimConfig::default()
-            };
-            let mut src = source_for(workload, params.clone());
-            crate::driver::protocols()
-                .run_stream("two-hop", &mut src, cfg)
-                .expect("two-hop is registered")
-        };
-        // Untimed warm-up: the first run over a fresh million-node arena
-        // pays every page fault; without it the second run's warmed heap
-        // masquerades as a ~2x "speedup" even on one core.
-        let warm = run(Shards::Fixed(1));
-        let seq = run(Shards::Fixed(1));
-        let shd = run(Shards::Fixed(shards));
-        // Free extra determinism check: two identical runs, identical bits.
-        assert_eq!(
-            warm.amortized.to_bits(),
-            seq.amortized.to_bits(),
-            "{label}: repeat run diverged"
-        );
-        // The tier's contract, enforced at run time: sharded execution may
-        // only change wall clock, never a single output bit.
-        assert_eq!(seq.changes, shd.changes, "{label}: changes diverged");
-        assert_eq!(
-            seq.inconsistent_rounds, shd.inconsistent_rounds,
-            "{label}: inconsistent rounds diverged"
-        );
-        assert_eq!(
-            seq.amortized.to_bits(),
-            shd.amortized.to_bits(),
-            "{label}: amortized meter diverged"
-        );
-        assert_eq!(
-            seq.footnote_amortized.to_bits(),
-            shd.footnote_amortized.to_bits(),
-            "{label}: footnote meter diverged"
-        );
-        assert_eq!(seq.messages, shd.messages, "{label}: messages diverged");
-        assert_eq!(seq.bits, shd.bits, "{label}: bits diverged");
-        assert_eq!(
-            seq.final_edges, shd.final_edges,
-            "{label}: final edges diverged"
-        );
-        assert_eq!(
-            seq.peak_round_messages, shd.peak_round_messages,
-            "{label}: peak round messages diverged"
-        );
-        assert_eq!(
-            seq.peak_round_bits, shd.peak_round_bits,
-            "{label}: peak round bits diverged"
-        );
-        assert_eq!(
-            seq.peak_round_active, shd.peak_round_active,
-            "{label}: peak round active diverged"
-        );
-        for (mode, s) in [
-            ("1 shard, inline".to_string(), &seq),
-            (format!("{} shards, pooled", shd.shards), &shd),
-        ] {
-            t.row(vec![
-                label.to_string(),
-                mode,
-                s.n.to_string(),
-                s.rounds.to_string(),
-                s.changes.to_string(),
-                s.peak_round_active.to_string(),
-                f2(s.rounds_per_sec),
-                f2(s.rounds_per_sec / seq.rounds_per_sec.max(1e-9)),
-                "yes".to_string(),
-            ]);
-        }
+        shard_tier_cell(&mut t, label, workload, &params, shards, |shd| {
+            format!("{} shards, pooled", shd.shards)
+        });
     }
-    t.note("identical streamed schedules; every deterministic column is asserted bit-identical");
-    t.note("in-runner (meters compared via f64::to_bits) before a row is emitted");
+    t.note("identical streamed schedules; the runner asserts the fingerprints' outcome and");
+    t.note("activity identical (meters by their bits, stats log, active set) before a row");
     t.note("speedup is wall-clock (machine-dependent); the CI gate asks the best cell for >= 0.5x");
     t
 }
@@ -1041,24 +1033,13 @@ pub fn s3_sharded_tier(n: usize, rounds: usize) -> Table {
 /// workloads, the load profiles where uniform shard boundaries put nearly
 /// all work on one shard. Each cell runs twice on identical streamed
 /// schedules — sequential, and balanced (activity-weighted boundaries on
-/// the worker pool) — with every deterministic output asserted
-/// bit-identical inside the runner. `speedup` is the balanced row's
+/// the worker pool) — with the fingerprints' `outcome` and `activity`
+/// asserted identical inside the runner. `speedup` is the balanced row's
 /// wall clock over the 1-shard inline row, as in S3.
 pub fn s4_skewed_tier(n: usize, rounds: usize) -> Table {
-    use dds_net::Shards;
     let mut t = Table::new(
         "S4 / skewed tier — hotspot & hub churn, balanced boundaries on the pool vs sequential",
-        &[
-            "workload",
-            "mode",
-            "n",
-            "rounds",
-            "changes",
-            "peak active",
-            "rounds/s",
-            "speedup",
-            "identical",
-        ],
+        &SHARD_TIER_HEADERS,
     );
     let shards = scheduler::available_jobs().max(2);
     let hotspot_n = 100_000.min(n).max(2);
@@ -1087,84 +1068,12 @@ pub fn s4_skewed_tier(n: usize, rounds: usize) -> Table {
         ),
     ];
     for (label, params) in cells {
-        let run = |shards: Shards| {
-            let cfg = SimConfig {
-                shards,
-                record_stats: true,
-                ..SimConfig::default()
-            };
-            let mut src = source_for("hotspot", params.clone());
-            crate::driver::protocols()
-                .run_stream("two-hop", &mut src, cfg)
-                .expect("two-hop is registered")
-        };
-        // Untimed warm-up, as in S3: first touch of a fresh arena pays the
-        // page faults and would otherwise inflate whichever mode runs last.
-        let warm = run(Shards::Fixed(1));
-        let seq = run(Shards::Fixed(1));
-        let balanced = run(Shards::Fixed(shards));
-        assert_eq!(
-            warm.amortized.to_bits(),
-            seq.amortized.to_bits(),
-            "{label}: repeat run diverged"
-        );
-        // The tier's contract: the shard count may only move wall clock,
-        // never an output bit.
-        assert_eq!(seq.changes, balanced.changes, "{label}: changes diverged");
-        assert_eq!(
-            seq.inconsistent_rounds, balanced.inconsistent_rounds,
-            "{label}: inconsistent rounds diverged"
-        );
-        assert_eq!(
-            seq.amortized.to_bits(),
-            balanced.amortized.to_bits(),
-            "{label}: amortized meter diverged"
-        );
-        assert_eq!(
-            seq.footnote_amortized.to_bits(),
-            balanced.footnote_amortized.to_bits(),
-            "{label}: footnote meter diverged"
-        );
-        assert_eq!(
-            seq.messages, balanced.messages,
-            "{label}: messages diverged"
-        );
-        assert_eq!(seq.bits, balanced.bits, "{label}: bits diverged");
-        assert_eq!(
-            seq.final_edges, balanced.final_edges,
-            "{label}: final edges diverged"
-        );
-        assert_eq!(
-            seq.peak_round_messages, balanced.peak_round_messages,
-            "{label}: peak round messages diverged"
-        );
-        assert_eq!(
-            seq.peak_round_bits, balanced.peak_round_bits,
-            "{label}: peak round bits diverged"
-        );
-        assert_eq!(
-            seq.peak_round_active, balanced.peak_round_active,
-            "{label}: peak round active diverged"
-        );
-        for (mode, s) in [
-            ("1 shard, inline".to_string(), &seq),
-            (format!("{shards} shards, balanced"), &balanced),
-        ] {
-            t.row(vec![
-                label.to_string(),
-                mode,
-                s.n.to_string(),
-                s.rounds.to_string(),
-                s.changes.to_string(),
-                s.peak_round_active.to_string(),
-                f2(s.rounds_per_sec),
-                f2(s.rounds_per_sec / seq.rounds_per_sec.max(1e-9)),
-                "yes".to_string(),
-            ]);
-        }
+        shard_tier_cell(&mut t, label, "hotspot", &params, shards, |_| {
+            format!("{shards} shards, balanced")
+        });
     }
-    t.note("identical streamed hotspot schedules; deterministic columns asserted bit-identical");
-    t.note("in-runner across sequential / balanced before any row is emitted");
+    t.note("identical streamed hotspot schedules; the fingerprints' outcome and activity are");
+    t.note("asserted identical in-runner across sequential / balanced before any row is emitted");
     t.note("speedup is wall-clock over the 1-shard inline row (machine-dependent)");
     t
 }

@@ -1,12 +1,12 @@
 //! Multi-seed statistical sweeps, fanned out on the batch scheduler.
 //!
 //! A single seeded run shows a shape; a sweep across seeds shows that the
-//! shape is not an artifact. [`sweep`] runs one measurement function over
-//! many seeds in parallel (runs are independent simulations, so this is
-//! embarrassingly parallel) and reports mean, standard deviation and
-//! extremes. Samples are aggregated in **seed order** whatever the worker
-//! count (see [`crate::scheduler::map_ordered`]), so the statistics are
-//! bit-identical for `--jobs 1` and `--jobs N`.
+//! shape is not an artifact. [`sweep_jobs`] runs one measurement function
+//! over many seeds in parallel (runs are independent simulations, so this
+//! is embarrassingly parallel), and [`Stats`] reports mean, standard
+//! deviation and extremes. Samples come back in **seed order** whatever
+//! the worker count (see [`crate::scheduler::map_ordered`]), so the
+//! statistics are bit-identical for `--jobs 1` and `--jobs N`.
 
 use crate::scheduler;
 
@@ -54,27 +54,19 @@ impl Stats {
     }
 }
 
-/// Run `measure(seed)` for `seeds` different seeds in parallel (default
-/// worker count) and aggregate. `measure` must be deterministic per seed.
-pub fn sweep<F>(base_seed: u64, seeds: usize, measure: F) -> Stats
+/// Run `measure(seed)` for `seeds` different seeds on `jobs` workers and
+/// return the samples in seed order, whatever `jobs` is, so statistics
+/// over them are jobs-invariant. `measure` must be deterministic per seed.
+pub fn sweep_jobs<T, F>(base_seed: u64, seeds: usize, jobs: usize, measure: F) -> Vec<T>
 where
-    F: Fn(u64) -> f64 + Sync,
-{
-    sweep_jobs(base_seed, seeds, scheduler::available_jobs(), measure)
-}
-
-/// [`sweep`] with an explicit worker count. Samples aggregate in seed
-/// order for any `jobs`, so the result is jobs-invariant.
-pub fn sweep_jobs<F>(base_seed: u64, seeds: usize, jobs: usize, measure: F) -> Stats
-where
-    F: Fn(u64) -> f64 + Sync,
+    T: Send,
+    F: Fn(u64) -> T + Sync,
 {
     assert!(seeds >= 1);
     let idx: Vec<u64> = (0..seeds as u64).collect();
-    let samples = scheduler::map_ordered(jobs, idx, |_, i| {
+    scheduler::map_ordered(jobs, idx, |_, i| {
         measure(base_seed.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
-    });
-    Stats::from_samples(&samples)
+    })
 }
 
 /// E1/E5-style statistical table: amortized complexity of a protocol over
@@ -98,7 +90,8 @@ pub fn amortized_sweep_table<N: dds_net::Node>(
         ],
     );
     for &n in ns {
-        let run = |seed: u64, footnote: bool| -> f64 {
+        // One simulation per seed yields both meters.
+        let run = |seed: u64| -> (f64, f64) {
             let mut src = dds_workloads::registry::build_source(
                 "er",
                 &dds_workloads::Params::new()
@@ -109,14 +102,19 @@ pub fn amortized_sweep_table<N: dds_net::Node>(
             .expect("er workload is registered");
             let sim: dds_net::Simulator<N> =
                 dds_net::engine::drive_source(&mut src, dds_net::SimConfig::default());
-            if footnote {
-                sim.per_node_meter().footnote_amortized()
-            } else {
-                sim.meter().amortized()
-            }
+            (
+                sim.meter().amortized(),
+                sim.per_node_meter().footnote_amortized(),
+            )
         };
-        let amortized = sweep(n as u64, seeds, |s| run(s, false));
-        let footnote = sweep(n as u64, seeds, |s| run(s, true));
+        let (amortized, footnote): (Vec<f64>, Vec<f64>) =
+            sweep_jobs(n as u64, seeds, scheduler::available_jobs(), run)
+                .into_iter()
+                .unzip();
+        let (amortized, footnote) = (
+            Stats::from_samples(&amortized),
+            Stats::from_samples(&footnote),
+        );
         t.row(vec![
             n.to_string(),
             seeds.to_string(),
@@ -161,8 +159,9 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic_and_parallel_safe() {
-        let a = sweep(7, 16, |seed| (seed % 10) as f64);
-        let b = sweep(7, 16, |seed| (seed % 10) as f64);
+        let jobs = scheduler::available_jobs();
+        let a = Stats::from_samples(&sweep_jobs(7, 16, jobs, |seed| (seed % 10) as f64));
+        let b = Stats::from_samples(&sweep_jobs(7, 16, jobs, |seed| (seed % 10) as f64));
         assert_eq!(a, b);
         assert_eq!(a.runs, 16);
     }

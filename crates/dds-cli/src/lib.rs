@@ -158,6 +158,7 @@ pub fn run_main(argv: Vec<String>) -> Result<(), Failure> {
         println!("dds {VERSION}");
         return Ok(());
     }
+    check_options(&args).map_err(Failure::Usage)?;
     match args.positional.first().map(String::as_str) {
         Some("simulate") => cmd_simulate(&args).map_err(Failure::Run),
         Some("query") => cmd_query(&args).map_err(Failure::Run),
@@ -168,6 +169,58 @@ pub fn run_main(argv: Vec<String>) -> Result<(), Failure> {
         Some("loadgen") => loadgen::cmd_loadgen(&args).map_err(Failure::Run),
         Some("list") => cmd_list().map_err(Failure::Run),
         _ => Err(Failure::Usage("missing or unknown subcommand".into())),
+    }
+}
+
+/// Refuse any option the subcommand does not declare, naming it. A
+/// subcommand that takes `--workload` also takes that workload's
+/// parameters, the keys `dds list` prints. An unknown subcommand or
+/// workload name is left for dispatch to report.
+fn check_options(args: &Args) -> Result<(), String> {
+    let words: Vec<&str> = args.positional.iter().map(String::as_str).collect();
+    let (command, own) = match words.as_slice() {
+        ["simulate", ..] => (
+            "simulate",
+            "protocol workload seeds jobs record-stats engine shards sample-queries \
+             checkpoint-every checkpoint-dir resume json",
+        ),
+        ["query", ..] => (
+            "query",
+            "protocol workload at settle engine shards resume query json",
+        ),
+        ["trace", "generate", ..] => ("trace generate", "workload out"),
+        ["bounds", ..] => ("bounds", "n"),
+        ["serve", ..] => (
+            "serve",
+            "listen resume protocol n session checkpoint-dir checkpoint-every recover chaos \
+             max-sessions idle-timeout-secs engine shards",
+        ),
+        ["loadgen", ..] => (
+            "loadgen",
+            "addr session clients queries churn-rounds workload skip-rounds tolerate-faults \
+             retries deadline-ms client-seed json",
+        ),
+        [sub @ ("trace" | "bench" | "list"), ..] => (*sub, ""),
+        _ => return Ok(()),
+    };
+    let mut declared: Vec<&str> = own.split_whitespace().collect();
+    let mut command = format!("dds {command}");
+    if declared.contains(&"workload") {
+        let workload = args.get_or("workload", "er");
+        let Some(spec) = dds_workloads::registry::find(workload) else {
+            return Ok(());
+        };
+        let params = dds_workloads::registry::COMMON_PARAMS.iter();
+        declared.extend(params.chain(spec.params).map(|p| p.key));
+        command = format!("{command} --workload {workload}");
+    }
+    match args
+        .options
+        .keys()
+        .find(|key| !declared.contains(&key.as_str()))
+    {
+        Some(key) => Err(format!("unknown option --{key} for `{command}`")),
+        None => Ok(()),
     }
 }
 

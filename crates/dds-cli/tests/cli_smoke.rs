@@ -775,6 +775,49 @@ fn checkpoint_flags_reject_incompatible_modes() {
 }
 
 #[test]
+fn undeclared_options_exit_2_naming_the_option() {
+    // Each subcommand declares its options, and a workload takes the
+    // parameters `dds list` prints, so a misspelled option cannot run
+    // silently with the default.
+    let dir = std::env::temp_dir().join(format!("dds-undeclared-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let run = |line: &str| {
+        let out = Command::new(env!("CARGO_BIN_EXE_dds"))
+            .args(line.split_whitespace())
+            .current_dir(&dir)
+            .output()
+            .expect("spawn dds");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        (out.status.code(), stderr)
+    };
+    for (option, line) in [
+        (
+            "--checkpoint-evry",
+            "simulate --workload er --n 16 --rounds 10 --checkpoint-evry 5",
+        ),
+        ("--arivals", "simulate --workload sliding --arivals 5"),
+        ("--stream", "simulate --workload er --stream"),
+        // Another workload's parameter is not this workload's.
+        ("--window", "simulate --workload er --window 5"),
+    ] {
+        let (code, stderr) = run(line);
+        assert_eq!(code, Some(2), "{line}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown option {option} ")),
+            "{line}: {stderr}"
+        );
+        assert!(stderr.contains("usage:"), "{line}: {stderr}");
+    }
+    assert!(
+        !dir.join("checkpoints").exists(),
+        "a refused line writes nothing"
+    );
+    let (code, stderr) = run("simulate --workload sliding --n 16 --rounds 10 --arrivals 5");
+    assert_eq!(code, Some(0), "the declared spelling runs: {stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn simulate_pooled_shards_match_one_shard() {
     let run = |shards: &[&str]| {
         let mut args = vec![

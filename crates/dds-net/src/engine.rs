@@ -29,7 +29,8 @@ use serde::Serialize;
 
 /// End-of-run summary of one simulation: the meters every experiment and
 /// CLI invocation reports, plus wall-clock throughput.
-#[derive(Clone, Debug, Serialize)]
+/// [`RunSummary::outcome`] lists its deterministic fields.
+#[derive(Clone, Debug, Default, Serialize)]
 pub struct RunSummary {
     /// Protocol name.
     pub protocol: String,
@@ -139,8 +140,25 @@ pub fn summarize<N: Node>(
     let rounds = sim.meter().rounds();
     RunSummary {
         protocol: name.to_string(),
+        seconds,
+        rounds_per_sec: if seconds > 0.0 {
+            rounds as f64 / seconds
+        } else {
+            0.0
+        },
+        peak_rss_mb: (peak_rss_mb() - rss_baseline_mb).max(0.0),
+        pool_workers: crate::pool::Pool::global().workers(),
+        ..measured(sim)
+    }
+}
+
+/// The summary fields the simulator itself determines. The protocol name,
+/// wall clock, RSS and pool size stay at their defaults: [`summarize`]
+/// fills them, and a fingerprint leaves them out.
+pub(crate) fn measured<N: Node>(sim: &Simulator<N>) -> RunSummary {
+    RunSummary {
         n: sim.n(),
-        rounds,
+        rounds: sim.meter().rounds(),
         changes: sim.meter().changes(),
         inconsistent_rounds: sim.meter().inconsistent_rounds(),
         amortized: sim.meter().amortized(),
@@ -150,12 +168,6 @@ pub fn summarize<N: Node>(
         budget_bits: sim.bandwidth().budget_bits(),
         violations: sim.bandwidth().violations(),
         final_edges: sim.topology().edge_count(),
-        seconds,
-        rounds_per_sec: if seconds > 0.0 {
-            rounds as f64 / seconds
-        } else {
-            0.0
-        },
         peak_round_messages: sim.stats().iter().map(|s| s.messages).max().unwrap_or(0),
         peak_round_bits: sim.stats().iter().map(|s| s.bits).max().unwrap_or(0),
         peak_round_active: sim
@@ -164,10 +176,9 @@ pub fn summarize<N: Node>(
             .map(|s| s.active_nodes)
             .max()
             .unwrap_or(0),
-        peak_rss_mb: (peak_rss_mb() - rss_baseline_mb).max(0.0),
         shards: sim.shards(),
         per_shard_peak_active: sim.shard_peak_active().to_vec(),
-        pool_workers: crate::pool::Pool::global().workers(),
+        ..RunSummary::default()
     }
 }
 
@@ -333,6 +344,7 @@ impl ProtocolRegistry {
 mod tests {
     use super::*;
     use crate::event::LocalEvent;
+    use crate::fingerprint::Claim;
     use crate::ids::{edge, NodeId, Round};
     use crate::message::{Outbox, Received};
     use crate::protocol::Response;
@@ -409,16 +421,17 @@ mod tests {
         let trace = sample_trace();
         let cfg = SimConfig::default();
         let sim: Simulator<Idle> = drive_source(&mut trace.replay(), cfg);
-        let a = summarize("idle", &sim, 0.0, 0.0);
         let mut reg = ProtocolRegistry::new();
         reg.register::<Idle>("idle", "does nothing");
-        let b = reg.run_stream("idle", &mut trace.replay(), cfg).unwrap();
-        assert_eq!(a.rounds, b.rounds);
-        assert_eq!(a.changes, b.changes);
-        assert_eq!(a.amortized.to_bits(), b.amortized.to_bits());
-        assert_eq!(a.messages, b.messages);
-        assert_eq!(a.bits, b.bits);
-        assert_eq!(a.final_edges, b.final_edges);
+        let mut session = reg.open("idle", trace.n, cfg).unwrap();
+        session.drain(&mut trace.replay());
+        let erased = session.fingerprint();
+        sim.fingerprint()
+            .assert_same(&erased, Claim::Same, "typed vs erased");
+        let run = reg.run_stream("idle", &mut trace.replay(), cfg).unwrap();
+        summarize("idle", &sim, 0.0, 0.0)
+            .outcome()
+            .assert_same(&run.outcome(), "typed summary vs run_stream");
     }
 
     #[test]

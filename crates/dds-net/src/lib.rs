@@ -26,6 +26,7 @@ pub mod bandwidth;
 pub mod checkpoint;
 pub mod engine;
 pub mod event;
+pub mod fingerprint;
 pub mod ids;
 pub mod message;
 pub mod metrics;
@@ -46,6 +47,7 @@ pub use checkpoint::{
 };
 pub use engine::{drive_source, peak_rss_mb, ProtocolRegistry, ProtocolSpec, RunSummary};
 pub use event::{EventBatch, LocalEvent, TopologyEvent};
+pub use fingerprint::{Claim, Fingerprint, Part};
 pub use ids::{edge, Edge, NodeId, Round, NEVER};
 pub use message::{node_bits, Addressed, BitSized, Flags, Outbox, Received};
 pub use metrics::PerNodeMeter;

@@ -21,8 +21,9 @@ use crate::bandwidth::BandwidthMeter;
 use crate::checkpoint::{Checkpointable, RestoreError, Snapshot, SnapshotHeader};
 use crate::engine::{summarize, RunSummary};
 use crate::event::EventBatch;
+use crate::fingerprint::Fingerprint;
 use crate::ids::{NodeId, Round};
-use crate::metrics::{AmortizedMeter, PerNodeMeter, RoundStats};
+use crate::metrics::{AmortizedMeter, RoundStats};
 use crate::protocol::Response;
 use crate::query::{Answer, Query, QueryError, QueryKind, Queryable};
 use crate::sim::{SimConfig, Simulator};
@@ -38,17 +39,16 @@ trait ErasedSim: Send + Sync {
     fn step(&mut self, batch: &EventBatch);
     fn settle(&mut self, max: usize) -> Option<usize>;
     fn meter(&self) -> &AmortizedMeter;
-    fn per_node_meter(&self) -> &PerNodeMeter;
     fn bandwidth(&self) -> &BandwidthMeter;
     fn stats(&self) -> &[RoundStats];
     fn topology(&self) -> &Topology;
     fn inconsistent_nodes(&self) -> usize;
     fn active_nodes(&self) -> usize;
     fn shards(&self) -> usize;
-    fn shard_peak_active(&self) -> &[usize];
     fn node_consistent(&self, v: NodeId) -> bool;
     fn query(&self, at: NodeId, query: &Query) -> Result<Response<Answer>, QueryError>;
     fn summarize(&self, name: &str, seconds: f64, rss_baseline_mb: f64) -> RunSummary;
+    fn fingerprint(&self) -> Fingerprint;
     fn config(&self) -> SimConfig;
     fn save_body(&self) -> serde::Value;
     fn fork(&self) -> Box<dyn ErasedSim>;
@@ -70,9 +70,6 @@ impl<N: Queryable + Checkpointable + Clone + 'static> ErasedSim for Simulator<N>
     fn meter(&self) -> &AmortizedMeter {
         Simulator::meter(self)
     }
-    fn per_node_meter(&self) -> &PerNodeMeter {
-        Simulator::per_node_meter(self)
-    }
     fn bandwidth(&self) -> &BandwidthMeter {
         Simulator::bandwidth(self)
     }
@@ -91,9 +88,6 @@ impl<N: Queryable + Checkpointable + Clone + 'static> ErasedSim for Simulator<N>
     fn shards(&self) -> usize {
         Simulator::shards(self)
     }
-    fn shard_peak_active(&self) -> &[usize] {
-        Simulator::shard_peak_active(self)
-    }
     fn node_consistent(&self, v: NodeId) -> bool {
         self.node(v).is_consistent()
     }
@@ -102,6 +96,9 @@ impl<N: Queryable + Checkpointable + Clone + 'static> ErasedSim for Simulator<N>
     }
     fn summarize(&self, name: &str, seconds: f64, rss_baseline_mb: f64) -> RunSummary {
         summarize(name, self, seconds, rss_baseline_mb)
+    }
+    fn fingerprint(&self) -> Fingerprint {
+        Simulator::fingerprint(self)
     }
     fn config(&self) -> SimConfig {
         Simulator::config(self)
@@ -230,11 +227,6 @@ impl Session {
         self.sim.meter()
     }
 
-    /// The per-node amortized meter (the paper's footnote variant).
-    pub fn per_node_meter(&self) -> &PerNodeMeter {
-        self.sim.per_node_meter()
-    }
-
     /// The bandwidth meter.
     pub fn bandwidth(&self) -> &BandwidthMeter {
         self.sim.bandwidth()
@@ -267,12 +259,6 @@ impl Session {
     /// Shard count of the most recent round (1 before the first step).
     pub fn shards(&self) -> usize {
         self.sim.shards()
-    }
-
-    /// Per-shard peak receiver-set sizes over the run so far, indexed by
-    /// shard.
-    pub fn shard_peak_active(&self) -> &[usize] {
-        self.sim.shard_peak_active()
     }
 
     /// True when every node reported consistent at the end of the last
@@ -396,6 +382,13 @@ impl Session {
     pub fn summary(&self) -> RunSummary {
         self.sim
             .summarize(self.protocol, self.busy_seconds, self.rss_baseline_mb)
+    }
+
+    /// This run's [`Fingerprint`], the value every differential compares.
+    /// It is the underlying simulator's, so a typed run over the same
+    /// schedule and configuration gives an equal one.
+    pub fn fingerprint(&self) -> Fingerprint {
+        self.sim.fingerprint()
     }
 }
 

@@ -971,6 +971,7 @@ fn expand_outbox<M: BitSized + Clone>(
 mod tests {
     use super::*;
     use crate::event::LocalEvent;
+    use crate::fingerprint::{Claim, Fingerprint};
     use crate::ids::edge;
     use crate::message::{Outbox, Received};
 
@@ -1175,8 +1176,9 @@ mod tests {
         assert!(quiet <= 3, "took {quiet} quiet rounds");
     }
 
-    /// The shared churn scenario of the equivalence tests below.
-    fn churn_run<F: Fn(&Simulator<Greeter>) -> T, T>(cfg: SimConfig, probe: F) -> (Vec<u64>, T) {
+    /// The shared churn scenario of the equivalence tests below: the
+    /// run's fingerprint, plus every node's greeting log.
+    fn churn_run(cfg: SimConfig) -> (Fingerprint, Vec<Vec<NodeId>>) {
         let mut sim: Simulator<Greeter> = Simulator::with_config(16, cfg);
         let mut rng_state = 0x9e3779b97f4a7c15u64;
         let mut present: Vec<Edge> = Vec::new();
@@ -1200,47 +1202,72 @@ mod tests {
             }
             sim.step(&batch);
         }
-        let meters = vec![
-            sim.meter().inconsistent_rounds(),
-            sim.meter().changes(),
-            sim.bandwidth().total_bits(),
-            sim.bandwidth().total_messages(),
-            sim.meter().amortized().to_bits(),
-            sim.per_node_meter().footnote_amortized().to_bits(),
-            sim.inconsistent_nodes() as u64,
-        ];
-        (meters, probe(&sim))
+        let greeted = (0..sim.n())
+            .map(|v| sim.node(NodeId(v as u32)).greeted_by.clone())
+            .collect();
+        (sim.fingerprint(), greeted)
     }
 
     #[test]
     fn sparse_matches_dense_bit_for_bit() {
         let run = |engine: Engine| {
-            let cfg = SimConfig {
+            churn_run(SimConfig {
                 engine,
                 record_stats: true,
                 ..SimConfig::default()
-            };
-            churn_run(cfg, |sim| {
-                // Everything except `active_nodes` and `shards` (which
-                // measure the engine itself) must agree per round, plus
-                // all node state.
-                let stats: Vec<String> = sim
-                    .stats()
-                    .iter()
-                    .map(|s| {
-                        let mut s = *s;
-                        s.active_nodes = 0;
-                        s.shards = 0;
-                        format!("{s:?}")
-                    })
-                    .collect();
-                let greeted: Vec<Vec<NodeId>> = (0..sim.n())
-                    .map(|v| sim.node(NodeId(v as u32)).greeted_by.clone())
-                    .collect();
-                (stats, greeted)
             })
         };
-        assert_eq!(run(Engine::Sparse), run(Engine::Dense));
+        // The dense engine visits every node, so the claim covers the
+        // outcome, plus all node state.
+        let (sparse, sparse_nodes) = run(Engine::Sparse);
+        let (dense, dense_nodes) = run(Engine::Dense);
+        sparse.assert_same(&dense, Claim::Engine, "sparse vs dense");
+        assert_eq!(sparse_nodes, dense_nodes);
+    }
+
+    /// Each fingerprint part moves when one of its fields does, and the
+    /// mismatch names the part, the field and its round in the stats log.
+    #[test]
+    fn each_fingerprint_part_changes_with_its_fields() {
+        let run = || {
+            let cfg = SimConfig {
+                record_stats: true,
+                ..SimConfig::default()
+            };
+            let mut sim: Simulator<Greeter> = Simulator::with_config(8, cfg);
+            sim.step(&EventBatch::insert(edge(0, 1)));
+            sim.step_quiet();
+            sim.step(&EventBatch::insert(edge(2, 3)));
+            sim
+        };
+        let base = run().fingerprint();
+        assert_eq!(base, run().fingerprint(), "a rerun is identical");
+        for (case, message) in [
+            "outcome: messages in round 2: 0 vs 1",
+            "outcome: rounds: 3 vs 0",
+            "outcome: inconsistent_nodes: 0 vs 1",
+            "outcome: per-node changes digest",
+            "outcome: stats log length: 3 vs 2",
+            "activity: active_nodes in round 1: 8 vs 9",
+            "shards: shards in round 3: 1 vs 2",
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let mut s = run();
+            match case {
+                0 => s.stats[1].messages += 1,
+                1 => s.meter = AmortizedMeter::new(),
+                2 => s.inconsistent_now = 1,
+                3 => s.per_node.record_round_sparse(&[(7, 1)], &[]),
+                4 => drop(s.stats.remove(0)),
+                5 => s.stats[0].active_nodes = 9,
+                _ => s.stats[2].shards = 2,
+            }
+            let diff = base.first_difference(&s.fingerprint(), Claim::Same);
+            let diff = diff.expect("a field moved");
+            assert!(diff.starts_with(message), "{diff}");
+        }
     }
 
     #[test]
@@ -1301,35 +1328,23 @@ mod tests {
     }
 
     /// Structural sharding: `Fixed(K)` (pooled) must be bit-identical to
-    /// `Fixed(1)` (inline) for every `K`, including per-round stats
-    /// (modulo the `shards` column itself) and all meters.
+    /// `Fixed(1)` (inline) for every `K`: the outcome, the active set of
+    /// every round, and all node state.
     #[test]
     fn sharded_matches_single_shard_bit_for_bit() {
         let run = |shards: Shards| {
-            let cfg = SimConfig {
+            churn_run(SimConfig {
                 shards,
                 record_stats: true,
                 ..SimConfig::default()
-            };
-            churn_run(cfg, |sim| {
-                let stats: Vec<String> = sim
-                    .stats()
-                    .iter()
-                    .map(|s| {
-                        let mut s = *s;
-                        s.shards = 0;
-                        format!("{s:?}")
-                    })
-                    .collect();
-                let greeted: Vec<Vec<NodeId>> = (0..sim.n())
-                    .map(|v| sim.node(NodeId(v as u32)).greeted_by.clone())
-                    .collect();
-                (stats, greeted)
             })
         };
-        let base = run(Shards::Fixed(1));
+        let (base, base_nodes) = run(Shards::Fixed(1));
         for k in [2, 3, 8] {
-            assert_eq!(base, run(Shards::Fixed(k)), "k={k}");
+            let (sharded, nodes) = run(Shards::Fixed(k));
+            let ctx = format!("k={k}");
+            base.assert_same(&sharded, Claim::ShardCount, &ctx);
+            assert_eq!(base_nodes, nodes, "{ctx}");
         }
     }
 

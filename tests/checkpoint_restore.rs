@@ -5,10 +5,10 @@
 //! suite runs the same trace twice — once straight through, once
 //! checkpointed mid-run, serialized to JSON, parsed back, restored
 //! through the registry, and continued — and compares everything
-//! observable: round and topology counters, the full run summary (wall
-//! clock and other volatile fields excluded), both amortized meters to
-//! `f64::to_bits`, the per-round stats log, and every query kind the
-//! protocol supports at every node.
+//! observable: the whole `Fingerprint` (every deterministic summary field
+//! with floats by their bits, the per-node counters, and the per-round
+//! stats log with its active-node and shard columns), and every query
+//! kind the protocol supports at every node.
 //!
 //! Golden snapshot fixtures under `tests/golden/snapshots/` additionally
 //! freeze the serialized bytes per protocol, so format drift (field
@@ -21,8 +21,11 @@
 //! GOLDEN_REGEN=1 cargo test --test checkpoint_restore
 //! ```
 
+mod common;
+
+use common::query_fingerprint;
 use dynamic_subgraphs::net::{
-    Engine, NodeId, Query, QueryKind, RestoreError, Session, Shards, SimConfig, Snapshot, Trace,
+    Claim, Engine, RestoreError, Session, Shards, SimConfig, Snapshot, Trace,
 };
 use dynamic_subgraphs::workloads::{registry, Params};
 use proptest::prelude::*;
@@ -44,137 +47,17 @@ fn params(workload: &str, n: u64, rounds: u64, seed: u64) -> Params {
     }
 }
 
-/// One query per supported kind, parameterized on the queried node so the
-/// sweep below touches different vertices: the structural state behind
-/// every kind is compared, not just edge membership.
-fn query_for(kind: QueryKind, v: NodeId, n: usize) -> Query {
-    let at = |d: u32| NodeId((v.0 + d) % n as u32);
-    match kind {
-        QueryKind::Edge => Query::Edge(dynamic_subgraphs::net::edge(at(1).0, at(2).0)),
-        QueryKind::Triangle => Query::Triangle(at(1), at(2)),
-        QueryKind::Clique => Query::Clique(vec![v, at(1), at(2)]),
-        QueryKind::Cycle => Query::Cycle(vec![v, at(1), at(2), at(3)]),
-        QueryKind::Path3 => Query::Path3 {
-            center: v,
-            a: at(1),
-            b: at(2),
-        },
-        QueryKind::ListTriangles => Query::ListTriangles,
-        QueryKind::ListCliques => Query::ListCliques(3),
-        QueryKind::ListCycles => Query::ListCycles(4),
-    }
-}
-
-/// Assert two sessions are observably identical: meters, summary, stats
-/// log, and every supported query at every node.
+/// Assert two sessions are observably identical: the whole fingerprint,
+/// and every supported query at every node.
 fn assert_sessions_match(a: &Session, b: &Session, ctx: &str) {
-    assert_eq!(a.round(), b.round(), "{ctx}: round");
-    assert_eq!(a.n(), b.n(), "{ctx}: n");
+    assert_eq!(a.protocol(), b.protocol(), "{ctx}: protocol");
+    a.fingerprint()
+        .assert_same(&b.fingerprint(), Claim::Same, ctx);
     assert_eq!(
-        a.inconsistent_nodes(),
-        b.inconsistent_nodes(),
-        "{ctx}: inconsistent nodes"
+        query_fingerprint(a, a.n()),
+        query_fingerprint(b, b.n()),
+        "{ctx}: query answers"
     );
-    assert_eq!(
-        a.topology().edge_count(),
-        b.topology().edge_count(),
-        "{ctx}: edge count"
-    );
-    // Meters, compared at full bit precision — "close" is not resumed.
-    assert_eq!(
-        a.meter().amortized().to_bits(),
-        b.meter().amortized().to_bits(),
-        "{ctx}: amortized meter"
-    );
-    assert_eq!(
-        a.per_node_meter().footnote_amortized().to_bits(),
-        b.per_node_meter().footnote_amortized().to_bits(),
-        "{ctx}: footnote meter"
-    );
-    assert_eq!(
-        a.per_node_meter().changes(),
-        b.per_node_meter().changes(),
-        "{ctx}: per-node change counts"
-    );
-    assert_eq!(
-        a.per_node_meter().inconsistent(),
-        b.per_node_meter().inconsistent(),
-        "{ctx}: per-node inconsistency counts"
-    );
-    // Full summary minus the volatile fields (wall clock, RSS, process-
-    // global pool counters) — those measure the machine, not the run.
-    let (sa, sb) = (a.summary(), b.summary());
-    assert_eq!(sa.protocol, sb.protocol, "{ctx}: summary.protocol");
-    assert_eq!(sa.rounds, sb.rounds, "{ctx}: summary.rounds");
-    assert_eq!(sa.changes, sb.changes, "{ctx}: summary.changes");
-    assert_eq!(
-        sa.inconsistent_rounds, sb.inconsistent_rounds,
-        "{ctx}: summary.inconsistent_rounds"
-    );
-    assert_eq!(
-        sa.amortized.to_bits(),
-        sb.amortized.to_bits(),
-        "{ctx}: summary.amortized"
-    );
-    assert_eq!(
-        sa.footnote_amortized.to_bits(),
-        sb.footnote_amortized.to_bits(),
-        "{ctx}: summary.footnote_amortized"
-    );
-    assert_eq!(sa.messages, sb.messages, "{ctx}: summary.messages");
-    assert_eq!(sa.bits, sb.bits, "{ctx}: summary.bits");
-    assert_eq!(sa.budget_bits, sb.budget_bits, "{ctx}: summary.budget_bits");
-    assert_eq!(sa.violations, sb.violations, "{ctx}: summary.violations");
-    assert_eq!(sa.final_edges, sb.final_edges, "{ctx}: summary.final_edges");
-    assert_eq!(
-        sa.peak_round_messages, sb.peak_round_messages,
-        "{ctx}: summary.peak_round_messages"
-    );
-    assert_eq!(
-        sa.peak_round_bits, sb.peak_round_bits,
-        "{ctx}: summary.peak_round_bits"
-    );
-    assert_eq!(
-        sa.peak_round_active, sb.peak_round_active,
-        "{ctx}: summary.peak_round_active"
-    );
-    assert_eq!(sa.shards, sb.shards, "{ctx}: summary.shards");
-    assert_eq!(
-        sa.per_shard_peak_active, sb.per_shard_peak_active,
-        "{ctx}: summary.per_shard_peak_active"
-    );
-    // Per-round stats log: the pre-checkpoint prefix comes out of the
-    // snapshot, the suffix out of live execution — both must match the
-    // uninterrupted log field for field.
-    let (ta, tb) = (a.stats(), b.stats());
-    assert_eq!(ta.len(), tb.len(), "{ctx}: stats length");
-    for (ra, rb) in ta.iter().zip(tb) {
-        let r = ra.round;
-        assert_eq!(ra.round, rb.round, "{ctx}: stats[{r}].round");
-        assert_eq!(ra.changes, rb.changes, "{ctx}: stats[{r}].changes");
-        assert_eq!(ra.edges, rb.edges, "{ctx}: stats[{r}].edges");
-        assert_eq!(
-            ra.inconsistent_nodes, rb.inconsistent_nodes,
-            "{ctx}: stats[{r}].inconsistent_nodes"
-        );
-        assert_eq!(ra.messages, rb.messages, "{ctx}: stats[{r}].messages");
-        assert_eq!(ra.bits, rb.bits, "{ctx}: stats[{r}].bits");
-        assert_eq!(
-            ra.active_nodes, rb.active_nodes,
-            "{ctx}: stats[{r}].active_nodes"
-        );
-        assert_eq!(ra.shards, rb.shards, "{ctx}: stats[{r}].shards");
-    }
-    // Every supported query kind, at every node.
-    for kind in a.supported_queries() {
-        for v in 0..a.n() as u32 {
-            let v = NodeId(v);
-            let q = query_for(*kind, v, a.n());
-            let ra = a.query(v, &q).unwrap_or_else(|e| panic!("{ctx}: {e}"));
-            let rb = b.query(v, &q).unwrap_or_else(|e| panic!("{ctx}: {e}"));
-            assert_eq!(ra, rb, "{ctx}: {kind:?} at v{} diverged", v.0);
-        }
-    }
 }
 
 /// The core differential: run `trace` straight through vs checkpoint at

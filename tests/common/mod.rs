@@ -1,8 +1,11 @@
-//! Comparison helpers shared by the engine differentials
-//! (`determinism.rs`: sparse vs dense; `shard_invariance.rs`: `Fixed(K)`
-//! vs `Fixed(1)`), so both define "identical" the same way.
+//! Helpers shared by the differential suites. What two runs must share
+//! is the library's `Fingerprint` (`Session::fingerprint`), the one
+//! definition of "identical" that the runners use too. The query answers
+//! compared next to it are sampled here, because no runner compares
+//! answers. Each suite uses a subset of the helpers.
+#![allow(dead_code)]
 
-use dynamic_subgraphs::net::{edge, NodeId, Query, QueryKind, Session, Trace};
+use dynamic_subgraphs::net::{edge, Claim, NodeId, Query, QueryKind, Session, Trace};
 use dynamic_subgraphs::workloads::{registry, Params};
 
 /// A registered workload's trace at the given size, length and seed.
@@ -17,19 +20,20 @@ pub fn build(workload: &str, n: usize, rounds: usize, seed: u64) -> Trace {
     .expect("registered workload")
 }
 
-/// Every supported query kind of a session, asked at a deterministic
-/// sample of nodes, rendered comparably. `Inconsistent` and capability
-/// errors are part of the fingerprint — mid-run the structures are often
-/// mid-update, and both sides must be mid-update *identically*.
+/// Every supported query kind of a session, asked at every node,
+/// rendered comparably. `Inconsistent` and capability errors are part of
+/// the answers: mid-run the structures are often mid-update, and both
+/// sides must be mid-update *identically*.
 pub fn query_fingerprint(session: &Session, n: usize) -> Vec<String> {
     let mut out = Vec::new();
     let wrap = |v: u32, off: u32| NodeId((v + off) % n as u32);
-    for v in (0..n as u32).step_by(3) {
+    for v in 0..n as u32 {
         let at = NodeId(v);
         for kind in session.supported_queries() {
             let queries: Vec<Query> = match kind {
                 QueryKind::Edge => vec![
                     Query::Edge(edge(v, (v + 1) % n as u32)),
+                    Query::Edge(edge((v + 1) % n as u32, (v + 2) % n as u32)),
                     Query::Edge(edge((v + 2) % n as u32, (v + 5) % n as u32)),
                 ],
                 QueryKind::Triangle => vec![Query::Triangle(wrap(v, 1), wrap(v, 2))],
@@ -54,42 +58,40 @@ pub fn query_fingerprint(session: &Session, n: usize) -> Vec<String> {
     out
 }
 
-/// Every meter and counter a round can move, by name, floats as
-/// `f64::to_bits` — "close" is not identical.
-pub fn meter_bits(s: &Session) -> Vec<(&'static str, u64)> {
-    vec![
-        ("round", s.round()),
-        ("changes", s.meter().changes()),
-        ("inconsistent rounds", s.meter().inconsistent_rounds()),
-        ("amortized", s.meter().amortized().to_bits()),
-        (
-            "footnote amortized",
-            s.per_node_meter().footnote_amortized().to_bits(),
-        ),
-        (
-            "worst per-node amortized",
-            s.per_node_meter().worst_amortized().to_bits(),
-        ),
-        ("messages", s.bandwidth().total_messages()),
-        ("bits", s.bandwidth().total_bits()),
-        ("violations", s.bandwidth().violations()),
-        ("inconsistent nodes", s.inconsistent_nodes() as u64),
-        ("edges", s.topology().edge_count() as u64),
-    ]
-}
-
-/// Per-round stats with the fields that measure the engine itself zeroed:
-/// `active_nodes` (the dense engine visits everyone) and `shards`
-/// (`Shards::Auto` follows the active-set size, `Fixed(K)` is clamped to
-/// it).
-pub fn scrubbed_stats(s: &Session) -> Vec<String> {
-    s.stats()
-        .iter()
-        .map(|st| {
-            let mut st = *st;
-            st.active_nodes = 0;
-            st.shards = 0;
-            format!("{st:?}")
-        })
-        .collect()
+/// Step `trace` through `base` and every labelled session of `others` in
+/// lockstep. After every round, and again after settling, each must share
+/// `base`'s fingerprint within `claim`; every 7th round and after
+/// settling, every supported query must answer alike at every node.
+pub fn assert_lockstep(
+    mut base: Session,
+    mut others: Vec<(String, Session)>,
+    trace: &Trace,
+    claim: Claim,
+) {
+    let n = trace.n;
+    for (i, batch) in trace.batches.iter().enumerate() {
+        base.step(batch);
+        let round = i + 1;
+        let want = base.fingerprint();
+        let answers = (round % 7 == 0).then(|| query_fingerprint(&base, n));
+        for (label, s) in &mut others {
+            s.step(batch);
+            let ctx = format!("{label} at round {round}");
+            want.assert_same(&s.fingerprint(), claim, &ctx);
+            if let Some(answers) = &answers {
+                assert_eq!(answers, &query_fingerprint(s, n), "{ctx}: query answers");
+            }
+        }
+    }
+    let quiet = base.settle(256);
+    let (want, answers) = (base.fingerprint(), query_fingerprint(&base, n));
+    for (label, s) in &mut others {
+        assert_eq!(quiet, s.settle(256), "{label}: settle rounds");
+        want.assert_same(&s.fingerprint(), claim, &format!("{label} settled"));
+        assert_eq!(
+            answers,
+            query_fingerprint(s, n),
+            "{label} settled: query answers"
+        );
+    }
 }

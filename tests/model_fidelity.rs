@@ -3,7 +3,7 @@
 //! round trips.
 
 use dynamic_subgraphs::baselines::SnapshotNode;
-use dynamic_subgraphs::net::{Edge, Node, NodeId, Response, Simulator, Trace};
+use dynamic_subgraphs::net::{Claim, Edge, Node, NodeId, Response, Simulator, Trace};
 use dynamic_subgraphs::oracle::DynamicGraph;
 use dynamic_subgraphs::robust::{TriangleNode, TwoHopNode};
 use dynamic_subgraphs::workloads::{
@@ -171,10 +171,7 @@ fn trace_roundtrip_replays_identically() {
         for b in &t.batches {
             sim.step(b);
         }
-        (
-            sim.meter().inconsistent_rounds(),
-            sim.bandwidth().total_bits(),
-        )
+        sim.fingerprint()
     };
-    assert_eq!(run(&trace), run(&back));
+    run(&trace).assert_same(&run(&back), Claim::Same, "replayed round trip");
 }

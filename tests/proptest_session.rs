@@ -6,37 +6,27 @@
 //!
 //! For arbitrary registry workloads (n, rounds, seed chosen by proptest)
 //! and each of the paper's protocols: after **every** round, the session's
-//! meters equal the typed simulator's — amortized measures compared via
-//! `f64::to_bits`, i.e. bit-identical, not approximately — and the final
-//! summaries agree with `drive_source` plus `engine::summarize` field for
-//! field.
+//! fingerprint `outcome` equals the dense typed simulator's — amortized
+//! measures by their bits, i.e. bit-identical, not approximately. The
+//! engines differ, so that is the part they share. At the end the session
+//! matches a typed `drive_source` run under its own sparse engine on the
+//! whole fingerprint, and on the `engine::summarize` summary.
+
+mod common;
 
 use dynamic_subgraphs::net::engine::summarize;
 use dynamic_subgraphs::net::{
-    drive_source, Engine, Queryable, RunSummary, SimConfig, Simulator, Trace,
+    drive_source, Claim, Engine, Queryable, RunSummary, SimConfig, Simulator, Trace,
 };
 use dynamic_subgraphs::robust::{ThreeHopNode, TriangleNode, TwoHopNode};
-use dynamic_subgraphs::workloads::{registry, Params};
 use proptest::prelude::*;
 
 const WORKLOADS: [&str; 3] = ["er", "flicker", "sliding"];
 
-fn build(workload_idx: usize, n: u32, rounds: u16, seed: u64) -> Trace {
-    let workload = WORKLOADS[workload_idx % WORKLOADS.len()];
-    registry::build_trace(
-        workload,
-        &Params::new()
-            .with("n", n)
-            .with("rounds", rounds)
-            .with("seed", seed),
-    )
-    .expect("registered workload")
-}
-
-/// Step typed (dense) and erased (sparse) in lockstep, comparing all
-/// meters each round.
+/// Step typed (dense) and erased (sparse) in lockstep, comparing the
+/// outcome each round, then the erased run against a typed sparse one.
 fn session_equals_drive<N: Queryable + 'static>(protocol: &str, trace: &Trace) {
-    let cfg = SimConfig {
+    let dense_cfg = SimConfig {
         engine: Engine::Dense,
         ..SimConfig::default()
     };
@@ -44,72 +34,32 @@ fn session_equals_drive<N: Queryable + 'static>(protocol: &str, trace: &Trace) {
         engine: Engine::Sparse,
         ..SimConfig::default()
     };
-    let mut typed: Simulator<N> = Simulator::with_config(trace.n, cfg);
+    let mut typed: Simulator<N> = Simulator::with_config(trace.n, dense_cfg);
     let mut session = dds_bench::protocols()
         .open(protocol, trace.n, sparse_cfg)
         .expect("registered protocol");
     for (i, b) in trace.batches.iter().enumerate() {
         typed.step(b);
         session.step(b);
-        let round = i + 1;
-        assert_eq!(typed.round(), session.round(), "round counter at {round}");
-        assert_eq!(
-            typed.meter().changes(),
-            session.meter().changes(),
-            "changes at {round}"
+        let ctx = format!(
+            "{protocol}: dense typed vs sparse erased at round {}",
+            i + 1
         );
-        assert_eq!(
-            typed.meter().inconsistent_rounds(),
-            session.meter().inconsistent_rounds(),
-            "inconsistent rounds at {round}"
-        );
-        assert_eq!(
-            typed.meter().amortized().to_bits(),
-            session.meter().amortized().to_bits(),
-            "amortized at {round}"
-        );
-        assert_eq!(
-            typed.per_node_meter().footnote_amortized().to_bits(),
-            session.per_node_meter().footnote_amortized().to_bits(),
-            "footnote amortized at {round}"
-        );
-        assert_eq!(
-            typed.bandwidth().total_messages(),
-            session.bandwidth().total_messages(),
-            "messages at {round}"
-        );
-        assert_eq!(
-            typed.bandwidth().total_bits(),
-            session.bandwidth().total_bits(),
-            "bits at {round}"
-        );
-        assert_eq!(
-            typed.inconsistent_nodes(),
-            session.inconsistent_nodes(),
-            "inconsistent nodes at {round}"
-        );
-        assert_eq!(
-            typed.topology().edge_count(),
-            session.topology().edge_count(),
-            "edges at {round}"
-        );
+        typed
+            .fingerprint()
+            .assert_same(&session.fingerprint(), Claim::Engine, &ctx);
     }
-    // And the condensed summaries agree with the typed one-shot driver.
-    let driven: Simulator<N> = drive_source(&mut trace.replay(), cfg);
-    let want: RunSummary = summarize(protocol, &driven, 0.0, 0.0);
-    let got = session.summary();
-    assert_eq!(want.rounds, got.rounds);
-    assert_eq!(want.changes, got.changes);
-    assert_eq!(want.inconsistent_rounds, got.inconsistent_rounds);
-    assert_eq!(want.amortized.to_bits(), got.amortized.to_bits());
-    assert_eq!(
-        want.footnote_amortized.to_bits(),
-        got.footnote_amortized.to_bits()
+    // The erasure layer alone: a typed run under the session's own
+    // configuration gives the whole value, and the same summary.
+    let driven: Simulator<N> = drive_source(&mut trace.replay(), sparse_cfg);
+    driven.fingerprint().assert_same(
+        &session.fingerprint(),
+        Claim::Same,
+        &format!("{protocol}: typed vs erased"),
     );
-    assert_eq!(want.messages, got.messages);
-    assert_eq!(want.bits, got.bits);
-    assert_eq!(want.violations, got.violations);
-    assert_eq!(want.final_edges, got.final_edges);
+    let want: RunSummary = summarize(protocol, &driven, 0.0, 0.0);
+    want.outcome()
+        .assert_same(&session.summary().outcome(), protocol);
 }
 
 fn cases() -> u32 {
@@ -129,7 +79,7 @@ proptest! {
         rounds in 1u16..50,
         seed in 0u64..u64::MAX,
     ) {
-        let trace = build(workload_idx, n, rounds, seed);
+        let trace = common::build(WORKLOADS[workload_idx], n as usize, rounds as usize, seed);
         session_equals_drive::<TwoHopNode>("two-hop", &trace);
     }
 
@@ -140,7 +90,7 @@ proptest! {
         rounds in 1u16..50,
         seed in 0u64..u64::MAX,
     ) {
-        let trace = build(workload_idx, n, rounds, seed);
+        let trace = common::build(WORKLOADS[workload_idx], n as usize, rounds as usize, seed);
         session_equals_drive::<TriangleNode>("triangle", &trace);
     }
 
@@ -151,7 +101,7 @@ proptest! {
         rounds in 1u16..50,
         seed in 0u64..u64::MAX,
     ) {
-        let trace = build(workload_idx, n, rounds, seed);
+        let trace = common::build(WORKLOADS[workload_idx], n as usize, rounds as usize, seed);
         session_equals_drive::<ThreeHopNode>("three-hop", &trace);
     }
 }

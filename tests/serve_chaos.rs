@@ -494,6 +494,70 @@ fn recovery_skips_corrupt_and_truncated_tails() {
 }
 
 #[test]
+fn recovering_twice_without_a_write_leaves_the_directory_unchanged() {
+    // Recovery reads a durable directory; it may not change it. Two
+    // restarts in a row, with no write between them, must leave the same
+    // files with the same bytes, checkpoints and meta.json alike.
+    let registry = dds_bench::protocols();
+    let base = tempdir("recover-twice");
+    let trace = trace_for("er", 16, 8, 71);
+    let session = ServingSession::open(registry, "main", "two-hop", trace.n, SimConfig::default())
+        .expect("open");
+    session
+        .enable_durability(Durability {
+            dir: base.join("main"),
+            every: 1,
+        })
+        .expect("enable durability");
+    for (i, batch) in trace.batches.iter().enumerate() {
+        let seq = i as u64 + 1;
+        let ingested = session.ingest(registry, std::slice::from_ref(batch), Some(seq), None);
+        assert_eq!(ingested, Ok(seq));
+    }
+    drop(session);
+    let dir = base.join("main");
+    let written = dir_bytes(&dir);
+    let meta = written.iter().any(|(path, _)| path.ends_with("meta.json"));
+    assert!(meta, "sequenced writes leave a meta.json");
+    let recover = || {
+        let server = Server::bind_with(
+            "127.0.0.1:0",
+            registry,
+            ServerOptions {
+                durability: Some(DurabilityOptions {
+                    base: base.clone(),
+                    every: 1,
+                }),
+                ..ServerOptions::default()
+            },
+        )
+        .expect("bind recovery server");
+        let report = server.recover(&base, "main").expect("recover");
+        assert_eq!(report.sessions, vec![("main".to_string(), 8)]);
+        dir_bytes(&dir)
+    };
+    let first = recover();
+    let second = recover();
+    assert!(first == written, "the first recovery changed the directory");
+    assert!(second == first, "the second recovery changed the directory");
+    std::fs::remove_dir_all(&base).ok();
+}
+
+/// Every file in `dir` with its bytes, in path order.
+fn dir_bytes(dir: &Path) -> Vec<(std::path::PathBuf, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .expect("read dir")
+        .map(|entry| {
+            let path = entry.expect("dir entry").path();
+            let bytes = std::fs::read(&path).expect("read file");
+            (path, bytes)
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
 fn server_level_kill_recover_continue_is_seamless() {
     // The full daemon path: durable server, ingest a prefix, soft-crash
     // it mid-ingest, boot a second daemon with --recover semantics, and

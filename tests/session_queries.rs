@@ -7,12 +7,13 @@
 //! sampled rounds mid-churn, per node, and again after settling. The
 //! typed side calls the *native* query methods (`query_edge`,
 //! `list_cliques`, …), not the `Queryable` adapter, so this suite pins
-//! the erased path to the concrete implementations end to end.
+//! the erased path to the concrete implementations end to end. At each
+//! sampled round the two paths must also share the whole `Fingerprint`.
 
 use dynamic_subgraphs::baselines::{FloodNode, NaiveTwoHopNode, SnapshotNode};
 use dynamic_subgraphs::net::{
-    Answer, BandwidthConfig, BandwidthPolicy, Edge, NodeId, Query, Queryable, Response, SimConfig,
-    Simulator,
+    Answer, BandwidthConfig, BandwidthPolicy, Claim, Edge, NodeId, Query, Queryable, Response,
+    SimConfig, Simulator,
 };
 use dynamic_subgraphs::robust::{ThreeHopNode, TriangleNode, TwoHopNode};
 use dynamic_subgraphs::workloads::{registry, Params};
@@ -66,6 +67,11 @@ fn diff_protocol<N>(
             .expect("registered protocol");
         let compare_all =
             |typed: &Simulator<N>, session: &dynamic_subgraphs::net::Session, round: usize| {
+                typed.fingerprint().assert_same(
+                    &session.fingerprint(),
+                    Claim::Same,
+                    &format!("{protocol}/{workload} round {round}"),
+                );
                 for off in [0u32, 5, 11] {
                     let v = NodeId((round as u32 * 3 + off) % n as u32);
                     assert_eq!(
@@ -253,33 +259,8 @@ fn session_summary_equals_registry_run_bitwise() {
         for b in &trace.batches {
             session.step(b);
         }
-        let via_session = session.summary();
-        assert_eq!(via_run.rounds, via_session.rounds, "{}", spec.name);
-        assert_eq!(via_run.changes, via_session.changes, "{}", spec.name);
-        assert_eq!(
-            via_run.inconsistent_rounds, via_session.inconsistent_rounds,
-            "{}",
-            spec.name
-        );
-        assert_eq!(
-            via_run.amortized.to_bits(),
-            via_session.amortized.to_bits(),
-            "{}",
-            spec.name
-        );
-        assert_eq!(
-            via_run.footnote_amortized.to_bits(),
-            via_session.footnote_amortized.to_bits(),
-            "{}",
-            spec.name
-        );
-        assert_eq!(via_run.messages, via_session.messages, "{}", spec.name);
-        assert_eq!(via_run.bits, via_session.bits, "{}", spec.name);
-        assert_eq!(via_run.violations, via_session.violations, "{}", spec.name);
-        assert_eq!(
-            via_run.final_edges, via_session.final_edges,
-            "{}",
-            spec.name
-        );
+        via_run
+            .outcome()
+            .assert_same(&session.summary().outcome(), spec.name);
     }
 }

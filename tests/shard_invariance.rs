@@ -8,22 +8,26 @@
 //!   worker pool, or inline when the call is nested inside a pool
 //!   job; K = 1 always inline): every registry protocol ×
 //!   er/flicker/sliding/p2p/hotspot, stepped round by round through erased
-//!   sessions — meters compared to `f64::to_bits` after *every* round,
-//!   per-round stats (minus the engine-measuring `active_nodes` and
-//!   `shards` fields; the active-node count is compared on its own, since
-//!   it holds across K), and every supported query kind answered
-//!   identically mid-run and after settling. A heavy-batch flicker variant
-//!   stresses the cross-shard merge with large simultaneous event sets;
-//!   the skewed-activity hotspot workload stresses the activity-weighted
-//!   boundary computation. The comparison helpers are shared with
-//!   `tests/determinism.rs` (`tests/common/mod.rs`).
+//!   sessions. After *every* round, and again after settling, the
+//!   fingerprints' `outcome` and `activity` parts must match: every
+//!   deterministic summary field (floats by their bits), the per-node
+//!   counters, the per-round stats log and the active-node count of each
+//!   round, which holds across K. Only the `shards` part may differ.
+//!   Every supported query kind must answer identically mid-run and after
+//!   settling. A heavy-batch flicker variant stresses the cross-shard
+//!   merge with large simultaneous event sets; the skewed-activity
+//!   hotspot workload stresses the activity-weighted boundary
+//!   computation. The lockstep comparison is `tests/common/mod.rs`'s
+//!   `assert_lockstep` under `Claim::ShardCount`, shared with
+//!   `tests/determinism.rs`.
 //! - **proptests**: random (workload, n, rounds, seed, K) tuples through
-//!   the robust 2-hop protocol, full-fingerprint compared.
+//!   the typed robust 2-hop simulator, compared on the same two parts and
+//!   on edge-query answers at every node.
 
 mod common;
 
-use common::{build, meter_bits, query_fingerprint, scrubbed_stats};
-use dynamic_subgraphs::net::{edge, engine, NodeId, Session, Shards, SimConfig, Simulator, Trace};
+use common::{assert_lockstep, build};
+use dynamic_subgraphs::net::{edge, engine, Claim, NodeId, Shards, SimConfig, Simulator, Trace};
 use dynamic_subgraphs::robust::TwoHopNode;
 use proptest::prelude::*;
 
@@ -45,81 +49,18 @@ fn cases() -> u32 {
 }
 
 /// Step a trace through one session per shard configuration, comparing
-/// everything observable after every round against the single-shard run.
+/// everything but the shards part against the single-shard run after
+/// every round and after settling.
 fn assert_shard_counts_identical(protocol: &str, trace: &Trace, label: &str) {
-    let open = |shards: Shards| {
+    let open = |k| {
         dds_bench::protocols()
-            .open(protocol, trace.n, cfg(shards))
+            .open(protocol, trace.n, cfg(Shards::Fixed(k)))
             .expect("registered protocol")
     };
-    let mut base = open(Shards::Fixed(1));
-    let mut sharded: Vec<(usize, Session)> = Vec::new();
-    for &k in &[2usize, 3, 8] {
-        sharded.push((k, open(Shards::Fixed(k))));
-    }
-    for (i, b) in trace.batches.iter().enumerate() {
-        base.step(b);
-        let round = i + 1;
-        for (k, s) in &mut sharded {
-            s.step(b);
-            let ctx = format!("{label}/{protocol} shards={k} round {round}");
-            assert_eq!(meter_bits(&base), meter_bits(s), "{ctx}: meters");
-            assert_eq!(base.active_nodes(), s.active_nodes(), "{ctx}: active nodes");
-            if round % 7 == 0 {
-                assert_eq!(
-                    query_fingerprint(&base, trace.n),
-                    query_fingerprint(s, trace.n),
-                    "{ctx}: mid-run query answers"
-                );
-            }
-        }
-    }
-    let base_stats = scrubbed_stats(&base);
-    let base_quiet = base.settle(256);
-    let base_queries = query_fingerprint(&base, trace.n);
-    let base_summary = base.summary();
-    for (k, s) in &mut sharded {
-        let ctx = format!("{label}/{protocol} shards={k}");
-        assert_eq!(base_stats, scrubbed_stats(s), "{ctx}: per-round stats");
-        assert_eq!(base_quiet, s.settle(256), "{ctx}: settle rounds");
-        assert_eq!(
-            base_queries,
-            query_fingerprint(s, trace.n),
-            "{ctx}: settled query answers"
-        );
-        let sm = s.summary();
-        assert_eq!(
-            base_summary.amortized.to_bits(),
-            sm.amortized.to_bits(),
-            "{ctx}: summary amortized"
-        );
-        assert_eq!(
-            base_summary.footnote_amortized.to_bits(),
-            sm.footnote_amortized.to_bits(),
-            "{ctx}: summary footnote"
-        );
-        assert_eq!(
-            base_summary.messages, sm.messages,
-            "{ctx}: summary messages"
-        );
-        assert_eq!(base_summary.bits, sm.bits, "{ctx}: summary bits");
-        assert_eq!(
-            base_summary.final_edges, sm.final_edges,
-            "{ctx}: summary edges"
-        );
-        assert_eq!(
-            base_summary.peak_round_messages, sm.peak_round_messages,
-            "{ctx}: summary peak messages"
-        );
-        assert_eq!(
-            base_summary.peak_round_bits, sm.peak_round_bits,
-            "{ctx}: summary peak bits"
-        );
-        assert_eq!(
-            base_summary.peak_round_active, sm.peak_round_active,
-            "{ctx}: summary peak active"
-        );
-    }
+    let sharded = [2, 3, 8]
+        .map(|k| (format!("{label}/{protocol} shards={k}"), open(k)))
+        .into();
+    assert_lockstep(open(1), sharded, trace, Claim::ShardCount);
 }
 
 /// Every registry protocol × every workload, `Fixed(K)` against `Fixed(1)`.
@@ -163,29 +104,9 @@ fn shard_count_is_invisible_under_heavy_batches() {
     }
 }
 
-/// Full-run fingerprint of a driven simulator, for the proptests.
-fn fingerprint(sim: &Simulator<TwoHopNode>, n: usize) -> (Vec<u64>, Vec<String>, Vec<String>) {
-    let meters = vec![
-        sim.meter().rounds(),
-        sim.meter().changes(),
-        sim.meter().inconsistent_rounds(),
-        sim.bandwidth().total_messages(),
-        sim.bandwidth().total_bits(),
-        sim.bandwidth().violations(),
-        sim.inconsistent_nodes() as u64,
-        sim.meter().amortized().to_bits(),
-        sim.per_node_meter().footnote_amortized().to_bits(),
-    ];
-    let stats = sim
-        .stats()
-        .iter()
-        .map(|s| {
-            let mut s = *s;
-            s.shards = 0;
-            format!("{s:?}")
-        })
-        .collect();
-    let queries = (0..n as u32)
+/// Every node's edge-query answers about a sample of the others.
+fn edge_answers(sim: &Simulator<TwoHopNode>, n: usize) -> Vec<String> {
+    (0..n as u32)
         .map(|v| {
             (0..n as u32)
                 .step_by(3)
@@ -194,8 +115,7 @@ fn fingerprint(sim: &Simulator<TwoHopNode>, n: usize) -> (Vec<u64>, Vec<String>,
                 .collect::<Vec<_>>()
                 .join(",")
         })
-        .collect();
-    (meters, stats, queries)
+        .collect()
 }
 
 proptest! {
@@ -214,10 +134,13 @@ proptest! {
             engine::drive_source(&mut trace.replay(), cfg(Shards::Fixed(1)));
         let many: Simulator<TwoHopNode> =
             engine::drive_source(&mut trace.replay(), cfg(Shards::Fixed(k)));
-        let a = fingerprint(&one, n);
-        let b = fingerprint(&many, n);
-        prop_assert_eq!(&a.0, &b.0, "meters diverged (k={})", k);
-        prop_assert_eq!(&a.1, &b.1, "per-round stats diverged (k={})", k);
-        prop_assert_eq!(&a.2, &b.2, "query responses diverged (k={})", k);
+        let diff = one.fingerprint().first_difference(&many.fingerprint(), Claim::ShardCount);
+        prop_assert!(diff.is_none(), "k={}: {}", k, diff.unwrap_or_default());
+        prop_assert_eq!(
+            edge_answers(&one, n),
+            edge_answers(&many, n),
+            "query responses diverged (k={})",
+            k
+        );
     }
 }

@@ -5,17 +5,21 @@
 //! 1. the streamed batch sequence is bit-identical to the materialized
 //!    [`Trace`] built from the same parameters (and replaying is cheap:
 //!    rebuilding the source reproduces it);
-//! 2. driving the engine from the stream produces exactly the meters and
-//!    query responses the materialized replay produces — for every
-//!    registered protocol;
+//! 2. driving the engine from the stream produces exactly the
+//!    `Fingerprint` and query responses the materialized replay produces
+//!    — for every registered protocol;
 //! 3. the batch scheduler's aggregation is worker-count-invariant:
-//!    `--jobs 1` and `--jobs N` yield bit-identical result vectors.
+//!    `--jobs 1` and `--jobs N` yield bit-identical result vectors (each
+//!    summary's `outcome`, in the same positions).
 
+mod common;
+
+use common::query_fingerprint;
 use dds_bench::scheduler;
 use dynamic_subgraphs::net::{
-    EventBatch, Node as _, NodeId, Response, SimConfig, Simulator, TraceSource,
+    Claim, EventBatch, NodeId, Response, SimConfig, Simulator, TraceSource,
 };
-use dynamic_subgraphs::robust::{TriangleNode, TwoHopNode};
+use dynamic_subgraphs::robust::TwoHopNode;
 use dynamic_subgraphs::workloads::{registry, Params};
 
 fn small_params() -> Params {
@@ -55,31 +59,15 @@ fn engine_meters_match_across_stream_and_replay_for_every_protocol() {
         let p = small_params();
         let trace = registry::build_trace(spec.name, &p).unwrap();
         for proto in reg.specs() {
-            let a = proto.run_stream(&mut trace.replay(), SimConfig::default());
-            let mut src = spec.source(&p).unwrap();
-            let b = proto.run_stream(&mut src, SimConfig::default());
+            let run = |src: &mut dyn TraceSource| {
+                let mut session = proto.open(src.n(), SimConfig::default());
+                session.drain(src);
+                session.fingerprint()
+            };
+            let a = run(&mut trace.replay());
+            let b = run(&mut *spec.source(&p).unwrap());
             let ctx = format!("{} over {}", proto.name, spec.name);
-            assert_eq!(a.n, b.n, "{ctx}: n");
-            assert_eq!(a.rounds, b.rounds, "{ctx}: rounds");
-            assert_eq!(a.changes, b.changes, "{ctx}: changes");
-            assert_eq!(
-                a.inconsistent_rounds, b.inconsistent_rounds,
-                "{ctx}: inconsistent rounds"
-            );
-            assert_eq!(
-                a.amortized.to_bits(),
-                b.amortized.to_bits(),
-                "{ctx}: amortized"
-            );
-            assert_eq!(
-                a.footnote_amortized.to_bits(),
-                b.footnote_amortized.to_bits(),
-                "{ctx}: footnote amortized"
-            );
-            assert_eq!(a.messages, b.messages, "{ctx}: messages");
-            assert_eq!(a.bits, b.bits, "{ctx}: bits");
-            assert_eq!(a.violations, b.violations, "{ctx}: violations");
-            assert_eq!(a.final_edges, b.final_edges, "{ctx}: final edges");
+            a.assert_same(&b, Claim::Same, &ctx);
         }
     }
 }
@@ -87,37 +75,26 @@ fn engine_meters_match_across_stream_and_replay_for_every_protocol() {
 #[test]
 fn query_responses_match_across_stream_and_replay() {
     // Drive the same workload twice — once batch-by-batch from the
-    // materialized trace, once from a live stream — and compare *query
-    // responses* at every node after every round.
+    // materialized trace, once from a live stream — and compare the
+    // fingerprint and every supported query at every node after every
+    // round (an `Inconsistent` answer shows a node's consistency flag).
     let p = small_params();
     let trace = registry::build_trace("planted-clique", &p).unwrap();
     let mut src = registry::build_source("planted-clique", &p).unwrap();
-    let n = trace.n;
-    let mut from_trace: Simulator<TriangleNode> = Simulator::new(n);
-    let mut from_stream: Simulator<TriangleNode> = Simulator::new(n);
+    let open = || dds_bench::protocols().open("triangle", trace.n, SimConfig::default());
+    let (mut from_trace, mut from_stream) = (open().unwrap(), open().unwrap());
     for (i, batch) in trace.batches.iter().enumerate() {
         from_trace.step(batch);
-        let live = src.next_batch().expect("stream keeps pace");
-        from_stream.step(&live);
-        for v in 0..n as u32 {
-            let v = NodeId(v);
-            assert_eq!(
-                from_trace.node(v).is_consistent(),
-                from_stream.node(v).is_consistent(),
-                "round {}: consistency at v{} diverged",
-                i + 1,
-                v.0
-            );
-            let a = from_trace.node(v).list_triangles();
-            let b = from_stream.node(v).list_triangles();
-            assert_eq!(
-                a,
-                b,
-                "round {}: triangle listing at v{} diverged",
-                i + 1,
-                v.0
-            );
-        }
+        from_stream.step(&src.next_batch().expect("stream keeps pace"));
+        let ctx = format!("round {}", i + 1);
+        from_trace
+            .fingerprint()
+            .assert_same(&from_stream.fingerprint(), Claim::Same, &ctx);
+        assert_eq!(
+            query_fingerprint(&from_trace, trace.n),
+            query_fingerprint(&from_stream, trace.n),
+            "{ctx}: query answers"
+        );
     }
     assert!(src.next_batch().is_none(), "stream overran the trace");
 }
@@ -143,20 +120,10 @@ fn scheduler_results_are_jobs_invariant() {
         .map(|r| r.unwrap())
         .collect();
     assert_eq!(one.len(), many.len());
-    for (a, b) in one.iter().zip(&many) {
-        assert_eq!(a.protocol, b.protocol);
-        assert_eq!(a.n, b.n);
-        assert_eq!(a.rounds, b.rounds);
-        assert_eq!(a.changes, b.changes);
-        assert_eq!(a.inconsistent_rounds, b.inconsistent_rounds);
-        assert_eq!(a.amortized.to_bits(), b.amortized.to_bits());
-        assert_eq!(
-            a.footnote_amortized.to_bits(),
-            b.footnote_amortized.to_bits()
-        );
-        assert_eq!(a.messages, b.messages);
-        assert_eq!(a.bits, b.bits);
-        assert_eq!(a.final_edges, b.final_edges);
+    for (i, (a, b)) in one.iter().zip(&many).enumerate() {
+        assert_eq!(a.protocol, b.protocol, "point {i}");
+        a.outcome()
+            .assert_same(&b.outcome(), &format!("point {i} ({})", a.protocol));
     }
 }
 

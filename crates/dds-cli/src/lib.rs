@@ -60,10 +60,12 @@ usage:
                 the CLI flags; --sample-queries combines with
                 --checkpoint-every and --resume, not with --seeds)
   dds query    --protocol <name> --workload <name> [--n N] [--rounds R] [--seed S]
-               [--at ROUND] [--settle MAX] [--shards auto|K] [--resume FILE]
+               [--at ROUND] [--settle MAX] [--engine sparse|dense]
+               [--shards auto|K] [--resume FILE]
                --query \"SPEC[; SPEC...]\" [--json]
                (runs the workload to --at (default: all rounds), optionally
-                settles, then answers each query spec with zero communication.
+                settles, then answers each query spec with zero communication;
+                --engine and --shards pick the round engine as for simulate.
                 specs: edge:U-W  triangle:A,B,C  clique:V1,V2,..  cycle:V1,V2,..
                 path3:C,A,B  list-triangles  list-cliques:K  list-cycles:K —
                 each with an optional @NODE routing suffix. `dds list` shows
@@ -77,7 +79,8 @@ usage:
                 row-for-row [wall-clock columns excluded]; exits non-zero on
                 any drift or on a table missing from NEW. Timings are not
                 compared)
-  dds serve    [--listen ADDR] [--resume SNAPSHOT] [--protocol <name> --n N]
+  dds serve    [--listen ADDR] [--resume SNAPSHOT]
+               [--protocol <name> --n N [--engine sparse|dense] [--shards auto|K]]
                [--session NAME] [--checkpoint-dir DIR [--checkpoint-every K]]
                [--recover DIR] [--chaos SPEC] [--max-sessions N]
                [--idle-timeout-secs S]
@@ -85,7 +88,8 @@ usage:
                 127.0.0.1:7421; use :0 for an ephemeral port — the chosen
                 address is printed]; --resume warm-starts session NAME
                 [default: main] from a checkpoint snapshot, --protocol/--n
-                opens a fresh one; clients open more via the wire protocol's
+                opens a fresh one, on the round engine --engine and --shards
+                pick as for simulate; clients open more via the wire protocol's
                 `open` verb. Queries are answered from a published
                 settled-round view, so they never block ingest. SIGTERM or
                 the `shutdown` verb drains connections and exits 0.
@@ -172,36 +176,46 @@ pub fn run_main(argv: Vec<String>) -> Result<(), Failure> {
     }
 }
 
-/// Refuse any option the subcommand does not declare, naming it. A
-/// subcommand that takes `--workload` also takes that workload's
-/// parameters, the keys `dds list` prints. An unknown subcommand or
-/// workload name is left for dispatch to report.
+/// The options each subcommand declares, space-separated, keyed by the
+/// words that name it (a longer name before its prefix). A subcommand
+/// that declares `workload` also takes that workload's parameters, the
+/// keys `dds list` prints. [`USAGE`] shows each option here in its
+/// subcommand's block.
+pub const SUBCOMMAND_OPTIONS: &[(&str, &str)] = &[
+    (
+        "simulate",
+        "protocol workload seeds jobs record-stats engine shards sample-queries \
+         checkpoint-every checkpoint-dir resume json",
+    ),
+    (
+        "query",
+        "protocol workload at settle engine shards resume query json",
+    ),
+    ("trace generate", "workload out"),
+    ("trace", ""),
+    ("bench", ""),
+    ("bounds", "n"),
+    (
+        "serve",
+        "listen resume protocol n session checkpoint-dir checkpoint-every recover chaos \
+         max-sessions idle-timeout-secs engine shards",
+    ),
+    (
+        "loadgen",
+        "addr session clients queries churn-rounds workload skip-rounds tolerate-faults \
+         retries deadline-ms client-seed json",
+    ),
+    ("list", ""),
+];
+
+/// Refuse any option the subcommand does not declare in
+/// [`SUBCOMMAND_OPTIONS`], naming it. An unknown subcommand or workload
+/// name is left for dispatch to report.
 fn check_options(args: &Args) -> Result<(), String> {
     let words: Vec<&str> = args.positional.iter().map(String::as_str).collect();
-    let (command, own) = match words.as_slice() {
-        ["simulate", ..] => (
-            "simulate",
-            "protocol workload seeds jobs record-stats engine shards sample-queries \
-             checkpoint-every checkpoint-dir resume json",
-        ),
-        ["query", ..] => (
-            "query",
-            "protocol workload at settle engine shards resume query json",
-        ),
-        ["trace", "generate", ..] => ("trace generate", "workload out"),
-        ["bounds", ..] => ("bounds", "n"),
-        ["serve", ..] => (
-            "serve",
-            "listen resume protocol n session checkpoint-dir checkpoint-every recover chaos \
-             max-sessions idle-timeout-secs engine shards",
-        ),
-        ["loadgen", ..] => (
-            "loadgen",
-            "addr session clients queries churn-rounds workload skip-rounds tolerate-faults \
-             retries deadline-ms client-seed json",
-        ),
-        [sub @ ("trace" | "bench" | "list"), ..] => (*sub, ""),
-        _ => return Ok(()),
+    let named = |command: &str| words.starts_with(&command.split(' ').collect::<Vec<_>>());
+    let Some(&(command, own)) = SUBCOMMAND_OPTIONS.iter().find(|(c, _)| named(c)) else {
+        return Ok(());
     };
     let mut declared: Vec<&str> = own.split_whitespace().collect();
     let mut command = format!("dds {command}");

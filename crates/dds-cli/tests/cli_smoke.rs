@@ -818,6 +818,36 @@ fn undeclared_options_exit_2_naming_the_option() {
 }
 
 #[test]
+fn usage_shows_every_declared_option() {
+    // A subcommand's block of USAGE runs from its `  dds <name>` line to
+    // the next subcommand's; each option the subcommand declares must
+    // appear there as `--name`, so `--help` never hides one.
+    let lines: Vec<&str> = dds_cli::USAGE.lines().collect();
+    for (command, options) in dds_cli::SUBCOMMAND_OPTIONS {
+        let head = format!("  dds {command}");
+        let start = lines
+            .iter()
+            .position(|line| line.starts_with(&head))
+            .unwrap_or_else(|| panic!("USAGE has no block for `dds {command}`"));
+        let end = lines[start + 1..]
+            .iter()
+            .position(|line| line.starts_with("  dds "))
+            .map_or(lines.len(), |i| start + 1 + i);
+        let block = lines[start..end].join("\n");
+        let words: Vec<&str> = block
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .collect();
+        for option in options.split_whitespace() {
+            let flag = format!("--{option}");
+            assert!(
+                words.contains(&flag.as_str()),
+                "USAGE's `dds {command}` block does not show {flag}"
+            );
+        }
+    }
+}
+
+#[test]
 fn simulate_pooled_shards_match_one_shard() {
     let run = |shards: &[&str]| {
         let mut args = vec![

@@ -60,15 +60,6 @@ impl AmortizedMeter {
         self.inconsistent_rounds
     }
 
-    /// Final ratio `inconsistent_rounds / changes` (0 if no changes).
-    pub fn final_ratio(&self) -> f64 {
-        if self.changes == 0 {
-            0.0
-        } else {
-            self.inconsistent_rounds as f64 / self.changes as f64
-        }
-    }
-
     /// The paper's amortized complexity: prefix maximum of the ratio.
     pub fn amortized(&self) -> f64 {
         self.prefix_max_ratio
@@ -191,15 +182,6 @@ impl PerNodeMeter {
         self.prefix_max.iter().copied().fold(0.0, f64::max)
     }
 
-    /// The node attaining [`PerNodeMeter::worst_amortized`].
-    pub fn worst_node(&self) -> Option<usize> {
-        self.prefix_max
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("no NaN"))
-            .map(|(i, _)| i)
-    }
-
     /// Per-node incident change counts so far.
     pub fn changes(&self) -> &[u64] {
         &self.changes
@@ -256,7 +238,6 @@ mod tests {
         for _ in 0..100 {
             m.record_round(5, false);
         }
-        assert!(m.final_ratio() < 0.01);
         assert!((m.amortized() - 3.0).abs() < 1e-9);
         assert_eq!(m.longest_inconsistent_streak(), 3);
     }
@@ -265,7 +246,6 @@ mod tests {
     fn no_changes_no_blowup() {
         let mut m = AmortizedMeter::new();
         m.record_round(0, false);
-        assert_eq!(m.final_ratio(), 0.0);
         assert_eq!(m.amortized(), 0.0);
     }
 
@@ -296,7 +276,6 @@ mod tests {
         m.record_round(&[0, 0, 0], &[true, false, false]);
         m.record_round(&[0, 0, 0], &[true, false, false]);
         assert!((m.worst_amortized() - 3.0).abs() < 1e-9);
-        assert_eq!(m.worst_node(), Some(0));
         assert_eq!(m.changes(), &[1, 4, 0]);
         assert_eq!(m.inconsistent(), &[3, 1, 0]);
         // Footnote measure: 3 inconsistent rounds / max 4 changes at a

@@ -201,12 +201,17 @@ impl Server {
     /// newest valid snapshot (`--recover`). Corrupt or truncated tails
     /// are skipped and reported. Recovered sessions keep persisting into
     /// the directories they were recovered from.
+    ///
+    /// Recovery writes nothing: each session's durable round is the round
+    /// of the snapshot it was restored from, and its next persisting
+    /// write comes `every` writes later. Only [`Server::open_session`]
+    /// and the `open` verb persist at once.
     pub fn recover(&self, base: &Path, default_session: &str) -> Result<RecoveryReport, String> {
         let every = self.state.durability.as_ref().map_or(1, |d| d.every);
         let (sessions, report) = recover_sessions(self.registry, base, default_session)?;
         for (session, dir) in sessions {
             let arc = self.state.directory.insert(session)?;
-            arc.enable_durability(Durability { dir, every })?;
+            arc.resume_durability(Durability { dir, every });
         }
         Ok(report)
     }

@@ -44,6 +44,17 @@
 //! moments — before persist+publish, after publish before the reply, and
 //! midway through the snapshot file write.
 //!
+//! A session becomes durable on one of two paths.
+//! [`ServingSession::enable_durability`] persists the current state at
+//! once, so a session that is not yet on disk (a fresh `open`,
+//! `--resume`, an `open` with a snapshot) is recoverable from the moment
+//! it exists. Recovery ([`recover_sessions`], then
+//! [`Server::recover`](super::Server::recover)) persists nothing: the
+//! newest snapshot in the directory already holds the restored state,
+//! its round is the durable round, and that file and `meta.json` stay as
+//! they are. On both paths the next persisting write comes `every` writes
+//! later.
+//!
 //! # Retry deduplication
 //!
 //! A client that retries a write after a transport failure cannot know
@@ -205,6 +216,11 @@ impl ServingSession {
     /// state immediately (so the session is recoverable from the moment
     /// it exists), and persist again after every `cfg.every`-th write
     /// verb. Returns the durable round.
+    ///
+    /// This is the path of every session that is not yet on disk: a
+    /// fresh `open`, `--resume`, and an `open` with a snapshot. A session
+    /// recovered from its directory by
+    /// [`Server::recover`](super::Server::recover) persists nothing.
     pub fn enable_durability(&self, cfg: Durability) -> Result<Round, String> {
         std::fs::create_dir_all(&cfg.dir)
             .map_err(|e| format!("checkpoint dir {}: {e}", cfg.dir.display()))?;
@@ -223,6 +239,15 @@ impl ServingSession {
         self.durable_round.store(round, Ordering::Release);
         *durability = Some(DurableState { cfg, pending: 0 });
         Ok(round)
+    }
+
+    /// Attach durability to a session [`recover_sessions`] restored from
+    /// `cfg.dir`, capturing and writing nothing: the snapshot it came from
+    /// is already durable, and its round is the durable round recovery
+    /// set. The next persisting write comes `cfg.every` writes from now.
+    pub(crate) fn resume_durability(&self, cfg: Durability) {
+        *self.durability.lock().expect("durability lock poisoned") =
+            Some(DurableState { cfg, pending: 0 });
     }
 
     /// Seed the retry-dedup record (recovery: replays `meta.json` so a
@@ -495,8 +520,8 @@ pub struct RecoveryReport {
 /// named `default_session`. Corrupt or truncated tails are skipped —
 /// walking back to the newest snapshot that restores cleanly — and
 /// reported, never fatal. Returns the recovered sessions paired with
-/// their checkpoint directories (so the caller can re-enable durability
-/// into the same place).
+/// their checkpoint directories (so the caller can keep persisting into
+/// the same place).
 pub fn recover_sessions(
     registry: &'static ProtocolRegistry,
     base: &Path,

@@ -497,7 +497,8 @@ fn recovery_skips_corrupt_and_truncated_tails() {
 fn recovering_twice_without_a_write_leaves_the_directory_unchanged() {
     // Recovery reads a durable directory; it may not change it. Two
     // restarts in a row, with no write between them, must leave the same
-    // files with the same bytes, checkpoints and meta.json alike.
+    // files with the same inodes and bytes, checkpoints and meta.json
+    // alike.
     let registry = dds_bench::protocols();
     let base = tempdir("recover-twice");
     let trace = trace_for("er", 16, 8, 71);
@@ -517,7 +518,7 @@ fn recovering_twice_without_a_write_leaves_the_directory_unchanged() {
     drop(session);
     let dir = base.join("main");
     let written = dir_bytes(&dir);
-    let meta = written.iter().any(|(path, _)| path.ends_with("meta.json"));
+    let meta = written.iter().any(|(path, ..)| path.ends_with("meta.json"));
     assert!(meta, "sequenced writes leave a meta.json");
     let recover = || {
         let server = Server::bind_with(
@@ -543,18 +544,92 @@ fn recovering_twice_without_a_write_leaves_the_directory_unchanged() {
     std::fs::remove_dir_all(&base).ok();
 }
 
-/// Every file in `dir` with its bytes, in path order.
-fn dir_bytes(dir: &Path) -> Vec<(std::path::PathBuf, Vec<u8>)> {
+/// Every file in `dir` with its inode and bytes, in path order. The
+/// inode shows a rewrite that put the same bytes back: an atomic write
+/// renames a new file into place.
+fn dir_bytes(dir: &Path) -> Vec<(std::path::PathBuf, u64, Vec<u8>)> {
+    use std::os::unix::fs::MetadataExt;
     let mut files: Vec<_> = std::fs::read_dir(dir)
         .expect("read dir")
         .map(|entry| {
             let path = entry.expect("dir entry").path();
+            let inode = std::fs::metadata(&path).expect("stat file").ino();
             let bytes = std::fs::read(&path).expect("read file");
-            (path, bytes)
+            (path, inode, bytes)
         })
         .collect();
     files.sort();
     files
+}
+
+#[test]
+fn recovery_leaves_a_legacy_header_as_it_is_until_the_next_write() {
+    // Snapshots written while the engine had a second shard scheduler and
+    // a switch for pooled shard execution carry `"scheduling":"chunked"`
+    // and `"parallel":true`; both still restore. Recovery must leave such
+    // a file as it is, and the next persisting write writes the current
+    // header form. The checksum covers the body only, so the edited
+    // header keeps the file valid.
+    let registry = dds_bench::protocols();
+    let base = tempdir("legacy-header");
+    let dir = base.join("main");
+    std::fs::create_dir_all(&dir).expect("create session dir");
+    let golden_path =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/snapshots/two-hop.json");
+    let golden = std::fs::read_to_string(golden_path).expect("read the golden snapshot");
+    let legacy = golden
+        .replace("\"scheduling\":\"balanced\"", "\"scheduling\":\"chunked\"")
+        .replace("\"parallel\":false", "\"parallel\":true");
+    assert!(
+        legacy.contains("\"scheduling\":\"chunked\"") && legacy.contains("\"parallel\":true"),
+        "the golden snapshot's header fields moved"
+    );
+    std::fs::write(dir.join("checkpoint_000008.json"), &legacy).expect("plant legacy snapshot");
+    let planted = dir_bytes(&dir);
+
+    let server = Server::bind_with(
+        "127.0.0.1:0",
+        registry,
+        ServerOptions {
+            durability: Some(DurabilityOptions {
+                base: base.clone(),
+                every: 1,
+            }),
+            ..ServerOptions::default()
+        },
+    )
+    .expect("bind recovery server");
+    let report = server.recover(&base, "main").expect("recover");
+    assert_eq!(report.sessions, vec![("main".to_string(), 8)]);
+    let addr = server.local_addr().expect("addr").to_string();
+    let handle = server.handle();
+    let join = std::thread::spawn(move || server.run().expect("server run"));
+
+    let mut local = registry
+        .restore(&Snapshot::from_json(&golden).expect("the golden snapshot parses"))
+        .expect("the golden snapshot restores");
+    let mut client = Client::connect(&addr).expect("connect");
+    let served = client.checkpoint("main").expect("checkpoint");
+    assert_eq!(served.to_json(), local.checkpoint().to_json());
+    assert!(
+        dir_bytes(&dir) == planted,
+        "recovery rewrote the legacy snapshot"
+    );
+
+    assert_eq!(client.step("main", 1), Ok(9));
+    local.step_quiet();
+    let next = std::fs::read_to_string(dir.join("checkpoint_000009.json"))
+        .expect("the step persisted round 9");
+    assert_eq!(next, local.checkpoint().to_json());
+    assert!(next.contains("\"scheduling\":\"balanced\"") && next.contains("\"parallel\":false"));
+    assert!(
+        dir_bytes(&dir)[0] == planted[0],
+        "the step rewrote the legacy snapshot"
+    );
+    drop(client);
+    handle.stop();
+    join.join().expect("server thread");
+    std::fs::remove_dir_all(&base).ok();
 }
 
 #[test]

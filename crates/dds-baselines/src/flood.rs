@@ -9,7 +9,7 @@
 //!
 //! [`BandwidthPolicy::Observe`]: dds_net::BandwidthPolicy::Observe
 
-use dds_net::checkpoint::{self as ckpt, Checkpointable, Deserialize as _, Value};
+use dds_net::checkpoint::{self as ckpt, Checkpointable, Deserialize as _, Value, Writer};
 use dds_net::{
     Answer, BitSized, Edge, Flags, LocalEvent, Node, NodeId, Outbox, Query, QueryError, QueryKind,
     Queryable, Received, Response, Round,
@@ -182,12 +182,19 @@ impl Queryable for FloodNode {
     }
 }
 
-fn fact_value(f: Fact) -> Value {
-    Value::Arr(vec![
-        ckpt::edge_value(f.edge),
-        Value::U64(f.round),
-        Value::Bool(f.insert),
-    ])
+fn write_fact(w: &mut Writer, f: Fact) {
+    w.array(|w| {
+        ckpt::write_edge(w, f.edge);
+        w.u64(f.round).bool(f.insert);
+    });
+}
+
+fn write_facts(w: &mut Writer, facts: impl IntoIterator<Item = Fact>) {
+    w.array(|w| {
+        for f in facts {
+            write_fact(w, f);
+        }
+    });
 }
 
 fn fact_from(v: &Value, n: usize) -> Result<Fact, String> {
@@ -207,7 +214,7 @@ fn fact_from(v: &Value, n: usize) -> Result<Fact, String> {
 }
 
 impl Checkpointable for FloodNode {
-    fn save_state(&self) -> Value {
+    fn save_state(&self, w: &mut Writer) {
         // Sets/maps sorted; the `outbox` and catch-up history Vecs keep
         // their exact order (it feeds next round's bundles verbatim).
         let mut seen: Vec<Fact> = self.seen.iter().copied().collect();
@@ -218,46 +225,24 @@ impl Checkpointable for FloodNode {
         let mut belief: Vec<(Edge, (Round, bool))> =
             self.belief.iter().map(|(&e, &b)| (e, b)).collect();
         belief.sort_unstable_by_key(|&(e, _)| e);
-        ckpt::obj(vec![
-            (
-                "seen",
-                Value::Arr(seen.into_iter().map(fact_value).collect()),
-            ),
-            (
-                "outbox",
-                Value::Arr(self.outbox.iter().copied().map(fact_value).collect()),
-            ),
-            (
-                "catchup",
-                Value::Arr(
-                    catchup
-                        .into_iter()
-                        .map(|(p, h)| {
-                            Value::Arr(vec![
-                                Value::U64(p.0 as u64),
-                                Value::Arr(h.iter().copied().map(fact_value).collect()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "belief",
-                Value::Arr(
-                    belief
-                        .into_iter()
-                        .map(|(e, (r, present))| {
-                            Value::Arr(vec![
-                                ckpt::edge_value(e),
-                                Value::U64(r),
-                                Value::Bool(present),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("consistent", Value::Bool(self.consistent)),
-        ])
+        w.object(|w| {
+            write_facts(w.key("seen"), seen);
+            write_facts(w.key("outbox"), self.outbox.iter().copied());
+            w.key("catchup").array(|w| {
+                for (p, h) in catchup {
+                    w.array(|w| write_facts(w.u64(p.0 as u64), h.iter().copied()));
+                }
+            });
+            w.key("belief").array(|w| {
+                for (e, (r, present)) in belief {
+                    w.array(|w| {
+                        ckpt::write_edge(w, e);
+                        w.u64(r).bool(present);
+                    });
+                }
+            });
+            w.key("consistent").bool(self.consistent);
+        });
     }
 
     fn load_state(id: NodeId, n: usize, v: &Value) -> Result<Self, String> {
@@ -321,9 +306,9 @@ mod tests {
         sim.step(&EventBatch::insert(edge(3, 4))); // catch-up pending at 3
         for i in 0..5u32 {
             let node = sim.node(NodeId(i));
-            let saved = node.save_state();
-            let back = FloodNode::load_state(node.id, 5, &saved).unwrap();
-            assert_eq!(back.save_state(), saved, "node {i} roundtrip drifted");
+            let saved = ckpt::state_text(node);
+            let back: FloodNode = ckpt::load_text(node.id, 5, &saved).unwrap();
+            assert_eq!(ckpt::state_text(&back), saved, "node {i} roundtrip drifted");
             assert_eq!(back.outbox, node.outbox, "node {i} outbox order");
             assert_eq!(back.seen, node.seen);
             assert_eq!(back.belief, node.belief);

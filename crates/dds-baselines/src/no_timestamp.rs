@@ -13,7 +13,7 @@
 //! experiment A1) reproduce this, which is precisely why Theorem 7 needs
 //! the imaginary-timestamp machinery.
 
-use dds_net::checkpoint::{self as ckpt, Checkpointable, Deserialize as _, Value};
+use dds_net::checkpoint::{self as ckpt, Checkpointable, Deserialize as _, Value, Writer};
 use dds_net::{
     Answer, BitSized, Edge, Flags, LocalEvent, Node, NodeId, Outbox, Query, QueryError, QueryKind,
     Queryable, Received, Response, Round,
@@ -167,28 +167,28 @@ impl Queryable for NaiveTwoHopNode {
 }
 
 impl Checkpointable for NaiveTwoHopNode {
-    fn save_state(&self) -> Value {
+    fn save_state(&self, w: &mut Writer) {
         let mut incident: Vec<NodeId> = self.incident.iter().copied().collect();
         incident.sort_unstable();
         let mut s: Vec<Edge> = self.s.iter().copied().collect();
         s.sort_unstable();
-        ckpt::obj(vec![
-            ("incident", ckpt::ids_value(&incident)),
-            (
-                "s",
-                Value::Arr(s.into_iter().map(ckpt::edge_value).collect()),
-            ),
-            (
-                "q",
-                Value::Arr(
-                    self.q
-                        .iter()
-                        .map(|&(e, ins)| Value::Arr(vec![ckpt::edge_value(e), Value::Bool(ins)]))
-                        .collect(),
-                ),
-            ),
-            ("consistent", Value::Bool(self.consistent)),
-        ])
+        w.object(|w| {
+            ckpt::write_ids(w.key("incident"), &incident);
+            w.key("s").array(|w| {
+                for e in s {
+                    ckpt::write_edge(w, e);
+                }
+            });
+            w.key("q").array(|w| {
+                for &(e, ins) in &self.q {
+                    w.array(|w| {
+                        ckpt::write_edge(w, e);
+                        w.bool(ins);
+                    });
+                }
+            });
+            w.key("consistent").bool(self.consistent);
+        });
     }
 
     fn load_state(id: NodeId, n: usize, v: &Value) -> Result<Self, String> {
@@ -241,9 +241,9 @@ mod tests {
         sim.step(&EventBatch::insert(edge(1, 2)));
         for i in 0..4u32 {
             let node = sim.node(NodeId(i));
-            let saved = node.save_state();
-            let back = NaiveTwoHopNode::load_state(node.id, 4, &saved).unwrap();
-            assert_eq!(back.save_state(), saved, "node {i} roundtrip drifted");
+            let saved = ckpt::state_text(node);
+            let back: NaiveTwoHopNode = ckpt::load_text(node.id, 4, &saved).unwrap();
+            assert_eq!(ckpt::state_text(&back), saved, "node {i} roundtrip drifted");
             assert_eq!(back.q, node.q);
         }
     }

@@ -18,7 +18,7 @@
 //!   impossibility threshold — there is provably no asymptotically better
 //!   algorithm.
 
-use dds_net::checkpoint::{self as ckpt, Checkpointable, Deserialize as _, Value};
+use dds_net::checkpoint::{self as ckpt, Checkpointable, Deserialize as _, Value, Writer};
 use dds_net::{
     Answer, BitSized, Edge, Flags, LocalEvent, Node, NodeId, Outbox, Query, QueryError, QueryKind,
     Queryable, Received, Response, Round,
@@ -352,62 +352,47 @@ fn sorted_ids(s: &FxHashSet<NodeId>) -> Vec<NodeId> {
 }
 
 impl Checkpointable for SnapshotNode {
-    fn save_state(&self) -> Value {
-        let queue_item = |item: &QueueItem| match item {
-            QueueItem::Delta { edge, insert } => Value::Arr(vec![
-                Value::Str("delta".into()),
-                ckpt::edge_value(*edge),
-                Value::Bool(*insert),
-            ]),
+    fn save_state(&self, w: &mut Writer) {
+        let queue_item = |w: &mut Writer, item: &QueueItem| match item {
+            QueueItem::Delta { edge, insert } => {
+                ckpt::write_edge(w.str("delta"), *edge);
+                w.bool(*insert);
+            }
             QueueItem::Chunk(SnapMsg::Chunk {
                 start,
                 span,
                 members,
                 last,
-            }) => Value::Arr(vec![
-                Value::Str("chunk".into()),
-                Value::U64(*start as u64),
-                Value::U64(*span as u64),
-                ckpt::ids_value(members),
-                Value::Bool(*last),
-            ]),
+            }) => {
+                w.str("chunk").u64(*start as u64).u64(*span as u64);
+                ckpt::write_ids(w, members);
+                w.bool(*last);
+            }
             QueueItem::Chunk(SnapMsg::Delta { .. }) => {
                 unreachable!("deltas are queued as QueueItem::Delta")
             }
         };
-        ckpt::obj(vec![
-            ("incident", ckpt::ids_value(&sorted_ids(&self.incident))),
-            (
-                "known",
-                Value::Arr(
-                    sorted_peers(&self.known)
-                        .into_iter()
-                        .map(|(p, ns)| {
-                            Value::Arr(vec![
-                                Value::U64(p.0 as u64),
-                                ckpt::ids_value(&sorted_ids(ns)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "queues",
-                Value::Arr(
-                    sorted_peers(&self.queues)
-                        .into_iter()
-                        .map(|(p, q)| {
-                            Value::Arr(vec![
-                                Value::U64(p.0 as u64),
-                                Value::Arr(q.iter().map(queue_item).collect()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("synced", ckpt::ids_value(&sorted_ids(&self.synced))),
-            ("consistent", Value::Bool(self.consistent)),
-        ])
+        w.object(|w| {
+            ckpt::write_ids(w.key("incident"), &sorted_ids(&self.incident));
+            w.key("known").array(|w| {
+                for (p, ns) in sorted_peers(&self.known) {
+                    w.array(|w| ckpt::write_ids(w.u64(p.0 as u64), &sorted_ids(ns)));
+                }
+            });
+            w.key("queues").array(|w| {
+                for (p, q) in sorted_peers(&self.queues) {
+                    w.array(|w| {
+                        w.u64(p.0 as u64).array(|w| {
+                            for item in q {
+                                w.array(|w| queue_item(w, item));
+                            }
+                        });
+                    });
+                }
+            });
+            ckpt::write_ids(w.key("synced"), &sorted_ids(&self.synced));
+            w.key("consistent").bool(self.consistent);
+        });
     }
 
     fn load_state(id: NodeId, n: usize, v: &Value) -> Result<Self, String> {
@@ -531,9 +516,9 @@ mod tests {
         sim.step_quiet();
         let node = sim.node(NodeId(1));
         assert!(node.backlog() > 0, "test wants a live chunk queue");
-        let saved = node.save_state();
-        let back = SnapshotNode::load_state(node.id, n, &saved).unwrap();
-        assert_eq!(back.save_state(), saved);
+        let saved = ckpt::state_text(node);
+        let back: SnapshotNode = ckpt::load_text(node.id, n, &saved).unwrap();
+        assert_eq!(ckpt::state_text(&back), saved);
         assert_eq!(back.backlog(), node.backlog());
         assert_eq!(back.incident, node.incident);
         assert_eq!(back.known, node.known);

@@ -161,22 +161,22 @@ impl BandwidthMeter {
         self.max_message_bits
     }
 
-    /// Capture the cumulative counters for a snapshot. The per-link
+    /// Write the cumulative counters for a snapshot. The per-link
     /// `this_round` map is *not* captured: checkpoints are taken between
     /// rounds, and `begin_round` clears it before any charge of the next
     /// round, so it is dead state at capture time.
-    pub(crate) fn save_state(&self) -> serde::Value {
-        crate::checkpoint::obj(vec![
-            ("total_bits", serde::Value::U64(self.total_bits)),
-            ("total_messages", serde::Value::U64(self.total_messages)),
-            ("round_bits", serde::Value::U64(self.round_bits)),
-            ("round_messages", serde::Value::U64(self.round_messages)),
-            ("violations", serde::Value::U64(self.violations)),
-            ("max_message_bits", serde::Value::U64(self.max_message_bits)),
-        ])
+    pub(crate) fn save_state(&self, w: &mut crate::checkpoint::Writer) {
+        w.object(|w| {
+            w.key("total_bits").u64(self.total_bits);
+            w.key("total_messages").u64(self.total_messages);
+            w.key("round_bits").u64(self.round_bits);
+            w.key("round_messages").u64(self.round_messages);
+            w.key("violations").u64(self.violations);
+            w.key("max_message_bits").u64(self.max_message_bits);
+        });
     }
 
-    /// Restore the counters captured by [`BandwidthMeter::save_state`]
+    /// Restore the counters written by [`BandwidthMeter::save_state`]
     /// into a freshly constructed meter.
     pub(crate) fn load_counters(&mut self, v: &serde::Value) -> Result<(), String> {
         use serde::Deserialize as _;

@@ -21,14 +21,26 @@
 //!   hashes the body bytes it writes and [`Snapshot::from_json`] hashes
 //!   the same bytes where it reads them, without re-encoding anything. A
 //!   body reformatted to other bytes for the same value fails the check.
-//!   No in-memory [`SnapshotHeader`] holds the checksum, so capturing a
-//!   snapshot that is never written serializes nothing.
+//!   No in-memory [`SnapshotHeader`] holds the checksum.
 //! - `body` — the full engine state: topology (timestamped edge set),
 //!   per-node protocol state (via [`Checkpointable`]), both amortized
 //!   meters, bandwidth counters, the per-round stats log, and the
 //!   persistent `RoundBuffers` structures (active set, outbox flag
 //!   column; the sorted adjacency is rebuilt from the topology section,
 //!   of which it is a pure function).
+//!
+//! # Capture is the encoding
+//!
+//! Capturing a snapshot writes the body's JSON text straight from the
+//! live state, through one compact [`Writer`]: every [`Checkpointable`]
+//! node, the topology, the meters and the simulator write their own
+//! sections, and no value tree is built. [`Snapshot::to_json`] then
+//! splices that text with the header and checksums exactly those bytes.
+//! Reading goes the other way, once: [`Snapshot::from_json`] parses the
+//! document into a tree and restore reads the tree. A parsed snapshot
+//! written again goes through the tree renderer, which formats every
+//! scalar with the writer's own routines, so a document read and written
+//! back keeps its bytes.
 //!
 //! # Determinism
 //!
@@ -45,6 +57,8 @@ use std::fmt;
 use std::path::Path as FsPath;
 
 pub use serde::{Deserialize, Serialize, Value};
+pub use serde_json::Writer;
+use std::borrow::Cow;
 
 /// Magic format name stored in every snapshot header.
 pub const SNAPSHOT_FORMAT: &str = "dds-snapshot";
@@ -57,14 +71,14 @@ pub const SNAPSHOT_VERSION: u32 = 1;
 /// first. See the module docs.
 const SCHEDULING_TOKENS: [&str; 2] = ["balanced", "chunked"];
 
-/// Protocol node state that can be captured into and rebuilt from a
-/// snapshot value. Implementations must be *lossless and canonical*:
-/// serializing hash maps/sets sorted by key, queues in order — so equal
-/// states produce equal bytes and `load_state(save_state(x)) == x` in
-/// every observable respect.
+/// Protocol node state that can be written into and rebuilt from a
+/// snapshot. Implementations must be *lossless and canonical*: writing
+/// hash maps/sets sorted by key, queues in order — so equal states write
+/// equal bytes and loading the parsed text of `save_state(x)` gives back
+/// `x` in every observable respect.
 pub trait Checkpointable: Sized {
-    /// Capture this node's full state.
-    fn save_state(&self) -> Value;
+    /// Write this node's full state as one JSON value.
+    fn save_state(&self, w: &mut Writer);
 
     /// Rebuild a node from a captured state. `id`/`n` are the same
     /// arguments the node was constructed with.
@@ -195,18 +209,36 @@ impl SnapshotHeader {
 pub struct Snapshot {
     /// The validated header.
     pub header: SnapshotHeader,
-    body: Value,
+    body: Body,
+}
+
+/// A snapshot's engine-state section, as its producer has it.
+#[derive(Clone, Debug)]
+enum Body {
+    /// Captured from a live session: the compact JSON text it wrote.
+    Text(String),
+    /// Read from a document: the tree [`Snapshot::from_json`] parsed.
+    Tree(Value),
 }
 
 impl Snapshot {
-    /// Pair a header with a captured body.
-    pub fn new(header: SnapshotHeader, body: Value) -> Self {
-        Snapshot { header, body }
+    /// Pair a header with the body text a live session wrote.
+    pub(crate) fn captured(header: SnapshotHeader, body: String) -> Self {
+        Snapshot {
+            header,
+            body: Body::Text(body),
+        }
     }
 
-    /// The engine-state section.
-    pub fn body(&self) -> &Value {
-        &self.body
+    /// The engine-state section as a tree: the one [`Snapshot::from_json`]
+    /// parsed, or a captured body's text parsed now.
+    pub(crate) fn body_tree(&self) -> Result<Cow<'_, Value>, RestoreError> {
+        match &self.body {
+            Body::Tree(tree) => Ok(Cow::Borrowed(tree)),
+            Body::Text(text) => serde_json::from_str(text)
+                .map(Cow::Owned)
+                .map_err(|e| RestoreError::Parse(e.to_string())),
+        }
     }
 
     /// Serialize to the on-disk JSON document. Compact (no whitespace):
@@ -215,29 +247,38 @@ impl Snapshot {
     /// the file and the restore-time parse — pipe through `python3 -m
     /// json.tool` when a human actually needs to look inside one.
     ///
-    /// The body is serialized once; the header's `checksum` field is the
-    /// FNV-1a 64 of exactly those bytes, and the document is the header
-    /// and body spliced into `{"header":…,"body":…}`, the compact writer's
-    /// own rendering of that object.
+    /// The document is the header and body spliced into
+    /// `{"header":…,"body":…}`, the compact writer's rendering of that
+    /// object, and the header's `checksum` field is the FNV-1a 64 of
+    /// exactly the body bytes spliced in. A captured body is spliced as
+    /// written; a parsed one is rendered from its tree first.
     pub fn to_json(&self) -> String {
-        let body = serde_json::to_string(&self.body).expect("json write is infallible");
+        let rendered;
+        let body = match &self.body {
+            Body::Text(text) => text,
+            Body::Tree(tree) => {
+                rendered = serde_json::to_string(tree).expect("json write is infallible");
+                &rendered
+            }
+        };
         let h = &self.header;
-        let header = obj(vec![
-            ("format", Value::Str(SNAPSHOT_FORMAT.into())),
-            ("version", Value::U64(h.version as u64)),
-            ("protocol", Value::Str(h.protocol.clone())),
-            ("n", Value::U64(h.n as u64)),
-            ("round", Value::U64(h.round)),
-            ("engine", Value::Str(h.engine.clone())),
-            ("shards", Value::Str(h.shards.clone())),
-            ("scheduling", Value::Str(SCHEDULING_TOKENS[0].into())),
-            ("parallel", Value::Bool(false)),
-            ("record_stats", Value::Bool(h.record_stats)),
-            ("bandwidth", serde::Serialize::to_value(&h.bandwidth)),
-            ("checksum", Value::U64(fnv1a64(body.as_bytes()))),
-        ]);
-        let header = serde_json::to_string(&header).expect("json write is infallible");
-        format!("{{\"header\":{header},\"body\":{body}}}\n")
+        let mut header = Writer::new();
+        header.object(|w| {
+            w.key("format").str(SNAPSHOT_FORMAT);
+            w.key("version").u64(h.version as u64);
+            w.key("protocol").str(&h.protocol);
+            w.key("n").u64(h.n as u64);
+            w.key("round").u64(h.round);
+            w.key("engine").str(&h.engine);
+            w.key("shards").str(&h.shards);
+            w.key("scheduling").str(SCHEDULING_TOKENS[0]);
+            w.key("parallel").bool(false);
+            w.key("record_stats").bool(h.record_stats);
+            w.key("bandwidth").value(&h.bandwidth.to_value());
+            w.key("checksum").u64(fnv1a64(body.as_bytes()));
+        });
+        let header = header.into_string();
+        ["{\"header\":", &header, ",\"body\":", body, "}\n"].concat()
     }
 
     /// Parse and validate an on-disk snapshot document: JSON shape, format
@@ -319,7 +360,7 @@ impl Snapshot {
         if actual != expected {
             return Err(RestoreError::ChecksumMismatch { expected, actual });
         }
-        let body = sections.swap_remove(at).1;
+        let body = Body::Tree(sections.swap_remove(at).1);
         Ok(Snapshot { header, body })
     }
 
@@ -362,8 +403,9 @@ pub fn write_bytes_atomic(path: &FsPath, bytes: &[u8]) -> Result<(), RestoreErro
 /// reason.
 #[derive(Debug, Default)]
 pub struct SnapshotScan {
-    /// `(path, round, snapshot)` of the newest valid checkpoint.
-    pub latest: Option<(std::path::PathBuf, u64, Snapshot)>,
+    /// `(path, snapshot)` of the newest valid checkpoint; its round is
+    /// the header's, which the file name agrees with.
+    pub latest: Option<(std::path::PathBuf, Snapshot)>,
     /// Candidates newer than `latest` that failed validation — a crash's
     /// corrupt/truncated tail, reported so operators see what was lost.
     pub skipped: Vec<(std::path::PathBuf, RestoreError)>,
@@ -371,7 +413,10 @@ pub struct SnapshotScan {
 
 /// Scan a checkpoint directory for `checkpoint_NNNNNN.json` files and
 /// return the newest (highest-round) one that validates, walking backwards
-/// past corrupt or truncated tails. `.tmp` orphans from interrupted atomic
+/// past corrupt or truncated tails. A file whose name and header name
+/// different rounds does not validate: a misnamed older snapshot must not
+/// outrank the honest newest one, so it is skipped as
+/// [`RestoreError::Corrupt`]. `.tmp` orphans from interrupted atomic
 /// writes and unrelated files are not candidates. Only files newer than
 /// the chosen snapshot appear in `skipped` — older ones are not read at
 /// all.
@@ -394,9 +439,16 @@ pub fn scan_snapshot_dir(dir: &FsPath) -> Result<SnapshotScan, RestoreError> {
     let mut scan = SnapshotScan::default();
     for (round, path) in candidates {
         match Snapshot::read_file(&path) {
-            Ok(snap) => {
-                scan.latest = Some((path, round, snap));
+            Ok(snap) if snap.header.round == round => {
+                scan.latest = Some((path, snap));
                 break;
+            }
+            Ok(snap) => {
+                let e = RestoreError::Corrupt(format!(
+                    "the file name says round {round} but the header says round {}",
+                    snap.header.round
+                ));
+                scan.skipped.push((path, e));
             }
             Err(e) => scan.skipped.push((path, e)),
         }
@@ -429,14 +481,18 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 // Canonical encoding helpers shared by the node `Checkpointable` impls.
 // ---------------------------------------------------------------------------
 
-/// Build an object value from (key, value) pairs, preserving order.
-pub fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
+/// One node's state as [`Checkpointable::save_state`] writes it.
+pub fn state_text<N: Checkpointable>(node: &N) -> String {
+    let mut w = Writer::new();
+    node.save_state(&mut w);
+    w.into_string()
+}
+
+/// Rebuild a node from [`state_text`]'s output: the text is parsed, then
+/// loaded by [`Checkpointable::load_state`], as a restore does.
+pub fn load_text<N: Checkpointable>(id: NodeId, n: usize, text: &str) -> Result<N, String> {
+    let tree: Value = serde_json::from_str(text).map_err(|e| e.to_string())?;
+    N::load_state(id, n, &tree)
 }
 
 /// Fetch a required field from an object value.
@@ -449,12 +505,11 @@ pub fn arr(v: &Value) -> Result<&Vec<Value>, String> {
     v.as_array().ok_or_else(|| "expected an array".to_string())
 }
 
-/// Canonical edge encoding: `[lo, hi]`.
-pub fn edge_value(e: Edge) -> Value {
-    Value::Arr(vec![
-        Value::U64(e.lo().0 as u64),
-        Value::U64(e.hi().0 as u64),
-    ])
+/// Write an edge in its canonical encoding, `[lo, hi]`.
+pub fn write_edge(w: &mut Writer, e: Edge) {
+    w.array(|w| {
+        w.u64(e.lo().0 as u64).u64(e.hi().0 as u64);
+    });
 }
 
 /// Decode an edge from its canonical `[lo, hi]` encoding.
@@ -471,10 +526,14 @@ pub fn edge_from(v: &Value) -> Result<Edge, String> {
     Ok(Edge::new(NodeId(a), NodeId(b)))
 }
 
-/// Canonical node-id list encoding (callers pass them already sorted when
+/// Write a node-id list in order (callers pass them already sorted when
 /// the source is a set).
-pub fn ids_value(ids: &[NodeId]) -> Value {
-    Value::Arr(ids.iter().map(|v| Value::U64(v.0 as u64)).collect())
+pub fn write_ids(w: &mut Writer, ids: &[NodeId]) {
+    w.array(|w| {
+        for v in ids {
+            w.u64(v.0 as u64);
+        }
+    });
 }
 
 /// Decode a node-id list.
@@ -502,24 +561,38 @@ mod tests {
         }
     }
 
-    fn body() -> Value {
-        obj(vec![("round", Value::U64(7))])
+    fn body() -> &'static str {
+        r#"{"round":7}"#
+    }
+
+    fn snapshot(header: SnapshotHeader, body: &str) -> Snapshot {
+        Snapshot::captured(header, body.into())
     }
 
     #[test]
     fn roundtrips_through_json() {
-        let snap = Snapshot::new(header(), body());
-        let back = Snapshot::from_json(&snap.to_json()).unwrap();
+        let snap = snapshot(header(), two_field_body());
+        let json = snap.to_json();
+        let back = Snapshot::from_json(&json).unwrap();
         assert_eq!(back.header, snap.header);
-        assert_eq!(
-            serde_json::to_string(back.body()).unwrap(),
-            serde_json::to_string(snap.body()).unwrap()
-        );
+        // The captured text is spliced; the parsed tree is rendered.
+        assert!(matches!(snap.body, Body::Text(_)));
+        assert!(matches!(back.body, Body::Tree(_)));
+        assert_eq!(back.to_json(), json);
+        let lent = back.body_tree().unwrap();
+        assert!(matches!(lent, Cow::Borrowed(_)), "a parsed body is lent");
+        assert_eq!(snap.body_tree().unwrap(), lent);
+    }
+
+    #[test]
+    fn a_captured_body_that_does_not_parse_is_a_parse_error() {
+        let snap = snapshot(header(), r#"{"round":"#);
+        assert!(matches!(snap.body_tree(), Err(RestoreError::Parse(_))));
     }
 
     #[test]
     fn truncation_is_a_parse_error() {
-        let json = Snapshot::new(header(), body()).to_json();
+        let json = snapshot(header(), body()).to_json();
         let cut = &json[..json.len() / 2];
         assert!(matches!(
             Snapshot::from_json(cut),
@@ -529,7 +602,7 @@ mod tests {
 
     #[test]
     fn checksum_mismatch_is_detected() {
-        let json = Snapshot::new(header(), body()).to_json();
+        let json = snapshot(header(), body()).to_json();
         // Perturb the body without breaking JSON shape.
         let tampered = json.replace("\"round\":7", "\"round\":8");
         assert_ne!(tampered, json, "tamper target not found");
@@ -541,7 +614,7 @@ mod tests {
 
     #[test]
     fn future_versions_are_refused_before_checksum_checks() {
-        let json = Snapshot::new(header(), body()).to_json();
+        let json = snapshot(header(), body()).to_json();
         // Bump the version without fixing the checksum: the version check
         // must win (it runs first, so the error is the informative one).
         let future = json.replace(
@@ -570,16 +643,13 @@ mod tests {
     }
 
     /// A body with a comma inside, as every real body has.
-    fn two_field_body() -> Value {
-        obj(vec![
-            ("round", Value::U64(7)),
-            ("nodes", Value::Arr(vec![Value::U64(1), Value::U64(2)])),
-        ])
+    fn two_field_body() -> &'static str {
+        r#"{"round":7,"nodes":[1,2]}"#
     }
 
     #[test]
     fn the_checksum_covers_the_body_bytes_as_written() {
-        let json = Snapshot::new(header(), two_field_body()).to_json();
+        let json = snapshot(header(), two_field_body()).to_json();
         assert!(Snapshot::from_json(&json).is_ok());
         // Same JSON value, one more byte: the checksum is over the bytes
         // `to_json` wrote, so a reformatted body no longer matches.
@@ -593,8 +663,8 @@ mod tests {
 
     #[test]
     fn sections_are_found_by_name_not_position() {
-        let snap = Snapshot::new(header(), two_field_body());
-        let body = serde_json::to_string(snap.body()).unwrap();
+        let snap = snapshot(header(), two_field_body());
+        let body = two_field_body();
         let json = snap.to_json();
         let header = json
             .strip_prefix("{\"header\":")
@@ -603,14 +673,20 @@ mod tests {
         let swapped = format!("{{\"body\":{body},\"header\":{header}}}");
         let back = Snapshot::from_json(&swapped).unwrap();
         assert_eq!(back.header, snap.header);
-        assert_eq!(back.body(), snap.body());
         assert_eq!(back.to_json(), json);
     }
 
     #[test]
     fn edge_codec_roundtrips_and_validates() {
         let e = edge(9, 2);
-        assert_eq!(edge_from(&edge_value(e)).unwrap(), e);
+        let mut w = Writer::new();
+        write_edge(&mut w, e);
+        let written = w.into_string();
+        assert_eq!(written, "[2,9]");
+        assert_eq!(
+            edge_from(&serde_json::from_str(&written).unwrap()).unwrap(),
+            e
+        );
         assert!(edge_from(&Value::Arr(vec![Value::U64(3), Value::U64(3)])).is_err());
         assert!(edge_from(&Value::U64(3)).is_err());
     }
@@ -626,7 +702,7 @@ mod tests {
     fn atomic_writes_leave_no_tmp_and_replace_in_place() {
         let dir = scratch_dir("atomic");
         let path = dir.join("checkpoint_000007.json");
-        let snap = Snapshot::new(header(), body());
+        let snap = snapshot(header(), body());
         snap.write_file(&path).unwrap();
         assert!(!path.with_extension("tmp").exists(), "tmp must be renamed");
         assert_eq!(Snapshot::read_file(&path).unwrap().header, snap.header);
@@ -641,12 +717,12 @@ mod tests {
         let dir = scratch_dir("scan");
         let mut h5 = header();
         h5.round = 5;
-        Snapshot::new(h5, body())
+        snapshot(h5, body())
             .write_file(&dir.join("checkpoint_000005.json"))
             .unwrap();
         let mut h9 = header();
         h9.round = 9;
-        let nine = Snapshot::new(h9, body());
+        let nine = snapshot(h9, body());
         nine.write_file(&dir.join("checkpoint_000009.json"))
             .unwrap();
         // A truncated newer tail, a `.tmp` orphan, and an unrelated file:
@@ -657,8 +733,7 @@ mod tests {
         std::fs::write(dir.join("checkpoint_000015.tmp"), "garbage").unwrap();
         std::fs::write(dir.join("notes.txt"), "not a checkpoint").unwrap();
         let scan = scan_snapshot_dir(&dir).unwrap();
-        let (path, round, snap) = scan.latest.expect("a valid snapshot survives");
-        assert_eq!(round, 9);
+        let (path, snap) = scan.latest.expect("a valid snapshot survives");
         assert_eq!(snap.header.round, 9);
         assert!(path.ends_with("checkpoint_000009.json"));
         assert_eq!(scan.skipped.len(), 1, "only the truncated tail is skipped");
@@ -670,7 +745,7 @@ mod tests {
     #[test]
     fn scan_skips_a_deeply_nested_tail_as_unparseable() {
         let dir = scratch_dir("nested");
-        Snapshot::new(header(), body())
+        snapshot(header(), body())
             .write_file(&dir.join("checkpoint_000007.json"))
             .unwrap();
         // Well-formed JSON nested far past the parser's depth limit: it
@@ -678,9 +753,48 @@ mod tests {
         let deep = format!("{}{}", "[".repeat(20_000), "]".repeat(20_000));
         std::fs::write(dir.join("checkpoint_000008.json"), deep).unwrap();
         let scan = scan_snapshot_dir(&dir).unwrap();
-        assert_eq!(scan.latest.expect("round 7 survives").1, 7);
+        assert_eq!(scan.latest.expect("round 7 survives").1.header.round, 7);
         assert_eq!(scan.skipped.len(), 1);
         assert!(matches!(scan.skipped[0].1, RestoreError::Parse(_)));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn scan_skips_a_file_whose_name_and_header_disagree() {
+        let dir = scratch_dir("misnamed");
+        let at = |round: u64| {
+            let mut h = header();
+            h.round = round;
+            snapshot(h, body())
+        };
+        // A round-8 snapshot saved under round 10's name, above the
+        // honest newest file: the misnamed one must not win, and its round
+        // must not be taken from its name.
+        at(8)
+            .write_file(&dir.join("checkpoint_000010.json"))
+            .unwrap();
+        at(9)
+            .write_file(&dir.join("checkpoint_000009.json"))
+            .unwrap();
+        let scan = scan_snapshot_dir(&dir).unwrap();
+        let latest = scan.latest.as_ref().map(|found| &found.0);
+        assert!(
+            latest.is_some_and(|p| p.ends_with("checkpoint_000009.json")),
+            "{latest:?}"
+        );
+        assert_eq!(scan.skipped.len(), 1, "{:?}", scan.skipped);
+        assert!(scan.skipped[0].0.ends_with("checkpoint_000010.json"));
+        match &scan.skipped[0].1 {
+            RestoreError::Corrupt(msg) => {
+                assert!(msg.contains("round 10") && msg.contains("round 8"), "{msg}")
+            }
+            other => panic!("a misnamed file is corrupt, not {other:?}"),
+        }
+        // Alone, the misnamed file recovers nothing.
+        std::fs::remove_file(dir.join("checkpoint_000009.json")).unwrap();
+        let scan = scan_snapshot_dir(&dir).unwrap();
+        assert!(scan.latest.is_none());
+        assert_eq!(scan.skipped.len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

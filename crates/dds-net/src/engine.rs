@@ -376,8 +376,8 @@ mod tests {
         }
     }
     impl Checkpointable for Idle {
-        fn save_state(&self) -> serde::Value {
-            serde::Value::Null
+        fn save_state(&self, w: &mut crate::checkpoint::Writer) {
+            w.null();
         }
         fn load_state(_id: NodeId, _n: usize, _v: &serde::Value) -> Result<Self, String> {
             Ok(Idle)

@@ -1,10 +1,12 @@
 //! Daemon counters and gauges — the `stats` verb's backing store.
 //!
 //! Everything here is lock-free: plain relaxed atomics bumped on the hot
-//! paths (frame codec, query answering) and read wholesale when a `stats`
-//! request assembles its snapshot. Query latencies go into a log2-bucket
-//! histogram, so percentile reads are O(buckets) with no sample storage —
-//! a long-lived daemon must not accumulate unbounded per-request state.
+//! paths (frame codec, query answering, each stage of a write) and read
+//! wholesale when a `stats` request assembles its snapshot. Latencies go
+//! into log2-bucket histograms, so percentile reads are O(buckets) with
+//! no sample storage — a long-lived daemon must not accumulate unbounded
+//! per-request state. Timings stay here: none reaches a checkpoint or a
+//! round's stats.
 
 use serde::Value;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -75,6 +77,47 @@ impl LatencyHistogram {
         }
         self.total_ns.load(Ordering::Relaxed) as f64 / 1e9 / total as f64
     }
+
+    /// The `stats` shape of a histogram: sample count, then mean, p50,
+    /// p90 and p99 in microseconds (to the nanosecond).
+    pub fn to_value_us(&self) -> Value {
+        let us = |s: f64| Value::F64((s * 1e6 * 1000.0).round() / 1000.0);
+        Value::Obj(vec![
+            ("count".into(), Value::U64(self.count())),
+            ("mean".into(), us(self.mean())),
+            ("p50".into(), us(self.percentile(50.0))),
+            ("p90".into(), us(self.percentile(90.0))),
+            ("p99".into(), us(self.percentile(99.0))),
+        ])
+    }
+}
+
+/// Where one session's write verbs (`ingest`, `step`) spend their time,
+/// stage by stage: `stats` reports it per session as `write_stages_us`.
+#[derive(Debug, Default)]
+pub struct WriteStages {
+    /// Waiting for the session's write locks.
+    pub lock_wait: LatencyHistogram,
+    /// The verb's own work: validating and stepping its rounds.
+    pub step: LatencyHistogram,
+    /// Capturing and encoding the snapshot and writing it atomically;
+    /// persisting writes only.
+    pub persist: LatencyHistogram,
+    /// Forking the new view, swapping it in and freeing the one it
+    /// replaced.
+    pub publish: LatencyHistogram,
+}
+
+impl WriteStages {
+    /// The `stats` payload: one histogram per stage, in write order.
+    pub fn to_value(&self) -> Value {
+        Value::Obj(vec![
+            ("lock_wait".into(), self.lock_wait.to_value_us()),
+            ("step".into(), self.step.to_value_us()),
+            ("persist".into(), self.persist.to_value_us()),
+            ("publish".into(), self.publish.to_value_us()),
+        ])
+    }
 }
 
 /// Process-wide serving counters, shared by every connection thread.
@@ -109,7 +152,6 @@ impl ServerMetrics {
     /// percentiles in microseconds.
     pub fn to_value(&self, uptime_seconds: f64) -> Value {
         let c = |a: &AtomicU64| Value::U64(a.load(Ordering::Relaxed));
-        let us = |s: f64| Value::F64((s * 1e6 * 1000.0).round() / 1000.0);
         Value::Obj(vec![
             ("uptime_seconds".into(), Value::F64(uptime_seconds)),
             ("connections".into(), c(&self.connections)),
@@ -127,16 +169,7 @@ impl ServerMetrics {
                     ("errors".into(), c(&self.query_errors)),
                 ]),
             ),
-            (
-                "query_latency_us".into(),
-                Value::Obj(vec![
-                    ("count".into(), Value::U64(self.latency.count())),
-                    ("mean".into(), us(self.latency.mean())),
-                    ("p50".into(), us(self.latency.percentile(50.0))),
-                    ("p90".into(), us(self.latency.percentile(90.0))),
-                    ("p99".into(), us(self.latency.percentile(99.0))),
-                ]),
-            ),
+            ("query_latency_us".into(), self.latency.to_value_us()),
         ])
     }
 }

@@ -34,7 +34,7 @@ pub mod wire;
 pub use client::{Client, ClientConfig, QueryOutcome, QueryReply};
 pub use fault::{ConnFaults, CrashPoint, FaultPlan, WriteFault};
 pub use loadgen::{default_mix, FirstError, LoadgenOptions, LoadgenReport};
-pub use metrics::{LatencyHistogram, ServerMetrics};
+pub use metrics::{LatencyHistogram, ServerMetrics, WriteStages};
 pub use server::{DurabilityOptions, Server, ServerHandle, ServerOptions, ServerState};
 pub use state::{
     path_safe, recover_sessions, Directory, Durability, PublishedView, RecoveryReport,

@@ -634,6 +634,7 @@ fn handle_request(
                             "inconsistent_nodes".into(),
                             Value::U64(view.session.inconsistent_nodes() as u64),
                         ),
+                        ("write_stages_us".into(), serving.write_stages.to_value()),
                     ])
                 })
                 .collect();

@@ -11,7 +11,10 @@
 //! round loop runs exactly as it does locally: determinism is untouched.
 //! After every write verb the writer *publishes*: it forks the live
 //! session ([`Session::fork`] — an in-memory copy, nothing serialized)
-//! into a fully independent `Session`, then swaps the `Arc` in.
+//! into a fully independent `Session`, then swaps the `Arc` in. The swap
+//! holds the view lock for the pointer exchange only; the replaced view,
+//! often the last reference to a whole session, is freed after the lock
+//! is released.
 //!
 //! Readers (`query` verbs) clone the current `Arc` — the only time they
 //! hold any lock is for that pointer copy — and answer against an
@@ -19,7 +22,7 @@
 //! the writer had fully executed when it published. Hence:
 //!
 //! - readers never block ingest: the writer lock is not on the read path,
-//!   and the publish swap holds the view lock only for a pointer store;
+//!   and the publish swap holds the view lock only for a pointer swap;
 //! - ingest never blocks readers: in-flight queries keep their `Arc` and
 //!   finish against the old view while new queries see the new one;
 //! - answers are bit-identical to a local session queried at the
@@ -34,10 +37,12 @@
 //! also *persists*: it captures a [`Snapshot`] of the writer and writes
 //! it (atomically: tmp + fsync + rename) to the session's checkpoint
 //! directory **before** the view swap. A write that does not persist
-//! captures and serializes nothing; one that does serializes the body
-//! once, in [`Snapshot::to_json`], which writes the checksum over those
-//! bytes ([`Snapshot::from_json`] checks it on recovery; no in-memory
-//! header holds it). The ordering is the whole argument: a write verb is
+//! captures nothing; one that does writes the body's JSON text straight
+//! from the live session (the capture is the encoding; no value tree is
+//! built), and [`Snapshot::to_json`] splices it with the header and the
+//! checksum over those bytes ([`Snapshot::from_json`] checks it on
+//! recovery; no in-memory header holds it). The ordering is the whole
+//! argument: a write verb is
 //! acknowledged only after its state is durable *and* published, so an
 //! acked round can always be recovered, and a crash at any point loses
 //! at most un-acked work. [`CrashPoint`]s bracket exactly the interesting
@@ -51,9 +56,18 @@
 //! it exists. Recovery ([`recover_sessions`], then
 //! [`Server::recover`](super::Server::recover)) persists nothing: the
 //! newest snapshot in the directory already holds the restored state,
-//! its round is the durable round, and that file and `meta.json` stay as
-//! they are. On both paths the next persisting write comes `every` writes
-//! later.
+//! its header's round is the durable round, and that file and `meta.json`
+//! stay as they are. A file whose name and header name different rounds
+//! is skipped as corrupt (see
+//! [`scan_snapshot_dir`](crate::checkpoint::scan_snapshot_dir)). On both
+//! paths the next persisting write comes `every` writes later.
+//!
+//! # Write stages
+//!
+//! Each write verb times its stages into the session's [`WriteStages`]:
+//! waiting for the write locks, the verb's own work, the persist (only
+//! on persisting writes) and the publish. `stats` reports them per
+//! session; they are wall-clock readings and stay out of every snapshot.
 //!
 //! # Retry deduplication
 //!
@@ -78,6 +92,7 @@ use crate::sim::SimConfig;
 use serde::Value;
 
 use super::fault::{CrashPoint, FaultPlan};
+use super::metrics::WriteStages;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -139,6 +154,8 @@ pub struct ServingSession {
     pub rounds_served: AtomicU64,
     /// Peak active-node count observed across served rounds.
     pub peak_active: AtomicU64,
+    /// Latency of each stage of this session's write verbs.
+    pub write_stages: WriteStages,
     /// Idle-tracking epoch; `touched_ms` is measured against it.
     epoch: Instant,
     touched_ms: AtomicU64,
@@ -161,6 +178,7 @@ impl ServingSession {
             durable_round: AtomicU64::new(0),
             rounds_served: AtomicU64::new(0),
             peak_active: AtomicU64::new(0),
+            write_stages: WriteStages::default(),
             epoch: Instant::now(),
             touched_ms: AtomicU64::new(0),
         }
@@ -271,13 +289,14 @@ impl ServingSession {
         faults: Option<&FaultPlan>,
         work: impl FnOnce(&mut MutexGuard<'_, Session>) -> Result<(), String>,
     ) -> Result<Round, String> {
+        let waiting = Instant::now();
         let mut last = self.last_write.lock().expect("last-write lock poisoned");
         if let (Some(seq), Some(prev)) = (seq, last.as_ref()) {
             if prev.seq == seq && prev.digest == digest {
                 return prev.result.clone();
             }
         }
-        let result = self.write_and_publish(seq.map(|s| (s, digest)), faults, work);
+        let result = self.write_and_publish(waiting, seq.map(|s| (s, digest)), faults, work);
         *last = seq.map(|seq| LastWrite {
             seq,
             digest,
@@ -296,14 +315,21 @@ impl ServingSession {
     /// Ordering is the durability argument: persist strictly before
     /// publish, publish strictly before the (caller-written) reply — an
     /// acknowledged write is always recoverable.
+    ///
+    /// `waiting` is when the verb began waiting for its write locks.
     fn write_and_publish(
         &self,
+        waiting: Instant,
         seq_digest: Option<(u64, u64)>,
         faults: Option<&FaultPlan>,
         work: impl FnOnce(&mut MutexGuard<'_, Session>) -> Result<(), String>,
     ) -> Result<Round, String> {
+        let stages = &self.write_stages;
         let mut writer = self.writer.lock().expect("writer lock poisoned");
+        stages.lock_wait.record(waiting.elapsed().as_secs_f64());
+        let stepping = Instant::now();
         let outcome = work(&mut writer);
+        stages.step.record(stepping.elapsed().as_secs_f64());
         let round = writer.round();
         if let Some(plan) = faults {
             if plan.crash_due(CrashPoint::BeforePublish) {
@@ -315,11 +341,21 @@ impl ServingSession {
         // must not advance under either), but *not* the view lock:
         // readers keep querying the old view the whole time.
         self.persist_if_due(&writer, seq_digest, faults)?;
+        let publishing = Instant::now();
         let view = Arc::new(PublishedView {
             session: writer.fork(),
             round,
         });
-        *self.published.lock().expect("published view poisoned") = view;
+        // The lock guard is a temporary of this statement, so the view lock
+        // is held for the pointer swap only. The replaced view, often the
+        // last reference to a whole session, is freed on the next line,
+        // after the lock is released: readers never wait on the free.
+        let replaced = std::mem::replace(
+            &mut *self.published.lock().expect("published view poisoned"),
+            view,
+        );
+        drop(replaced);
+        stages.publish.record(publishing.elapsed().as_secs_f64());
         if let Some(plan) = faults {
             if plan.crash_due(CrashPoint::AfterPublish) {
                 plan.execute_crash();
@@ -331,7 +367,7 @@ impl ServingSession {
 
     /// Persist a snapshot of the writer if this write hits the durability
     /// cadence. The snapshot is captured only here, so a write that does
-    /// not persist never builds one.
+    /// not persist never writes one.
     fn persist_if_due(
         &self,
         writer: &Session,
@@ -346,8 +382,12 @@ impl ServingSession {
         if state.pending < state.cfg.every {
             return Ok(());
         }
+        let persisting = Instant::now();
         let snap = writer.checkpoint();
         persist_snapshot(&state.cfg.dir, &snap, seq_digest, faults)?;
+        self.write_stages
+            .persist
+            .record(persisting.elapsed().as_secs_f64());
         state.pending = 0;
         self.durable_round
             .store(snap.header.round, Ordering::Release);
@@ -417,8 +457,8 @@ impl ServingSession {
             .fetch_max(writer.active_nodes() as u64, Ordering::Relaxed);
     }
 
-    /// Capture the writer's state as a snapshot (serialized between
-    /// rounds, like any checkpoint).
+    /// Capture the writer's state as a snapshot (written between rounds,
+    /// like any checkpoint).
     pub fn checkpoint(&self) -> Snapshot {
         self.writer
             .lock()
@@ -544,9 +584,10 @@ pub fn recover_sessions(
         for (path, err) in scan.skipped {
             report.skipped.push((path, err.to_string()));
         }
-        let Some((_path, round, snap)) = scan.latest else {
+        let Some((_path, snap)) = scan.latest else {
             return;
         };
+        let round = snap.header.round;
         match ServingSession::open_from_snapshot(registry, name, &snap) {
             Ok(session) => {
                 if let Some((watermark, seq, digest)) = read_meta(dir) {
@@ -733,6 +774,94 @@ mod tests {
         for bad in ["", ".", "..", ".hidden", "a/b", "a\\b", "a b", "naïve"] {
             assert!(!path_safe(bad), "{bad:?} must not be path-safe");
         }
+    }
+
+    use crate::checkpoint::{Checkpointable, Writer};
+    use crate::event::LocalEvent;
+    use crate::ids::NodeId;
+    use crate::message::{Outbox, Received};
+    use crate::protocol::{Node, Response};
+    use crate::query::{Answer, Query, QueryError, QueryKind, Queryable};
+    use std::cell::{Cell, RefCell};
+
+    thread_local! {
+        /// The session whose view lock a freed [`DropProbe`] looks at.
+        static WATCHED: RefCell<Option<Arc<ServingSession>>> = const { RefCell::new(None) };
+        /// Probe nodes freed, and how many of them with the view lock held.
+        static FREED: Cell<(u32, u32)> = const { Cell::new((0, 0)) };
+    }
+
+    /// A node that notes, as it is freed, whether the watched session's
+    /// view lock is held at that moment.
+    #[derive(Clone)]
+    struct DropProbe;
+
+    impl Drop for DropProbe {
+        fn drop(&mut self) {
+            // Quiet when the watched session is itself being dropped out of
+            // `WATCHED` (a failed assert leaves it there for thread exit).
+            let _ = WATCHED.try_with(|watched| {
+                if let Ok(Some(serving)) = watched.try_borrow().as_deref() {
+                    let held = serving.published.try_lock().is_err();
+                    let (freed, under_lock) = FREED.get();
+                    FREED.set((freed + 1, under_lock + held as u32));
+                }
+            });
+        }
+    }
+
+    impl Node for DropProbe {
+        type Msg = ();
+        fn new(_id: NodeId, _n: usize) -> Self {
+            DropProbe
+        }
+        fn on_topology(&mut self, _round: Round, _events: &[LocalEvent]) {}
+        fn send(&mut self, _round: Round, _neighbors: &[NodeId]) -> Outbox<()> {
+            Outbox::quiet()
+        }
+        fn receive(&mut self, _round: Round, _inbox: &[Received<()>], _ns: &[NodeId]) {}
+        fn is_consistent(&self) -> bool {
+            true
+        }
+    }
+
+    impl Queryable for DropProbe {
+        fn supported_queries() -> &'static [QueryKind] {
+            &[]
+        }
+        fn query(&self, _query: &Query) -> Result<Response<Answer>, QueryError> {
+            Err(QueryError::Unsupported)
+        }
+    }
+
+    impl Checkpointable for DropProbe {
+        fn save_state(&self, w: &mut Writer) {
+            w.null();
+        }
+        fn load_state(_id: NodeId, _n: usize, _v: &Value) -> Result<Self, String> {
+            Ok(DropProbe)
+        }
+    }
+
+    #[test]
+    fn a_write_frees_the_replaced_view_after_releasing_the_view_lock() {
+        let session = Session::open::<DropProbe>("drop-probe", 2, SimConfig::default());
+        let serving = Arc::new(ServingSession::new("main", session));
+        WATCHED.set(Some(Arc::clone(&serving)));
+        // Each write replaces a view no reader holds, so the writer frees
+        // its two nodes, and must do so with the view lock released.
+        assert_eq!(serving.step_quiet(1, None, None), Ok(1));
+        assert_eq!(
+            FREED.get(),
+            (2, 0),
+            "(nodes freed, of them under the view lock)"
+        );
+        let reader = serving.view();
+        assert_eq!(serving.step_quiet(1, None, None), Ok(2));
+        assert_eq!(FREED.get(), (2, 0), "a view a reader holds is not freed");
+        drop(reader);
+        assert_eq!(FREED.get(), (4, 0));
+        WATCHED.set(None);
     }
 
     #[test]

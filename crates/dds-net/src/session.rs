@@ -18,7 +18,7 @@
 //! the two paths are bit-identical.
 
 use crate::bandwidth::BandwidthMeter;
-use crate::checkpoint::{Checkpointable, RestoreError, Snapshot, SnapshotHeader};
+use crate::checkpoint::{Checkpointable, RestoreError, Snapshot, SnapshotHeader, Writer};
 use crate::engine::{summarize, RunSummary};
 use crate::event::EventBatch;
 use crate::fingerprint::Fingerprint;
@@ -50,7 +50,7 @@ trait ErasedSim: Send + Sync {
     fn summarize(&self, name: &str, seconds: f64, rss_baseline_mb: f64) -> RunSummary;
     fn fingerprint(&self) -> Fingerprint;
     fn config(&self) -> SimConfig;
-    fn save_body(&self) -> serde::Value;
+    fn save_state(&self, w: &mut Writer);
     fn fork(&self) -> Box<dyn ErasedSim>;
 }
 
@@ -103,8 +103,8 @@ impl<N: Queryable + Checkpointable + Clone + 'static> ErasedSim for Simulator<N>
     fn config(&self) -> SimConfig {
         Simulator::config(self)
     }
-    fn save_body(&self) -> serde::Value {
-        Simulator::save_state(self)
+    fn save_state(&self, w: &mut Writer) {
+        Simulator::save_state(self, w);
     }
     fn fork(&self) -> Box<dyn ErasedSim> {
         Box::new(self.clone())
@@ -150,10 +150,15 @@ impl Session {
     /// Capture the session's full state as a validated, self-describing
     /// [`Snapshot`] (take it *between* rounds). Continuing a session
     /// restored from the snapshot is bit-identical to continuing this one.
+    ///
+    /// The capture is the body's encoding: the simulator writes its JSON
+    /// text straight from the live state, and no value tree is built.
     pub fn checkpoint(&self) -> Snapshot {
         let cfg = self.sim.config();
         let header = SnapshotHeader::describe(self.protocol, self.n(), self.round(), &cfg);
-        Snapshot::new(header, self.sim.save_body())
+        let mut w = Writer::new();
+        self.sim.save_state(&mut w);
+        Snapshot::captured(header, w.into_string())
     }
 
     /// Rebuild a session for protocol `N` from a snapshot. The snapshot's
@@ -161,6 +166,9 @@ impl Session {
     /// taken from the header verbatim. Frontends normally go through
     /// [`ProtocolRegistry::restore`](crate::engine::ProtocolRegistry::restore),
     /// which resolves `N` from the header's protocol name.
+    ///
+    /// The body is read as a tree: the one [`Snapshot::from_json`] parsed,
+    /// or, for a snapshot captured in this process, its text parsed here.
     pub fn restore<N: Queryable + Checkpointable + Clone + 'static>(
         protocol: &'static str,
         snap: &Snapshot,
@@ -172,7 +180,8 @@ impl Session {
             });
         }
         let cfg = snap.header.sim_config()?;
-        let sim = Simulator::<N>::restore_state(snap.header.n, cfg, snap.body())
+        let body = snap.body_tree()?;
+        let sim = Simulator::<N>::restore_state(snap.header.n, cfg, &body)
             .map_err(RestoreError::Corrupt)?;
         if sim.round() != snap.header.round {
             return Err(RestoreError::Corrupt(format!(
@@ -464,10 +473,10 @@ mod tests {
     }
 
     impl Checkpointable for EdgeSet {
-        fn save_state(&self) -> serde::Value {
+        fn save_state(&self, w: &mut Writer) {
             // `peers` is in arrival order (observable via retain), so it is
             // captured verbatim, not sorted.
-            crate::checkpoint::obj(vec![("peers", crate::checkpoint::ids_value(&self.peers))])
+            w.object(|w| crate::checkpoint::write_ids(w.key("peers"), &self.peers));
         }
         fn load_state(id: NodeId, _n: usize, v: &serde::Value) -> Result<Self, String> {
             Ok(EdgeSet {

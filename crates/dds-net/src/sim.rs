@@ -54,7 +54,7 @@
 //! task computes them.
 
 use crate::bandwidth::{BandwidthConfig, BandwidthMeter};
-use crate::checkpoint::{self, Checkpointable};
+use crate::checkpoint::{self, Checkpointable, Writer};
 use crate::event::EventBatch;
 use crate::ids::{Edge, NodeId, Round};
 use crate::message::{Addressed, BitSized, Flags, Received};
@@ -348,66 +348,56 @@ impl<N: Node + Clone> Clone for Simulator<N> {
 }
 
 impl<N: Node + Checkpointable> Simulator<N> {
-    /// Capture the full engine state as a snapshot body. Taken *between*
+    /// Write the full engine state as a snapshot body. Taken *between*
     /// rounds, after a `step` returns: round counter, timestamped edge
     /// set, every node's protocol state, both amortized meters, bandwidth
     /// counters, the per-round stats log, and the persistent round-buffer
     /// structures (active set, outbox flag column; the sorted adjacency is
     /// a pure function of the topology and is rebuilt on restore). All
-    /// maps are emitted sorted, so equal states produce equal bytes.
-    pub fn save_state(&self) -> Value {
-        let flags: Vec<Value> = self
-            .buffers
-            .out_flags
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| **f != Flags::default())
-            .map(|(i, f)| {
-                Value::Arr(vec![
-                    Value::U64(i as u64),
-                    Value::Bool(f.is_empty),
-                    Value::Bool(f.neighbors_empty),
-                ])
-            })
-            .collect();
-        checkpoint::obj(vec![
-            ("round", Value::U64(self.round)),
-            ("topology", self.topo.save_state()),
-            (
-                "nodes",
-                Value::Arr(self.nodes.iter().map(|nd| nd.save_state()).collect()),
-            ),
-            ("meter", self.meter.to_value()),
-            ("per_node", self.per_node.to_value()),
-            ("bandwidth", self.bandwidth.save_state()),
-            ("stats", self.stats.to_value()),
-            ("inconsistent_now", Value::U64(self.inconsistent_now as u64)),
-            ("last_active", Value::U64(self.last_active as u64)),
-            ("last_shards", Value::U64(self.last_shards as u64)),
-            (
-                "shard_peak_active",
-                Value::Arr(
-                    self.shard_peak_active
-                        .iter()
-                        .map(|&x| Value::U64(x as u64))
-                        .collect(),
-                ),
-            ),
-            (
-                "active",
-                Value::Arr(
-                    self.buffers
-                        .active
-                        .iter()
-                        .map(|&v| Value::U64(v as u64))
-                        .collect(),
-                ),
-            ),
-            ("out_flags", Value::Arr(flags)),
-        ])
+    /// maps are written sorted, so equal states produce equal bytes.
+    pub fn save_state(&self, w: &mut Writer) {
+        w.object(|w| {
+            w.key("round").u64(self.round);
+            self.topo.save_state(w.key("topology"));
+            w.key("nodes").array(|w| {
+                for node in &self.nodes {
+                    node.save_state(w);
+                }
+            });
+            w.key("meter").value(&self.meter.to_value());
+            w.key("per_node").value(&self.per_node.to_value());
+            self.bandwidth.save_state(w.key("bandwidth"));
+            w.key("stats").array(|w| {
+                for round in &self.stats {
+                    w.value(&round.to_value());
+                }
+            });
+            w.key("inconsistent_now").u64(self.inconsistent_now as u64);
+            w.key("last_active").u64(self.last_active as u64);
+            w.key("last_shards").u64(self.last_shards as u64);
+            w.key("shard_peak_active").array(|w| {
+                for &x in &self.shard_peak_active {
+                    w.u64(x as u64);
+                }
+            });
+            w.key("active").array(|w| {
+                for &v in &self.buffers.active {
+                    w.u64(v as u64);
+                }
+            });
+            w.key("out_flags").array(|w| {
+                let flags = self.buffers.out_flags.iter().enumerate();
+                for (i, f) in flags.filter(|(_, f)| **f != Flags::default()) {
+                    w.array(|w| {
+                        w.u64(i as u64).bool(f.is_empty).bool(f.neighbors_empty);
+                    });
+                }
+            });
+        });
     }
 
-    /// Rebuild a simulator from a [`Simulator::save_state`] capture.
+    /// Rebuild a simulator from the parsed text of
+    /// [`Simulator::save_state`].
     /// Continuing the restored simulator is bit-identical to continuing
     /// the one that produced the capture (the differential suite in
     /// `tests/checkpoint_restore.rs` locks this).

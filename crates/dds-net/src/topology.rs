@@ -134,34 +134,26 @@ impl Topology {
         }
     }
 
-    /// Capture for a snapshot: the timestamped edge set sorted by edge
+    /// Write for a snapshot: the timestamped edge set sorted by edge
     /// (canonical bytes), plus the cumulative change counter. The adjacency
     /// is derived state and is rebuilt by [`Topology::load_state`].
-    pub(crate) fn save_state(&self) -> serde::Value {
+    pub(crate) fn save_state(&self, w: &mut crate::checkpoint::Writer) {
         let mut edges: Vec<(Edge, Round)> = self.edges.iter().map(|(&e, &r)| (e, r)).collect();
         edges.sort_unstable_by_key(|&(e, _)| (e.lo(), e.hi()));
-        crate::checkpoint::obj(vec![
-            ("changes", serde::Value::U64(self.changes)),
-            (
-                "edges",
-                serde::Value::Arr(
-                    edges
-                        .iter()
-                        .map(|&(e, r)| {
-                            serde::Value::Arr(vec![
-                                serde::Value::U64(e.lo().0 as u64),
-                                serde::Value::U64(e.hi().0 as u64),
-                                serde::Value::U64(r),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+        w.object(|w| {
+            w.key("changes").u64(self.changes);
+            w.key("edges").array(|w| {
+                for (e, r) in edges {
+                    w.array(|w| {
+                        w.u64(e.lo().0 as u64).u64(e.hi().0 as u64).u64(r);
+                    });
+                }
+            });
+        });
     }
 
-    /// Rebuild a topology (including the derived adjacency) from a
-    /// [`Topology::save_state`] capture.
+    /// Rebuild a topology (including the derived adjacency) from the
+    /// parsed text of [`Topology::save_state`].
     pub(crate) fn load_state(n: usize, v: &serde::Value) -> Result<Topology, String> {
         use serde::Deserialize as _;
         let mut topo = Topology::new(n);

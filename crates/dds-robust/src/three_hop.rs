@@ -29,7 +29,7 @@
 //! and 5-cycle listing (Theorem 5; see [`crate::cycle`]).
 
 use crate::paths::{Path, MAX_PATH_NODES};
-use dds_net::checkpoint::{self as ckpt, Checkpointable, Deserialize as _, Value};
+use dds_net::checkpoint::{self as ckpt, Checkpointable, Deserialize as _, Value, Writer};
 use dds_net::{
     Answer, BitSized, Edge, Flags, LocalEvent, Node, NodeId, Outbox, Query, QueryError, QueryKind,
     Queryable, Received, Response, Round,
@@ -419,7 +419,7 @@ fn path_from(v: &Value) -> Result<Path, String> {
 }
 
 impl Checkpointable for ThreeHopNode {
-    fn save_state(&self) -> Value {
+    fn save_state(&self, w: &mut Writer) {
         let mut incident: Vec<NodeId> = self.incident.iter().copied().collect();
         incident.sort_unstable();
         let mut s: Vec<(Edge, Vec<Path>)> = self
@@ -432,49 +432,41 @@ impl Checkpointable for ThreeHopNode {
             })
             .collect();
         s.sort_unstable_by_key(|&(e, _)| e);
-        ckpt::obj(vec![
-            ("incident", ckpt::ids_value(&incident)),
-            (
-                "s",
-                Value::Arr(
-                    s.into_iter()
-                        .map(|(e, ps)| {
-                            Value::Arr(vec![
-                                ckpt::edge_value(e),
-                                Value::Arr(ps.iter().map(|p| ckpt::ids_value(p.nodes())).collect()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "q",
-                Value::Arr(
-                    self.q
-                        .iter()
-                        .map(|item| match *item {
-                            QueueItem::Insert(p) => Value::Arr(vec![
-                                Value::Str("insert".into()),
-                                ckpt::ids_value(p.nodes()),
-                            ]),
-                            QueueItem::Delete { edge, level, via } => Value::Arr(vec![
-                                Value::Str("delete".into()),
-                                ckpt::edge_value(edge),
-                                Value::U64(level as u64),
-                                via.map_or(Value::Null, |u| Value::U64(u.0 as u64)),
-                            ]),
-                        })
-                        .collect(),
-                ),
-            ),
-            ("dirty_topology", Value::Bool(self.dirty_topology)),
-            ("clean_prev", Value::Bool(self.clean_prev)),
-            ("consistent", Value::Bool(self.consistent)),
-            (
-                "neighbors_were_empty",
-                Value::Bool(self.neighbors_were_empty),
-            ),
-        ])
+        w.object(|w| {
+            ckpt::write_ids(w.key("incident"), &incident);
+            w.key("s").array(|w| {
+                for (e, ps) in s {
+                    w.array(|w| {
+                        ckpt::write_edge(w, e);
+                        w.array(|w| {
+                            for p in ps {
+                                ckpt::write_ids(w, p.nodes());
+                            }
+                        });
+                    });
+                }
+            });
+            w.key("q").array(|w| {
+                for item in &self.q {
+                    w.array(|w| match *item {
+                        QueueItem::Insert(p) => ckpt::write_ids(w.str("insert"), p.nodes()),
+                        QueueItem::Delete { edge, level, via } => {
+                            ckpt::write_edge(w.str("delete"), edge);
+                            w.u64(level as u64);
+                            match via {
+                                Some(u) => w.u64(u.0 as u64),
+                                None => w.null(),
+                            };
+                        }
+                    });
+                }
+            });
+            w.key("dirty_topology").bool(self.dirty_topology);
+            w.key("clean_prev").bool(self.clean_prev);
+            w.key("consistent").bool(self.consistent);
+            w.key("neighbors_were_empty")
+                .bool(self.neighbors_were_empty);
+        });
     }
 
     fn load_state(id: NodeId, n: usize, v: &Value) -> Result<Self, String> {
@@ -580,9 +572,9 @@ mod tests {
         sim.step_quiet(); // mid-drain: insert paths still queued
         for i in 0..4u32 {
             let node = sim.node(NodeId(i));
-            let saved = node.save_state();
-            let back = ThreeHopNode::load_state(node.id, 4, &saved).unwrap();
-            assert_eq!(back.save_state(), saved, "node {i} roundtrip drifted");
+            let saved = ckpt::state_text(node);
+            let back: ThreeHopNode = ckpt::load_text(node.id, 4, &saved).unwrap();
+            assert_eq!(ckpt::state_text(&back), saved, "node {i} roundtrip drifted");
             assert_eq!(back.s, node.s, "node {i} path sets");
             assert_eq!(back.q, node.q, "node {i} queue");
         }

@@ -22,7 +22,7 @@
 //! `S_v` — giving exact membership listing, and by Corollary 1 exact
 //! k-clique membership listing for every `k ≥ 3`.
 
-use dds_net::checkpoint::{self as ckpt, Checkpointable, Deserialize as _, Value};
+use dds_net::checkpoint::{self as ckpt, Checkpointable, Deserialize as _, Value, Writer};
 use dds_net::{
     Answer, BitSized, Edge, Flags, LocalEvent, Node, NodeId, Outbox, Query, QueryError, QueryKind,
     Queryable, Received, Response, Round,
@@ -518,63 +518,49 @@ impl Queryable for TriangleNode {
 }
 
 impl Checkpointable for TriangleNode {
-    fn save_state(&self) -> Value {
+    fn save_state(&self, w: &mut Writer) {
         let mut incident: Vec<(NodeId, Round)> =
             self.incident.iter().map(|(&p, &t)| (p, t)).collect();
         incident.sort_unstable();
         let mut s: Vec<(Edge, Entry)> = self.s.iter().map(|(&e, &entry)| (e, entry)).collect();
         s.sort_unstable_by_key(|&(e, _)| e);
         // `pending_b` mirrors the queued B items exactly, so it is not
-        // serialized; `load_state` rebuilds it from `q`.
-        ckpt::obj(vec![
-            (
-                "incident",
-                Value::Arr(
-                    incident
-                        .into_iter()
-                        .map(|(p, t)| Value::Arr(vec![Value::U64(p.0 as u64), Value::U64(t)]))
-                        .collect(),
-                ),
-            ),
-            (
-                "s",
-                Value::Arr(
-                    s.into_iter()
-                        .map(|(e, entry)| {
-                            Value::Arr(vec![
-                                ckpt::edge_value(e),
-                                Value::U64(entry.via as u64),
-                                Value::Bool(entry.b_present),
-                                Value::U64(entry.tombstones as u64),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "q",
-                Value::Arr(
-                    self.q
-                        .iter()
-                        .map(|item| match *item {
-                            QueueItem::A { edge, te, insert } => Value::Arr(vec![
-                                Value::Str("a".into()),
-                                ckpt::edge_value(edge),
-                                Value::U64(te),
-                                Value::Bool(insert),
-                            ]),
-                            QueueItem::B { edge, target } => Value::Arr(vec![
-                                Value::Str("b".into()),
-                                ckpt::edge_value(edge),
-                                Value::U64(target.0 as u64),
-                            ]),
-                        })
-                        .collect(),
-                ),
-            ),
-            ("sent_this_round", Value::Bool(self.sent_this_round)),
-            ("consistent", Value::Bool(self.consistent)),
-        ])
+        // written; `load_state` rebuilds it from `q`.
+        w.object(|w| {
+            w.key("incident").array(|w| {
+                for (p, t) in incident {
+                    w.array(|w| {
+                        w.u64(p.0 as u64).u64(t);
+                    });
+                }
+            });
+            w.key("s").array(|w| {
+                for (e, entry) in s {
+                    w.array(|w| {
+                        ckpt::write_edge(w, e);
+                        w.u64(entry.via as u64)
+                            .bool(entry.b_present)
+                            .u64(entry.tombstones as u64);
+                    });
+                }
+            });
+            w.key("q").array(|w| {
+                for item in &self.q {
+                    w.array(|w| match *item {
+                        QueueItem::A { edge, te, insert } => {
+                            ckpt::write_edge(w.str("a"), edge);
+                            w.u64(te).bool(insert);
+                        }
+                        QueueItem::B { edge, target } => {
+                            ckpt::write_edge(w.str("b"), edge);
+                            w.u64(target.0 as u64);
+                        }
+                    });
+                }
+            });
+            w.key("sent_this_round").bool(self.sent_this_round);
+            w.key("consistent").bool(self.consistent);
+        });
     }
 
     fn load_state(id: NodeId, n: usize, v: &Value) -> Result<Self, String> {
@@ -680,9 +666,9 @@ mod tests {
         sim.step_quiet();
         for i in 0..4u32 {
             let node = sim.node(NodeId(i));
-            let saved = node.save_state();
-            let back = TriangleNode::load_state(node.id, 4, &saved).unwrap();
-            assert_eq!(back.save_state(), saved, "node {i} roundtrip drifted");
+            let saved = ckpt::state_text(node);
+            let back: TriangleNode = ckpt::load_text(node.id, 4, &saved).unwrap();
+            assert_eq!(ckpt::state_text(&back), saved, "node {i} roundtrip drifted");
             assert_eq!(back.pending_b, node.pending_b, "node {i} pending_b");
             assert_eq!(back.q.len(), node.q.len());
         }

@@ -29,7 +29,7 @@
 //!   the start of the send phase; a node is consistent iff its queue is
 //!   empty and no neighbor signalled `IsEmpty = false` this round.
 
-use dds_net::checkpoint::{self as ckpt, Checkpointable, Deserialize as _, Value};
+use dds_net::checkpoint::{self as ckpt, Checkpointable, Deserialize as _, Value, Writer};
 use dds_net::{
     Answer, BitSized, Edge, Flags, LocalEvent, Node, NodeId, Outbox, Query, QueryError, QueryKind,
     Queryable, Received, Response, Round,
@@ -320,47 +320,38 @@ impl Queryable for TwoHopNode {
 }
 
 impl Checkpointable for TwoHopNode {
-    fn save_state(&self) -> Value {
+    fn save_state(&self, w: &mut Writer) {
         let mut incident: Vec<(NodeId, Round)> =
             self.incident.iter().map(|(&p, &t)| (p, t)).collect();
         incident.sort_unstable();
         let mut s: Vec<(Edge, u8)> = self.s.iter().map(|(&e, &w)| (e, w.0)).collect();
         s.sort_unstable();
-        ckpt::obj(vec![
-            (
-                "incident",
-                Value::Arr(
-                    incident
-                        .into_iter()
-                        .map(|(p, t)| Value::Arr(vec![Value::U64(p.0 as u64), Value::U64(t)]))
-                        .collect(),
-                ),
-            ),
-            (
-                "s",
-                Value::Arr(
-                    s.into_iter()
-                        .map(|(e, w)| Value::Arr(vec![ckpt::edge_value(e), Value::U64(w as u64)]))
-                        .collect(),
-                ),
-            ),
-            (
-                "q",
-                Value::Arr(
-                    self.q
-                        .iter()
-                        .map(|item| {
-                            Value::Arr(vec![
-                                ckpt::edge_value(item.edge),
-                                Value::U64(item.te),
-                                Value::Bool(item.insert),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("consistent", Value::Bool(self.consistent)),
-        ])
+        w.object(|w| {
+            w.key("incident").array(|w| {
+                for (p, t) in incident {
+                    w.array(|w| {
+                        w.u64(p.0 as u64).u64(t);
+                    });
+                }
+            });
+            w.key("s").array(|w| {
+                for (e, witness) in s {
+                    w.array(|w| {
+                        ckpt::write_edge(w, e);
+                        w.u64(witness as u64);
+                    });
+                }
+            });
+            w.key("q").array(|w| {
+                for item in &self.q {
+                    w.array(|w| {
+                        ckpt::write_edge(w, item.edge);
+                        w.u64(item.te).bool(item.insert);
+                    });
+                }
+            });
+            w.key("consistent").bool(self.consistent);
+        });
     }
 
     fn load_state(id: NodeId, n: usize, v: &Value) -> Result<Self, String> {
@@ -431,9 +422,9 @@ mod tests {
         sim.step(&EventBatch::insert(edge(1, 2)));
         // Mid-update: node 0 still has queued items.
         let node = sim.node(NodeId(0));
-        let saved = node.save_state();
-        let back = TwoHopNode::load_state(node.id, 4, &saved).unwrap();
-        assert_eq!(back.save_state(), saved);
+        let saved = ckpt::state_text(node);
+        let back: TwoHopNode = ckpt::load_text(node.id, 4, &saved).unwrap();
+        assert_eq!(ckpt::state_text(&back), saved);
         assert_eq!(back.incident, node.incident);
         assert_eq!(back.s, node.s);
         assert_eq!(back.consistent, node.consistent);

@@ -234,6 +234,121 @@ fn a_resumed_session_checkpoints_the_same_bytes() {
     }
 }
 
+/// The snapshot writer against the tree renderer. `doc` is what a live
+/// session wrote, straight from its state. Parsing it and writing it back
+/// renders the parsed tree; restoring the parsed document and capturing
+/// again writes from live state once more. Both must give `doc`'s bytes.
+fn assert_writer_matches_renderer(doc: &str, ctx: &str) {
+    let differ_at = |other: &str| {
+        let at = doc.bytes().zip(other.bytes()).position(|(a, b)| a != b);
+        at.unwrap_or(doc.len().min(other.len()))
+    };
+    let parsed = Snapshot::from_json(doc).unwrap_or_else(|e| panic!("{ctx}: reparse: {e}"));
+    let rendered = parsed.to_json();
+    assert!(
+        rendered == doc,
+        "{ctx}: the renderer differs from the writer at byte {}",
+        differ_at(&rendered)
+    );
+    let restored = dds_bench::protocols()
+        .restore(&parsed)
+        .unwrap_or_else(|e| panic!("{ctx}: restore: {e}"));
+    let again = restored.checkpoint().to_json();
+    assert!(
+        again == doc,
+        "{ctx}: the restored session writes other bytes from byte {}",
+        differ_at(&again)
+    );
+}
+
+#[test]
+fn the_snapshot_writer_matches_the_tree_renderer_across_the_matrix() {
+    // The resume matrix's protocols, workloads and engines, with stats
+    // recording on, written after the first round and every eighth.
+    for protocol in dds_bench::protocols().names() {
+        for workload in WORKLOADS {
+            let trace = registry::build_trace(workload, &params(workload, 16, 40, 11))
+                .unwrap_or_else(|e| panic!("{workload}: {e}"));
+            for engine in [Engine::Sparse, Engine::Dense] {
+                let cfg = SimConfig {
+                    record_stats: true,
+                    engine,
+                    ..SimConfig::default()
+                };
+                let mut session = dds_bench::protocols().open(protocol, trace.n, cfg).unwrap();
+                for (i, batch) in trace.batches.iter().enumerate() {
+                    session.step(batch);
+                    let round = i + 1;
+                    if round == 1 || round % 8 == 0 {
+                        let ctx = format!("{protocol}/{workload}/{engine:?} round {round}");
+                        assert_writer_matches_renderer(&session.checkpoint().to_json(), &ctx);
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn the_snapshot_writer_matches_the_tree_renderer_at_benchmark_scale() {
+    // A triangle state shaped like the repository benchmark's daemon:
+    // n = 2 000, about 4 000 edges, stats recording on, written right
+    // after a 16-change round while queues are still draining.
+    use dynamic_subgraphs::net::{edge, EventBatch};
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
+    let n = 2_000u32;
+    let mut rng = SmallRng::seed_from_u64(2_000);
+    let mut live = Vec::new();
+    let mut present = rustc_hash::FxHashSet::default();
+    let mut fresh_edge = |present: &mut rustc_hash::FxHashSet<_>| loop {
+        let (u, w) = (rng.gen_range(0..n), rng.gen_range(0..n));
+        if u != w && present.insert(edge(u, w)) {
+            return edge(u, w);
+        }
+    };
+    let cfg = SimConfig {
+        record_stats: true,
+        ..SimConfig::default()
+    };
+    let mut session = dds_bench::protocols()
+        .open("triangle", n as usize, cfg)
+        .unwrap();
+    for _ in 0..40 {
+        let mut batch = EventBatch::new();
+        for _ in 0..100 {
+            let e = fresh_edge(&mut present);
+            live.push(e);
+            batch.push_insert(e);
+        }
+        session.step(&batch);
+    }
+    for round in 0..6 {
+        let mut batch = EventBatch::new();
+        let gone: Vec<_> = (0..8)
+            .map(|_| live.swap_remove((round * 131 + live.len() * 7) % live.len()))
+            .collect();
+        for &e in &gone {
+            batch.push_delete(e);
+        }
+        // A deleted edge stays in `present` until the inserts are drawn,
+        // so one round never names an edge twice.
+        for _ in 0..8 {
+            let e = fresh_edge(&mut present);
+            live.push(e);
+            batch.push_insert(e);
+        }
+        for e in &gone {
+            present.remove(e);
+        }
+        session.step(&batch);
+    }
+    assert_eq!(session.topology().edge_count(), 4_000);
+    assert!(!session.all_consistent(), "the state is mid-update");
+    let doc = session.checkpoint().to_json();
+    assert!(doc.len() > 500_000, "a {} B document", doc.len());
+    assert_writer_matches_renderer(&doc, "triangle n=2000");
+}
+
 fn cases() -> u32 {
     std::env::var("PROPTEST_CASES")
         .ok()

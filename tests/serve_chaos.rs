@@ -633,6 +633,149 @@ fn recovery_leaves_a_legacy_header_as_it_is_until_the_next_write() {
 }
 
 #[test]
+fn recovery_takes_the_round_from_the_header_and_skips_a_misnamed_file() {
+    // An older snapshot saved under a newer round's name must not outrank
+    // the honest newest file, and no round may be read off a file name:
+    // recovery skips the misnamed file as corrupt, every time, so a write
+    // acked after the first recovery survives the second.
+    let registry = dds_bench::protocols();
+    let base = tempdir("misnamed");
+    let dir = base.join("main");
+    let trace = trace_for("er", 16, 8, 81);
+    let session = ServingSession::open(registry, "main", "two-hop", trace.n, SimConfig::default())
+        .expect("open");
+    session
+        .enable_durability(Durability {
+            dir: dir.clone(),
+            every: 1,
+        })
+        .expect("enable durability");
+    for (i, batch) in trace.batches.iter().enumerate() {
+        let seq = i as u64 + 1;
+        let ingested = session.ingest(registry, std::slice::from_ref(batch), Some(seq), None);
+        assert_eq!(ingested, Ok(seq));
+    }
+    drop(session);
+    let misnamed = dir.join("checkpoint_000010.json");
+    std::fs::copy(dir.join("checkpoint_000006.json"), &misnamed).expect("plant misnamed file");
+
+    let recover = || {
+        let server = Server::bind_with(
+            "127.0.0.1:0",
+            registry,
+            ServerOptions {
+                durability: Some(DurabilityOptions {
+                    base: base.clone(),
+                    every: 1,
+                }),
+                ..ServerOptions::default()
+            },
+        )
+        .expect("bind recovery server");
+        let report = server.recover(&base, "main").expect("recover");
+        (server, report)
+    };
+    let (server, report) = recover();
+    assert_eq!(report.sessions, vec![("main".to_string(), 8)]);
+    assert_eq!(report.skipped.len(), 1, "{:?}", report.skipped);
+    let (path, why) = &report.skipped[0];
+    assert_eq!(path, &misnamed);
+    assert!(
+        why.contains("round 10") && why.contains("round 6"),
+        "the skip names both rounds: {why}"
+    );
+
+    // One persisting write lands at round 9.
+    let addr = server.local_addr().expect("addr").to_string();
+    let handle = server.handle();
+    let join = std::thread::spawn(move || server.run().expect("server run"));
+    let mut client = Client::connect(&addr).expect("connect");
+    assert_eq!(client.step("main", 1), Ok(9));
+    drop(client);
+    handle.stop();
+    join.join().expect("server thread");
+    let mut local = local_at("two-hop", &trace, 8);
+    local.step_quiet();
+    let written = std::fs::read_to_string(dir.join("checkpoint_000009.json"))
+        .expect("the step persisted round 9");
+    assert_eq!(written, local.checkpoint().to_json());
+
+    // Recovering again lands on the acked round 9, not the misnamed file.
+    let (server, report) = recover();
+    assert_eq!(report.sessions, vec![("main".to_string(), 9)]);
+    assert_eq!(report.skipped.len(), 1, "{:?}", report.skipped);
+    let addr = server.local_addr().expect("addr").to_string();
+    let handle = server.handle();
+    let join = std::thread::spawn(move || server.run().expect("server run"));
+    let mut client = Client::connect(&addr).expect("connect");
+    let served = client.checkpoint("main").expect("checkpoint");
+    assert_eq!(served.to_json(), written);
+    drop(client);
+    handle.stop();
+    join.join().expect("server thread");
+    std::fs::remove_dir_all(&base).ok();
+}
+
+#[test]
+fn stats_times_each_write_stage_and_persists_every_other_write() {
+    // Six sequenced writes under `every: 2`: each write waits for its
+    // locks, steps and publishes; every second one also persists. The
+    // `open` that makes the session durable persists too, but it is not
+    // a write verb and has no stages.
+    let writes = 6u64;
+    let base = tempdir("write-stages");
+    let (addr, join, stop) = boot_with(ServerOptions {
+        durability: Some(DurabilityOptions {
+            base: base.clone(),
+            every: 2,
+        }),
+        ..ServerOptions::default()
+    });
+    let trace = trace_for("er", 16, writes, 91);
+    let mut client = Client::connect(&addr).expect("connect");
+    client.open("main", "triangle", trace.n).expect("open");
+    for (i, batch) in trace.batches.iter().enumerate() {
+        let round = client.ingest("main", vec![batch.clone()]).expect("ingest");
+        assert_eq!(round, i as u64 + 1);
+    }
+    let stats = client.stats().expect("stats");
+    let sessions = stats
+        .get("sessions")
+        .and_then(|v| v.as_array())
+        .expect("sessions");
+    let stages = sessions[0].get("write_stages_us").expect("write_stages_us");
+    for (stage, count) in [
+        ("lock_wait", writes),
+        ("step", writes),
+        ("persist", writes / 2),
+        ("publish", writes),
+    ] {
+        let h = stages
+            .get(stage)
+            .unwrap_or_else(|| panic!("no {stage} stage"));
+        let field = |k: &str| h.get(k).unwrap_or_else(|| panic!("{stage}: no {k}"));
+        assert_eq!(field("count"), &serde::Value::U64(count), "{stage} count");
+        let serde::Value::F64(mean) = field("mean") else {
+            panic!("{stage}: the mean is a float")
+        };
+        assert!(*mean > 0.0, "{stage}: mean {mean}");
+        for p in ["p50", "p90", "p99"] {
+            assert!(matches!(field(p), serde::Value::F64(_)), "{stage}: {p}");
+        }
+    }
+    // The query histogram keeps its path.
+    let server = stats.get("server").expect("server");
+    assert!(server
+        .get("query_latency_us")
+        .and_then(|h| h.get("count"))
+        .is_some());
+    drop(client);
+    stop();
+    join.join().expect("server thread");
+    std::fs::remove_dir_all(&base).ok();
+}
+
+#[test]
 fn server_level_kill_recover_continue_is_seamless() {
     // The full daemon path: durable server, ingest a prefix, soft-crash
     // it mid-ingest, boot a second daemon with --recover semantics, and

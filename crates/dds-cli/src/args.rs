@@ -13,7 +13,7 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parse from an iterator of argument strings (without argv[0]).
+    /// Parse from an iterator of argument strings (without `argv[0]`).
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         let mut out = Args::default();
         let mut iter = args.into_iter().peekable();

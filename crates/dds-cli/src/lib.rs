@@ -26,6 +26,7 @@ use args::Args;
 use dds_net::{NodeId, Query, Response};
 use dds_oracle::DynamicGraph;
 use dds_workloads::bounds;
+use serde::{Serialize as _, Value};
 
 /// Crate (and workspace) version, for `dds --version` and tooling.
 pub const VERSION: &str = env!("CARGO_PKG_VERSION");
@@ -147,7 +148,7 @@ impl Failure {
     }
 }
 
-/// Dispatch a full command line (without argv[0]), classifying failures.
+/// Dispatch a full command line (without `argv[0]`), classifying failures.
 ///
 /// Everything `main` does apart from process exit, so tests can drive the
 /// CLI in-process.
@@ -311,21 +312,7 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     if sample_every > 0 && n < 2 {
         return Err("--sample-queries needs at least 2 nodes".into());
     }
-    let mut session = match args.options.get("resume") {
-        Some(path) => {
-            let session = run::restore_session(args, path)?;
-            if session.n() != n {
-                return Err(format!(
-                    "--resume: snapshot has n = {} but the workload generates n = {n}; \
-                     pass the same workload flags the checkpoint was taken with",
-                    session.n()
-                ));
-            }
-            run::fast_forward(&mut *src, &session)?;
-            session
-        }
-        None => dds_bench::protocols().open(&protocol, n, cfg)?,
-    };
+    let mut session = run::open_or_resume(args, &protocol, cfg, &mut *src)?;
     let dir = args.get_or("checkpoint-dir", "checkpoints").to_string();
     if ckpt_every > 0 {
         std::fs::create_dir_all(&dir).map_err(|e| format!("--checkpoint-dir {dir}: {e}"))?;
@@ -523,26 +510,10 @@ fn cmd_query(args: &Args) -> Result<(), String> {
         ..dds_net::SimConfig::default()
     };
     let mut src = run::build_workload_source(args)?;
-    let n = src.n();
-    let specs = query::parse_specs(spec_text, n)?;
-    let mut session = match args.options.get("resume") {
-        Some(path) => {
-            // Resume the serving path from a snapshot instead of
-            // re-simulating from round 0: restore, then fast-forward the
-            // workload source past the already-consumed rounds.
-            let session = run::restore_session(args, path)?;
-            if session.n() != n {
-                return Err(format!(
-                    "--resume: snapshot has n = {} but the workload generates n = {n}; \
-                     pass the same workload flags the checkpoint was taken with",
-                    session.n()
-                ));
-            }
-            run::fast_forward(&mut *src, &session)?;
-            session
-        }
-        None => dds_bench::protocols().open(&protocol, n, cfg)?,
-    };
+    let specs = query::parse_specs(spec_text, src.n())?;
+    // Resuming serves from the snapshot instead of re-simulating from
+    // round 0.
+    let mut session = run::open_or_resume(args, &protocol, cfg, &mut *src)?;
     // Capability check up front: a spec the protocol cannot answer is a
     // user error, reported before any simulation time is spent.
     for spec in &specs {
@@ -573,34 +544,45 @@ fn cmd_query(args: &Args) -> Result<(), String> {
         .map(|s| session.query(s.at, &s.query).map(|r| (s, r)))
         .collect::<Result<_, _>>()?;
     if args.flag("json") {
-        let kinds: Vec<String> = session
+        let str_value = |s: &str| Value::Str(s.to_string());
+        let kinds = session
             .supported_queries()
             .iter()
-            .map(|k| format!("\"{k}\""))
+            .map(|k| str_value(k.name()))
             .collect();
-        let entries: Vec<String> = results
+        let entries = results
             .iter()
             .map(|(s, r)| {
-                format!(
-                    "    {{\"spec\": \"{}\", \"node\": {}, \"kind\": \"{}\", {}}}",
-                    json_escape(&s.raw),
-                    s.at.0,
-                    s.query.kind(),
-                    match r {
-                        Response::Inconsistent => "\"status\": \"inconsistent\"".to_string(),
-                        Response::Answer(a) =>
-                            format!("\"status\": \"answer\", \"value\": {}", answer_json(a)),
+                let mut entry = vec![
+                    ("spec".to_string(), str_value(&s.raw)),
+                    ("node".into(), Value::U64(s.at.0 as u64)),
+                    ("kind".into(), str_value(s.query.kind().name())),
+                ];
+                match r {
+                    Response::Inconsistent => {
+                        entry.push(("status".into(), str_value("inconsistent")));
                     }
-                )
+                    Response::Answer(a) => {
+                        let value = a.to_value().get("value").cloned();
+                        let value = value.expect("an encoded answer has a `value` member");
+                        entry.push(("status".into(), str_value("answer")));
+                        entry.push(("value".into(), value));
+                    }
+                }
+                Value::Obj(entry)
             })
             .collect();
-        println!("{{");
-        println!("  \"protocol\": \"{}\",", json_escape(session.protocol()));
-        println!("  \"n\": {},", session.n());
-        println!("  \"round\": {},", session.round());
-        println!("  \"supported_queries\": [{}],", kinds.join(", "));
-        println!("  \"queries\": [\n{}\n  ]", entries.join(",\n"));
-        println!("}}");
+        let out = Value::Obj(vec![
+            ("protocol".into(), str_value(session.protocol())),
+            ("n".into(), Value::U64(session.n() as u64)),
+            ("round".into(), Value::U64(session.round())),
+            ("supported_queries".into(), Value::Arr(kinds)),
+            ("queries".into(), Value::Arr(entries)),
+        ]);
+        println!(
+            "{}",
+            serde_json::to_string_pretty(&out).map_err(|e| e.to_string())?
+        );
         return Ok(());
     }
     let kinds: Vec<&str> = session
@@ -660,46 +642,6 @@ fn render_response(r: &Response<dds_net::Answer>) -> String {
             format!("{} set(s): {}{more}", vs.len(), shown.join(", "))
         }
     }
-}
-
-/// JSON rendering of one answer payload.
-fn answer_json(a: &dds_net::Answer) -> String {
-    use dds_net::Answer;
-    match a {
-        Answer::Bool(b) => b.to_string(),
-        Answer::Triangles(ts) => {
-            let items: Vec<String> = ts
-                .iter()
-                .map(|t| format!("[{}, {}, {}]", t[0].0, t[1].0, t[2].0))
-                .collect();
-            format!("[{}]", items.join(", "))
-        }
-        Answer::VertexSets(vs) => {
-            let items: Vec<String> = vs
-                .iter()
-                .map(|set| {
-                    let ids: Vec<String> = set.iter().map(|v| v.0.to_string()).collect();
-                    format!("[{}]", ids.join(", "))
-                })
-                .collect();
-            format!("[{}]", items.join(", "))
-        }
-    }
-}
-
-/// Minimal JSON string escaping for spec echoes: backslash, quote, and
-/// ASCII control characters (strict parsers reject raw controls).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn cmd_trace(args: &Args) -> Result<(), String> {

@@ -118,42 +118,49 @@ pub fn cmd_loadgen(args: &Args) -> Result<(), String> {
         // `request_errors` and `first_error` carry the failure context a
         // bare nonzero exit code used to swallow: which verbs failed, how
         // often, and exactly where the first failure landed.
-        let json_str = |s: &str| serde_json::to_string(&Value::Str(s.to_string())).unwrap();
-        println!("{{");
-        println!("  \"clients\": {clients},");
-        println!("  \"queries\": {},", report.queries);
-        println!("  \"answered\": {},", report.answered);
-        println!("  \"inconsistent\": {},", report.inconsistent);
-        println!("  \"errors\": {},", report.errors);
-        println!("  \"churn_rounds\": {},", report.churn_rounds);
-        println!("  \"wall_seconds\": {:.6},", report.wall_seconds);
-        println!("  \"read_seconds\": {:.6},", report.read_seconds);
-        println!("  \"qps\": {:.1},", report.qps());
-        println!(
-            "  \"write_rounds_per_s\": {:.1},",
-            report.write_rounds_per_sec()
-        );
-        println!("  \"latency_median_us\": {:.1},", lat_median * 1e6);
-        println!("  \"latency_mad_us\": {:.1},", lat_mad * 1e6);
-        println!("  \"retries\": {},", report.retries);
-        println!("  \"reconnects\": {},", report.reconnects);
-        let verbs: Vec<String> = report
+        let request_errors = report
             .request_errors
             .iter()
-            .map(|(verb, count)| format!("{}: {count}", json_str(verb)))
+            .map(|(verb, &count)| (verb.clone(), Value::U64(count)))
             .collect();
-        println!("  \"request_errors\": {{{}}},", verbs.join(", "));
-        match &report.first_error {
-            Some(first) => {
-                println!("  \"first_error\": {{");
-                println!("    \"verb\": {},", json_str(&first.verb));
-                println!("    \"watermark\": {},", first.watermark);
-                println!("    \"error\": {}", json_str(&first.error));
-                println!("  }}");
-            }
-            None => println!("  \"first_error\": null"),
-        }
-        println!("}}");
+        let first_error = match &report.first_error {
+            Some(first) => Value::Obj(vec![
+                ("verb".into(), Value::Str(first.verb.clone())),
+                ("watermark".into(), Value::U64(first.watermark)),
+                ("error".into(), Value::Str(first.error.clone())),
+            ]),
+            None => Value::Null,
+        };
+        // Seconds to the microsecond, rates and latencies to a tenth.
+        let fixed = |x: f64, places: i32| {
+            let scale = 10f64.powi(places);
+            Value::F64((x * scale).round() / scale)
+        };
+        let out = Value::Obj(vec![
+            ("clients".into(), Value::U64(clients as u64)),
+            ("queries".into(), Value::U64(report.queries)),
+            ("answered".into(), Value::U64(report.answered)),
+            ("inconsistent".into(), Value::U64(report.inconsistent)),
+            ("errors".into(), Value::U64(report.errors)),
+            ("churn_rounds".into(), Value::U64(report.churn_rounds)),
+            ("wall_seconds".into(), fixed(report.wall_seconds, 6)),
+            ("read_seconds".into(), fixed(report.read_seconds, 6)),
+            ("qps".into(), fixed(report.qps(), 1)),
+            (
+                "write_rounds_per_s".into(),
+                fixed(report.write_rounds_per_sec(), 1),
+            ),
+            ("latency_median_us".into(), fixed(lat_median * 1e6, 1)),
+            ("latency_mad_us".into(), fixed(lat_mad * 1e6, 1)),
+            ("retries".into(), Value::U64(report.retries)),
+            ("reconnects".into(), Value::U64(report.reconnects)),
+            ("request_errors".into(), Value::Obj(request_errors)),
+            ("first_error".into(), first_error),
+        ]);
+        println!(
+            "{}",
+            serde_json::to_string_pretty(&out).map_err(|e| e.to_string())?
+        );
     } else {
         println!(
             "loadgen:   {clients} client(s) × {queries} query(s){}",

@@ -53,11 +53,38 @@ pub fn params_with_seed(args: &Args, seed: u64) -> Params {
     p
 }
 
+/// The session a `simulate` or `query` run steps: with `--resume FILE`,
+/// the snapshot's session (its header's configuration verbatim, so
+/// `cfg` is ignored), refused when its `n` differs from the workload's,
+/// with `src` fast-forwarded past the rounds it already covers; otherwise
+/// a fresh `protocol` session on the workload's `n`.
+pub(crate) fn open_or_resume(
+    args: &Args,
+    protocol: &str,
+    cfg: dds_net::SimConfig,
+    src: &mut dyn dds_net::TraceSource,
+) -> Result<Session, String> {
+    let n = src.n();
+    let Some(path) = args.options.get("resume") else {
+        return dds_bench::protocols().open(protocol, n, cfg);
+    };
+    let session = restore_session(args, path)?;
+    if session.n() != n {
+        return Err(format!(
+            "--resume: snapshot has n = {} but the workload generates n = {n}; \
+             pass the same workload flags the checkpoint was taken with",
+            session.n()
+        ));
+    }
+    fast_forward(src, &session)?;
+    Ok(session)
+}
+
 /// Restore a live session from a `--resume FILE` snapshot. The registry
 /// dispatches on the protocol name the header records; an *explicitly*
 /// passed `--protocol` must agree with it (a mismatch is the typed
 /// [`RestoreError::ProtocolMismatch`], never a silent override).
-pub fn restore_session(args: &Args, path: &str) -> Result<Session, String> {
+fn restore_session(args: &Args, path: &str) -> Result<Session, String> {
     let snap = Snapshot::read_file(std::path::Path::new(path)).map_err(|e| e.to_string())?;
     if let Some(requested) = args.options.get("protocol") {
         if *requested != snap.header.protocol {
@@ -79,7 +106,7 @@ pub fn restore_session(args: &Args, path: &str) -> Result<Session, String> {
 /// run had not yet consumed. Errors when the workload is shorter than the
 /// snapshot round — the telltale of resuming against different workload
 /// flags than the checkpoint was taken with.
-pub fn fast_forward(src: &mut dyn dds_net::TraceSource, session: &Session) -> Result<(), String> {
+fn fast_forward(src: &mut dyn dds_net::TraceSource, session: &Session) -> Result<(), String> {
     let want = session.round() as usize;
     let skipped = src.skip_batches(want);
     if skipped < want {

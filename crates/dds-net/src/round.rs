@@ -1,12 +1,13 @@
 //! Persistent per-round scratch storage for the simulator's hot loop.
 //!
 //! [`RoundBuffers`] holds everything the round engine reuses between
-//! rounds: the incrementally-maintained sorted adjacency, the sparse
-//! incident-event CSR, the staged payload/flag traffic, the sparse inbox
-//! CSR and the **active set** that makes round cost proportional to
-//! activity instead of `n + m`. On a quiet round (empty event batch, empty
-//! active set) `Simulator::step` performs no heap allocation at all on the
-//! sequential path.
+//! rounds: the sorted adjacency (the simulator's only per-node neighbor
+//! structure; [`Topology`](crate::topology::Topology) keeps only the
+//! timestamped edge set), the sparse incident-event CSR, the staged
+//! payload/flag traffic, the sparse inbox CSR and the **active set** that
+//! makes round cost proportional to activity instead of `n + m`. On a
+//! quiet round (empty event batch, empty active set) `Simulator::step`
+//! performs no heap allocation at all on the sequential path.
 //!
 //! # Invariants
 //!
@@ -20,8 +21,8 @@
 //!    meter's sparse input).
 //! 2. `nbrs[v]` is node `v`'s neighbor set in `G_i`, sorted ascending —
 //!    the delivery order contract of [`crate::protocol::Node::receive`].
-//!    It is updated **incrementally** from each round's batch delta, never
-//!    rebuilt from [`Topology`](crate::topology::Topology).
+//!    It is updated **incrementally** from each round's batch delta; only
+//!    a restore builds it whole, once, from the snapshot's edge list.
 //! 3. `active` is the round's active set, ascending and duplicate-free: at
 //!    the start of phase 1 it contains every node that was not
 //!    [`idle`](crate::protocol::Node::idle) at the end of the previous
@@ -662,9 +663,16 @@ mod tests {
             topo.apply(&batch, round);
             buffers.apply_batch(&batch);
             for v in 0..n {
+                let me = NodeId(v as u32);
+                let mut expected: Vec<NodeId> = topo
+                    .edges()
+                    .filter(|e| e.touches(me))
+                    .map(|e| e.other(me))
+                    .collect();
+                expected.sort_unstable();
                 assert_eq!(
                     buffers.neighbors_of(v),
-                    topo.neighbors_sorted(NodeId(v as u32)),
+                    expected,
                     "adjacency of v{v} diverged at round {round}"
                 );
             }

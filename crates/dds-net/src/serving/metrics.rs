@@ -3,20 +3,28 @@
 //! Everything here is lock-free: plain relaxed atomics bumped on the hot
 //! paths (frame codec, query answering, each stage of a write) and read
 //! wholesale when a `stats` request assembles its snapshot. Latencies go
-//! into log2-bucket histograms, so percentile reads are O(buckets) with
-//! no sample storage — a long-lived daemon must not accumulate unbounded
+//! into log-linear histograms (each power of two split into equal
+//! sub-buckets), so percentile reads are O(buckets) with no sample
+//! storage — a long-lived daemon must not accumulate unbounded
 //! per-request state. Timings stay here: none reaches a checkpoint or a
 //! round's stats.
 
 use serde::Value;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Number of log2 latency buckets: bucket `i` holds samples in
-/// `[2^i, 2^(i+1))` nanoseconds, with the last bucket open-ended. 40
-/// buckets cover 1ns .. ~18 minutes.
-const BUCKETS: usize = 40;
+/// Number of powers of two covered: octave `i` holds samples in
+/// `[2^i, 2^(i+1))` nanoseconds, with the last one open-ended. 40 octaves
+/// cover 1ns .. ~18 minutes.
+const OCTAVES: usize = 40;
 
-/// A fixed log2-bucket latency histogram over nanoseconds.
+/// Linear sub-buckets per octave: sub-bucket `j` of octave `i` holds
+/// `[2^i (8 + j) / 8, 2^i (9 + j) / 8)`, so its upper edge overstates any
+/// of its samples by at most 1/8.
+const SUB: usize = 8;
+
+const BUCKETS: usize = OCTAVES * SUB;
+
+/// A fixed log-linear latency histogram over nanoseconds.
 #[derive(Debug)]
 pub struct LatencyHistogram {
     buckets: [AtomicU64; BUCKETS],
@@ -24,7 +32,7 @@ pub struct LatencyHistogram {
     total_ns: AtomicU64,
 }
 
-// Hand-written: `[AtomicU64; 40]` has no derived `Default` (std only
+// Hand-written: `[AtomicU64; 320]` has no derived `Default` (std only
 // provides array defaults up to length 32).
 impl Default for LatencyHistogram {
     fn default() -> Self {
@@ -40,8 +48,7 @@ impl LatencyHistogram {
     /// Record one duration.
     pub fn record(&self, seconds: f64) {
         let ns = (seconds.max(0.0) * 1e9) as u64;
-        let idx = (63 - ns.max(1).leading_zeros() as usize).min(BUCKETS - 1);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        self.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.total_ns.fetch_add(ns, Ordering::Relaxed);
     }
@@ -52,7 +59,8 @@ impl LatencyHistogram {
     }
 
     /// Approximate percentile (`p` in 0..=100) in seconds: the upper edge
-    /// of the bucket holding the p-th sample. 0.0 when empty.
+    /// of the sub-bucket holding the p-th sample, at most 12.5% above it.
+    /// 0.0 when empty.
     pub fn percentile(&self, p: f64) -> f64 {
         let total = self.count();
         if total == 0 {
@@ -63,10 +71,10 @@ impl LatencyHistogram {
         for (i, b) in self.buckets.iter().enumerate() {
             seen += b.load(Ordering::Relaxed);
             if seen >= rank {
-                return 2f64.powi(i as i32 + 1) / 1e9;
+                return upper_edge_ns(i) / 1e9;
             }
         }
-        2f64.powi(BUCKETS as i32) / 1e9
+        upper_edge_ns(BUCKETS - 1) / 1e9
     }
 
     /// Mean latency in seconds (exact, unlike the bucketed percentiles).
@@ -90,6 +98,27 @@ impl LatencyHistogram {
             ("p99".into(), us(self.percentile(99.0))),
         ])
     }
+}
+
+/// The bucket of a sample of `ns` nanoseconds: its octave (the position of
+/// its leading one) and, below that, the three bits that follow it.
+fn bucket_of(ns: u64) -> usize {
+    let ns = ns.max(1);
+    let octave = 63 - ns.leading_zeros() as usize;
+    if octave >= OCTAVES {
+        return BUCKETS - 1;
+    }
+    // `8 ns / 2^octave` lies in [8, 16); its excess over 8 is the
+    // sub-bucket. `ns < 2^40` here, so `8 ns` cannot overflow.
+    let sub = ((ns * SUB as u64) >> octave) as usize - SUB;
+    octave * SUB + sub
+}
+
+/// The upper edge of bucket `i` in nanoseconds, `2^octave (9 + sub) / 8`
+/// (exact in an `f64`).
+fn upper_edge_ns(i: usize) -> f64 {
+    let (octave, sub) = (i / SUB, i % SUB);
+    2f64.powi(octave as i32) * (SUB + sub + 1) as f64 / SUB as f64
 }
 
 /// Where one session's write verbs (`ingest`, `step`) spend their time,
@@ -194,6 +223,36 @@ mod tests {
         assert!((1e-3..1e-2).contains(&p99), "p99 = {p99}");
         let mean = h.mean();
         assert!((mean - (90.0 * 1e-6 + 10.0 * 1e-3) / 100.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn percentiles_resolve_within_one_power_of_two() {
+        // 17 ms and 30 ms share the power-of-two bucket [16.8, 33.6) ms.
+        let h = LatencyHistogram::default();
+        for _ in 0..100 {
+            h.record(17e-3);
+        }
+        for _ in 0..100 {
+            h.record(30e-3);
+        }
+        let (p25, p75) = (h.percentile(25.0), h.percentile(75.0));
+        assert!(p25 < p75, "p25 = {p25}, p75 = {p75}");
+        for (p, sample) in [(p25, 17e-3), (p75, 30e-3)] {
+            assert!(
+                (sample..=1.125 * sample).contains(&p),
+                "{p} is not within 12.5% above {sample}"
+            );
+        }
+    }
+
+    #[test]
+    fn each_upper_edge_is_within_an_eighth_above_its_samples() {
+        for ns in (1..4096).chain([1 << 39, (1 << OCTAVES) - 1]) {
+            let edge = upper_edge_ns(bucket_of(ns));
+            let ns = ns as f64;
+            assert!((ns..=1.125 * ns).contains(&edge), "{ns} ns reads {edge} ns");
+        }
+        assert_eq!(bucket_of(u64::MAX), BUCKETS - 1);
     }
 
     #[test]

@@ -2,12 +2,13 @@
 //! connection, dispatching wire verbs onto the session directory.
 //!
 //! No async runtime and no new dependencies — connections are cheap
-//! threads blocking on `read`, the accept loop polls a nonblocking
-//! listener so it can notice the stop flag, and per-connection read
-//! timeouts let handler threads notice it too. Shutdown (SIGTERM via the
+//! threads blocking on `read`, and the accept loop polls a nonblocking
+//! listener so it can notice the stop flag. Shutdown (SIGTERM via the
 //! CLI, or the `shutdown` verb) is graceful: the accept loop stops taking
-//! connections, handler threads finish their current request and close,
-//! and `run` joins them all and closes every session before returning.
+//! connections and shuts down the read half of every live connection, so
+//! an idle handler's blocked read returns end-of-stream at once and a busy
+//! one finishes its current request first; `run` then joins them all and
+//! closes every session before returning.
 //!
 //! [`ServerOptions`] adds the fault-tolerance layer: a seeded
 //! [`FaultPlan`] injected into every response write (chaos testing), a
@@ -32,13 +33,13 @@ use crate::protocol::Response;
 use crate::sim::SimConfig;
 use serde::{Deserialize, Serialize, Value};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How often the accept loop and idle connections re-check the stop flag.
+/// How often the accept loop re-checks the stop flag.
 const POLL: Duration = Duration::from_millis(25);
 
 /// How often the accept loop sweeps for idle sessions.
@@ -216,17 +217,25 @@ impl Server {
         Ok(report)
     }
 
-    /// Run the accept loop until a stop is requested, then join every
-    /// connection thread and close every session. Blocking — callers
-    /// wanting an in-process server spawn this on a thread and keep the
+    /// Run the accept loop until a stop is requested (or an injected crash
+    /// fires), then end every connection's reads, join every connection
+    /// thread and close every session. Blocking — callers wanting an
+    /// in-process server spawn this on a thread and keep the
     /// [`ServerHandle`].
     pub fn run(self) -> io::Result<()> {
         self.listener.set_nonblocking(true)?;
-        let mut workers = Vec::new();
+        // Each live connection's handler thread, next to a second handle
+        // on its socket that the loop uses to end the handler's reads.
+        let mut workers: Vec<(std::thread::JoinHandle<()>, TcpStream)> = Vec::new();
         let mut last_sweep = Instant::now();
         while !self.state.stopping() {
             match self.listener.accept() {
                 Ok((stream, _)) => {
+                    // A connection the loop could not end at shutdown is
+                    // refused: dropping the stream closes it.
+                    let Ok(peer) = stream.try_clone() else {
+                        continue;
+                    };
                     let conn_id = self
                         .state
                         .metrics
@@ -234,9 +243,10 @@ impl Server {
                         .fetch_add(1, Ordering::Relaxed);
                     let state = Arc::clone(&self.state);
                     let registry = self.registry;
-                    workers.push(std::thread::spawn(move || {
+                    let handler = std::thread::spawn(move || {
                         serve_connection(stream, conn_id, registry, &state);
-                    }));
+                    });
+                    workers.push((handler, peer));
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     std::thread::sleep(POLL);
@@ -250,10 +260,16 @@ impl Server {
                 }
             }
             // Reap finished handlers so a long-lived daemon does not
-            // accumulate dead join handles.
-            workers.retain(|h| !h.is_finished());
+            // accumulate dead join handles or open sockets.
+            workers.retain(|(h, _)| !h.is_finished());
         }
-        for h in workers {
+        // A read blocked between frames returns end-of-stream once its read
+        // half is shut down, so an idle client cannot hold up the stop; a
+        // handler mid-request still writes its reply, then reads EOF.
+        for (_, peer) in &workers {
+            let _ = peer.shutdown(Shutdown::Read);
+        }
+        for (h, _) in workers {
             let _ = h.join();
         }
         // Free the sessions here, on the accept-loop thread, rather than
@@ -278,23 +294,22 @@ fn attach_durability(state: &ServerState, session: &Arc<ServingSession>) -> Resu
 }
 
 /// One connection: read frames, dispatch, write responses, until the
-/// peer closes, a wire error occurs, or the server stops. Response
-/// writes pass through the fault plan's per-connection decision stream.
+/// peer closes, a wire error occurs, or the server stops (which shuts
+/// down the connection's read half). Response writes pass through the
+/// fault plan's per-connection decision stream.
 fn serve_connection(
     mut stream: TcpStream,
     conn_id: u64,
     registry: &'static ProtocolRegistry,
     state: &ServerState,
 ) {
-    // Short read timeouts turn a blocking read into a poll of the stop
-    // flag; WouldBlock/TimedOut between frames just means "check and keep
-    // waiting".
+    // The read timeout wakes a read stalled mid-frame so the frame budget
+    // can cut off a slow peer; between frames a timeout just keeps waiting.
     let _ = stream.set_read_timeout(Some(POLL * 4));
     let _ = stream.set_nodelay(true);
     let mut conn_faults = state.faults.as_ref().map(|p| p.connection(conn_id));
-    let stop = || state.stopping();
     loop {
-        let frame = wire::read_frame_budget(&mut stream, &stop, state.frame_budget);
+        let frame = wire::read_frame_budget(&mut stream, state.frame_budget);
         let (payload, nread) = match frame {
             Ok(Some(frame)) => frame,
             Ok(None) => return, // clean close, or stop between frames

@@ -59,7 +59,7 @@
 //! its header's round is the durable round, and that file and `meta.json`
 //! stay as they are. A file whose name and header name different rounds
 //! is skipped as corrupt (see
-//! [`scan_snapshot_dir`](crate::checkpoint::scan_snapshot_dir)). On both
+//! [`scan_snapshot_dir`]). On both
 //! paths the next persisting write comes `every` writes later.
 //!
 //! # Write stages

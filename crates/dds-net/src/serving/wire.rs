@@ -117,32 +117,30 @@ pub fn write_corrupt_frame(w: &mut impl Write, payload: &[u8], flip_at: usize) -
 /// The returned usize is the total bytes taken off the wire
 /// (payload + [`FRAME_HEADER_BYTES`]).
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<(Vec<u8>, usize)>> {
-    read_frame_inner(r, None, None)
+    read_frame_inner(r, None)
 }
 
 /// Like [`read_frame`], but for sockets with a read timeout: timeouts
-/// (`WouldBlock`/`TimedOut`) between frames poll `stop` and keep waiting,
-/// and — crucially — a timeout *mid-frame* resumes from the partial bytes
-/// already read instead of desynchronizing the stream. Returns `Ok(None)`
-/// on clean close, or when `stop` fires between frames; a stop mid-frame
-/// is an error (the peer went quiet halfway through a frame).
+/// (`WouldBlock`/`TimedOut`) keep waiting, and — crucially — a timeout
+/// *mid-frame* resumes from the partial bytes already read instead of
+/// desynchronizing the stream. Returns `Ok(None)` on clean close, which is
+/// also how a stopping server ends an idle connection: it shuts down the
+/// socket's read half and the read sees end-of-stream.
 ///
 /// Once the first byte of a frame arrives, the whole frame must complete
 /// within `budget` or the read fails with `TimedOut`. This bounds how long
-/// a slow-loris peer (one byte per poll interval, forever) can pin a
+/// a slow-loris peer (one byte per read timeout, forever) can pin a
 /// connection thread — the daemon closes *that* connection and keeps
 /// serving the rest. Idle time between frames is not budgeted.
 pub fn read_frame_budget(
     r: &mut impl Read,
-    stop: &dyn Fn() -> bool,
     budget: Duration,
 ) -> io::Result<Option<(Vec<u8>, usize)>> {
-    read_frame_inner(r, Some(stop), Some(budget))
+    read_frame_inner(r, Some(budget))
 }
 
 fn read_frame_inner(
     r: &mut impl Read,
-    stop: Option<&dyn Fn() -> bool>,
     budget: Option<Duration>,
 ) -> io::Result<Option<(Vec<u8>, usize)>> {
     // The budget clock starts at the first byte of the frame, checked
@@ -173,20 +171,7 @@ fn read_frame_inner(
                 filled += k;
                 t0.get_or_insert_with(Instant::now);
             }
-            Err(e) if retryable(&e) => match stop {
-                Some(stop) => {
-                    if stop() {
-                        if filled == 0 {
-                            return Ok(None);
-                        }
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            "server stopping with a partial frame in flight",
-                        ));
-                    }
-                }
-                None => return Err(e),
-            },
+            Err(e) if budget.is_some() && retryable(&e) => {}
             Err(e) => return Err(e),
         }
     }
@@ -215,17 +200,7 @@ fn read_frame_inner(
                 ))
             }
             Ok(k) => filled += k,
-            Err(e) if retryable(&e) => match stop {
-                Some(stop) => {
-                    if stop() {
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            "server stopping with a partial frame in flight",
-                        ));
-                    }
-                }
-                None => return Err(e),
-            },
+            Err(e) if budget.is_some() && retryable(&e) => {}
             Err(e) => return Err(e),
         }
     }
@@ -691,31 +666,29 @@ mod tests {
                 Err(io::Error::new(io::ErrorKind::WouldBlock, "slow"))
             }
         }
-        let stop = || false;
-        let err = read_frame_budget(
-            &mut Loris(AtomicUsize::new(0)),
-            &stop,
-            Duration::from_millis(20),
-        )
-        .unwrap_err();
+        let err = read_frame_budget(&mut Loris(AtomicUsize::new(0)), Duration::from_millis(20))
+            .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::TimedOut);
         assert!(err.to_string().contains("budget"), "{err}");
 
-        // An idle connection (no bytes at all) is not budgeted: the stop
-        // poll decides, even though the idle wait far exceeds the budget.
-        struct Idle;
+        // An idle connection (no bytes at all) is not budgeted: it times
+        // out for far longer than the budget, then sees end-of-stream (a
+        // stopping server shuts down its read half), and that is a clean
+        // close, not a budget error.
+        struct Idle(Instant);
         impl Read for Idle {
             fn read(&mut self, _buf: &mut [u8]) -> io::Result<usize> {
+                if self.0.elapsed() > Duration::from_millis(50) {
+                    return Ok(0);
+                }
                 std::thread::sleep(Duration::from_millis(1));
                 Err(io::Error::new(io::ErrorKind::WouldBlock, "idle"))
             }
         }
-        let t0 = Instant::now();
-        let stop_late = move || t0.elapsed() > Duration::from_millis(50);
-        let out = read_frame_budget(&mut Idle, &stop_late, Duration::from_millis(5)).unwrap();
+        let out = read_frame_budget(&mut Idle(Instant::now()), Duration::from_millis(5)).unwrap();
         assert!(
             out.is_none(),
-            "idle + stop is a clean None, not a budget error"
+            "idle, then EOF is a clean None, not a budget error"
         );
     }
 
@@ -877,7 +850,7 @@ mod proptests {
 
         // A valid frame truncated at every possible cut: complete at the
         // full length, clean-EOF at zero, a typed error everywhere in
-        // between — and the poll-mode reader (with a budget far above this
+        // between — and the budgeted reader (with a budget far above this
         // test's run time) classifies identically.
         #[test]
         fn truncation_at_any_cut_is_total(raw in prop::collection::vec(0u16..256, 0..64), cut_seed in 0usize..4096) {
@@ -898,12 +871,11 @@ mod proptests {
                 prop_assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
             }
             let mut r = &buf[..cut];
-            let stop = || false;
-            match (cut, read_frame_budget(&mut r, &stop, Duration::from_secs(3600))) {
+            match (cut, read_frame_budget(&mut r, Duration::from_secs(3600))) {
                 (0, Ok(None)) => {}
                 (c, Ok(Some((back, _)))) if c == buf.len() => prop_assert_eq!(back, payload.clone()),
                 (c, Err(_)) if c > 0 && c < buf.len() => {}
-                (c, other) => prop_assert!(false, "poll-mode diverged at cut {}: {:?}", c, other),
+                (c, other) => prop_assert!(false, "budgeted reader diverged at cut {}: {:?}", c, other),
             }
         }
 

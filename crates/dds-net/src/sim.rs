@@ -353,7 +353,7 @@ impl<N: Node + Checkpointable> Simulator<N> {
     /// set, every node's protocol state, both amortized meters, bandwidth
     /// counters, the per-round stats log, and the persistent round-buffer
     /// structures (active set, outbox flag column; the sorted adjacency is
-    /// a pure function of the topology and is rebuilt on restore). All
+    /// a pure function of the edge set and is rebuilt on restore). All
     /// maps are written sorted, so equal states produce equal bytes.
     pub fn save_state(&self, w: &mut Writer) {
         w.object(|w| {
@@ -434,9 +434,14 @@ impl<N: Node + Checkpointable> Simulator<N> {
             .map(|x| x as usize)
             .collect();
 
-        let nbrs = (0..n)
-            .map(|i| topo.neighbors_sorted(NodeId(i as u32)))
-            .collect();
+        let mut nbrs = vec![Vec::new(); n];
+        for e in topo.edges() {
+            nbrs[e.lo().index()].push(e.hi());
+            nbrs[e.hi().index()].push(e.lo());
+        }
+        for list in &mut nbrs {
+            list.sort_unstable();
+        }
         let mut active = Vec::new();
         for a in checkpoint::field(v, "active")?
             .as_array()

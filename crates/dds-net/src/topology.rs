@@ -1,20 +1,21 @@
 //! The simulator's view of the true network graph.
 //!
 //! This is *not* accessible to protocol nodes — it exists so the simulator
-//! can route messages over edges of `G_i` and validate event batches. Nodes
-//! only ever see their [`crate::event::LocalEvent`] notifications and
-//! received messages, exactly as in the model.
+//! can validate event batches and record each edge's insertion round.
+//! Nodes only ever see their [`crate::event::LocalEvent`] notifications
+//! and received messages, exactly as in the model. Routing reads the
+//! simulator's one adjacency, the sorted neighbor lists of the round
+//! buffers, which are maintained from the same batches.
 
 use crate::event::{EventBatch, TopologyEvent};
 use crate::ids::{Edge, NodeId, Round};
-use rustc_hash::{FxHashMap, FxHashSet};
+use rustc_hash::FxHashMap;
 
-/// Adjacency structure of the current graph `G_i`, plus true insertion
-/// timestamps (the analysis-only `t_e` of the paper).
+/// The edge set of the current graph `G_i` with true insertion timestamps
+/// (the analysis-only `t_e` of the paper).
 #[derive(Clone, Debug)]
 pub struct Topology {
     n: usize,
-    adj: Vec<FxHashSet<NodeId>>,
     /// Current edges with their latest insertion round.
     edges: FxHashMap<Edge, Round>,
     /// Total number of applied topology changes.
@@ -26,7 +27,6 @@ impl Topology {
     pub fn new(n: usize) -> Self {
         Topology {
             n,
-            adj: vec![FxHashSet::default(); n],
             edges: FxHashMap::default(),
             changes: 0,
         }
@@ -55,28 +55,6 @@ impl Topology {
     /// Latest insertion round of a current edge.
     pub fn inserted_at(&self, e: Edge) -> Option<Round> {
         self.edges.get(&e).copied()
-    }
-
-    /// Current neighbors of `v` in unspecified order.
-    pub fn neighbors(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.adj[v.index()].iter().copied()
-    }
-
-    /// Current neighbors of `v`, sorted (deterministic order for delivery).
-    pub fn neighbors_sorted(&self, v: NodeId) -> Vec<NodeId> {
-        let mut ns: Vec<NodeId> = self.adj[v.index()].iter().copied().collect();
-        ns.sort_unstable();
-        ns
-    }
-
-    /// Degree of `v`.
-    pub fn degree(&self, v: NodeId) -> usize {
-        self.adj[v.index()].len()
-    }
-
-    /// Whether `u` and `w` are currently adjacent.
-    pub fn adjacent(&self, u: NodeId, w: NodeId) -> bool {
-        self.adj[u.index()].contains(&w)
     }
 
     /// All current edges in unspecified order.
@@ -115,19 +93,14 @@ impl Topology {
     /// batch source is untrusted.
     pub fn apply(&mut self, batch: &EventBatch, round: Round) {
         for ev in batch.iter() {
-            let e = ev.edge();
             match ev {
-                TopologyEvent::Insert(e2) => {
-                    let prev = self.edges.insert(e2, round);
+                TopologyEvent::Insert(e) => {
+                    let prev = self.edges.insert(e, round);
                     assert!(prev.is_none(), "insert of already-present edge {e:?}");
-                    self.adj[e.lo().index()].insert(e.hi());
-                    self.adj[e.hi().index()].insert(e.lo());
                 }
-                TopologyEvent::Delete(e2) => {
-                    let prev = self.edges.remove(&e2);
+                TopologyEvent::Delete(e) => {
+                    let prev = self.edges.remove(&e);
                     assert!(prev.is_some(), "delete of absent edge {e:?}");
-                    self.adj[e.lo().index()].remove(&e.hi());
-                    self.adj[e.hi().index()].remove(&e.lo());
                 }
             }
             self.changes += 1;
@@ -135,8 +108,7 @@ impl Topology {
     }
 
     /// Write for a snapshot: the timestamped edge set sorted by edge
-    /// (canonical bytes), plus the cumulative change counter. The adjacency
-    /// is derived state and is rebuilt by [`Topology::load_state`].
+    /// (canonical bytes), plus the cumulative change counter.
     pub(crate) fn save_state(&self, w: &mut crate::checkpoint::Writer) {
         let mut edges: Vec<(Edge, Round)> = self.edges.iter().map(|(&e, &r)| (e, r)).collect();
         edges.sort_unstable_by_key(|&(e, _)| (e.lo(), e.hi()));
@@ -152,8 +124,7 @@ impl Topology {
         });
     }
 
-    /// Rebuild a topology (including the derived adjacency) from the
-    /// parsed text of [`Topology::save_state`].
+    /// Rebuild a topology from the parsed text of [`Topology::save_state`].
     pub(crate) fn load_state(n: usize, v: &serde::Value) -> Result<Topology, String> {
         use serde::Deserialize as _;
         let mut topo = Topology::new(n);
@@ -181,8 +152,6 @@ impl Topology {
             if topo.edges.insert(e, round).is_some() {
                 return Err(format!("topology: duplicate edge {lo}-{hi}"));
             }
-            topo.adj[lo as usize].insert(NodeId(hi));
-            topo.adj[hi as usize].insert(NodeId(lo));
         }
         Ok(topo)
     }
@@ -199,11 +168,11 @@ mod tests {
         t.apply(&EventBatch::insert(edge(0, 1)), 1);
         assert!(t.has_edge(edge(0, 1)));
         assert_eq!(t.inserted_at(edge(0, 1)), Some(1));
-        assert_eq!(t.degree(NodeId(0)), 1);
+        assert_eq!(t.edge_count(), 1);
         assert_eq!(t.changes(), 1);
         t.apply(&EventBatch::delete(edge(0, 1)), 2);
         assert!(!t.has_edge(edge(0, 1)));
-        assert_eq!(t.degree(NodeId(0)), 0);
+        assert_eq!(t.edge_count(), 0);
         assert_eq!(t.changes(), 2);
     }
 
@@ -227,16 +196,17 @@ mod tests {
     }
 
     #[test]
-    fn neighbors_sorted_is_deterministic() {
+    fn a_batch_inserts_every_edge_it_names() {
         let mut t = Topology::new(5);
         let mut b = EventBatch::new();
         b.push_insert(edge(2, 4));
         b.push_insert(edge(2, 0));
         b.push_insert(edge(2, 3));
         t.apply(&b, 1);
-        assert_eq!(
-            t.neighbors_sorted(NodeId(2)),
-            vec![NodeId(0), NodeId(3), NodeId(4)]
-        );
+        assert!(t.has_edge(edge(0, 2)));
+        assert!(t.has_edge(edge(2, 3)));
+        assert!(t.has_edge(edge(2, 4)));
+        assert!(!t.has_edge(edge(2, 1)));
+        assert_eq!(t.edge_count(), 3);
     }
 }

@@ -17,7 +17,7 @@
 //!   same endpoint's fresher re-insertion also reaches, later, in FIFO
 //!   order.
 //! - Instead of the paper's merged imaginary timestamp `t'`, a receiver
-//!   keeps one [`Witness`] mark per edge endpoint: "taught over the current
+//!   keeps one `Witness` mark per edge endpoint: "taught over the current
 //!   incarnation of my link to this endpoint". Marks carry the same
 //!   information as `t'` (the relevant comparisons reduce to live link
 //!   timestamps) but cannot conflate the two endpoints' support.

@@ -921,6 +921,24 @@ fn slow_loris_frames_are_cut_off_by_the_read_budget() {
 }
 
 #[test]
+fn an_idle_client_does_not_hold_up_the_stop() {
+    let (addr, join, stop) = boot_with(ServerOptions::default());
+    // One reply, then the client stays connected and says nothing: its
+    // connection thread is blocked reading the next frame.
+    let mut client = Client::connect(&addr).expect("connect");
+    client.open("idle", "two-hop", 8).expect("open");
+    let t0 = std::time::Instant::now();
+    stop();
+    join.join().expect("server thread");
+    let took = t0.elapsed();
+    assert!(
+        took < std::time::Duration::from_millis(60),
+        "the daemon took {took:?} to stop with an idle client connected"
+    );
+    drop(client);
+}
+
+#[test]
 fn a_deeply_nested_request_is_a_typed_error_not_a_crash() {
     use dynamic_subgraphs::net::serving::wire;
     let (addr, join, stop) = boot_with(ServerOptions::default());

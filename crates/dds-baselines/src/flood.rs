@@ -9,7 +9,7 @@
 //!
 //! [`BandwidthPolicy::Observe`]: dds_net::BandwidthPolicy::Observe
 
-use dds_net::checkpoint::{self as ckpt, Checkpointable, Deserialize as _, Value, Writer};
+use dds_net::checkpoint::{self as ckpt, Checkpointable, Reader, Writer};
 use dds_net::{
     Answer, BitSized, Edge, Flags, LocalEvent, Node, NodeId, Outbox, Query, QueryError, QueryKind,
     Queryable, Received, Response, Round,
@@ -197,20 +197,27 @@ fn write_facts(w: &mut Writer, facts: impl IntoIterator<Item = Fact>) {
     });
 }
 
-fn fact_from(v: &Value, n: usize) -> Result<Fact, String> {
-    let item = ckpt::arr(v)?;
-    if item.len() != 3 {
-        return Err("fact: expected [edge, round, insert]".into());
-    }
-    let edge = ckpt::edge_from(&item[0])?;
-    if edge.hi().index() >= n {
-        return Err(format!("fact: out-of-range edge {edge:?}"));
-    }
-    Ok(Fact {
-        edge,
-        round: u64::from_value(&item[1])?,
-        insert: bool::from_value(&item[2])?,
+fn read_fact(r: &mut Reader<'_>, n: usize) -> Result<Fact, String> {
+    r.array(|r| {
+        let edge = ckpt::read_edge(r)?;
+        if edge.hi().index() >= n {
+            return Err(format!("fact: out-of-range edge {edge:?}"));
+        }
+        Ok(Fact {
+            edge,
+            round: r.u64()?,
+            insert: r.bool()?,
+        })
     })
+}
+
+fn read_facts(r: &mut Reader<'_>, n: usize) -> Result<Vec<Fact>, String> {
+    let mut facts = Vec::new();
+    r.elements(|r| {
+        facts.push(read_fact(r, n)?);
+        Ok::<_, String>(())
+    })?;
+    Ok(facts)
 }
 
 impl Checkpointable for FloodNode {
@@ -245,49 +252,44 @@ impl Checkpointable for FloodNode {
         });
     }
 
-    fn load_state(id: NodeId, n: usize, v: &Value) -> Result<Self, String> {
+    fn load_state(id: NodeId, n: usize, r: &mut Reader<'_>) -> Result<Self, String> {
         let mut node = <FloodNode as Node>::new(id, n);
-        for fv in ckpt::arr(ckpt::field(v, "seen")?)? {
-            let f = fact_from(fv, n)?;
-            if !node.seen.insert(f) {
-                return Err(format!("seen: duplicate fact {f:?}"));
+        r.object(|r| {
+            for f in read_facts(r.key("seen")?, n)? {
+                if !node.seen.insert(f) {
+                    return Err(format!("seen: duplicate fact {f:?}"));
+                }
             }
-        }
-        for fv in ckpt::arr(ckpt::field(v, "outbox")?)? {
-            node.outbox.push(fact_from(fv, n)?);
-        }
-        for pair in ckpt::arr(ckpt::field(v, "catchup")?)? {
-            let pair = ckpt::arr(pair)?;
-            if pair.len() != 2 {
-                return Err("catchup: expected [peer, history]".into());
-            }
-            let p = NodeId(u32::from_value(&pair[0])?);
-            if p == id || p.index() >= n {
-                return Err(format!("catchup: bad peer {p:?}"));
-            }
-            let mut history = Vec::new();
-            for fv in ckpt::arr(&pair[1])? {
-                history.push(fact_from(fv, n)?);
-            }
-            if node.catchup.insert(p, history).is_some() {
-                return Err(format!("catchup: duplicate peer {p:?}"));
-            }
-        }
-        for bv in ckpt::arr(ckpt::field(v, "belief")?)? {
-            let item = ckpt::arr(bv)?;
-            if item.len() != 3 {
-                return Err("belief: expected [edge, round, present]".into());
-            }
-            let e = ckpt::edge_from(&item[0])?;
-            if e.hi().index() >= n {
-                return Err(format!("belief: out-of-range edge {e:?}"));
-            }
-            let entry = (u64::from_value(&item[1])?, bool::from_value(&item[2])?);
-            if node.belief.insert(e, entry).is_some() {
-                return Err(format!("belief: duplicate edge {e:?}"));
-            }
-        }
-        node.consistent = bool::from_value(ckpt::field(v, "consistent")?)?;
+            node.outbox = read_facts(r.key("outbox")?, n)?;
+            r.key("catchup")?.elements(|r| {
+                r.array(|r| {
+                    let p = ckpt::read_id(r)?;
+                    if p == id || p.index() >= n {
+                        return Err(format!("catchup: bad peer {p:?}"));
+                    }
+                    let history = read_facts(r, n)?;
+                    if node.catchup.insert(p, history).is_some() {
+                        return Err(format!("catchup: duplicate peer {p:?}"));
+                    }
+                    Ok(())
+                })
+            })?;
+            r.key("belief")?.elements(|r| {
+                r.array(|r| {
+                    let e = ckpt::read_edge(r)?;
+                    if e.hi().index() >= n {
+                        return Err(format!("belief: out-of-range edge {e:?}"));
+                    }
+                    let entry = (r.u64()?, r.bool()?);
+                    if node.belief.insert(e, entry).is_some() {
+                        return Err(format!("belief: duplicate edge {e:?}"));
+                    }
+                    Ok(())
+                })
+            })?;
+            node.consistent = r.key("consistent")?.bool()?;
+            Ok::<_, String>(())
+        })?;
         Ok(node)
     }
 }
@@ -303,13 +305,31 @@ mod tests {
         for (u, w) in [(0, 1), (1, 2), (2, 3)] {
             sim.step(&EventBatch::insert(edge(u, w)));
         }
-        sim.step(&EventBatch::insert(edge(3, 4))); // catch-up pending at 3
-        for i in 0..5u32 {
-            let node = sim.node(NodeId(i));
+        sim.step(&EventBatch::insert(edge(3, 4)));
+        let mut nodes: Vec<FloodNode> = (0..5u32).map(|i| sim.node(NodeId(i)).clone()).collect();
+        assert!(
+            nodes.iter().any(|v| !v.outbox.is_empty()),
+            "the test wants an outbox"
+        );
+        // `send` hands every catch-up over in the round it is made, so
+        // only a node stopped inside a round still holds one.
+        let mut attached = nodes[2].clone();
+        attached.on_topology(
+            5,
+            &[LocalEvent {
+                edge: edge(0, 2),
+                peer: NodeId(0),
+                inserted: true,
+            }],
+        );
+        assert!(!attached.catchup.is_empty(), "the test wants a catch-up");
+        nodes.push(attached);
+        for (i, node) in nodes.iter().enumerate() {
             let saved = ckpt::state_text(node);
             let back: FloodNode = ckpt::load_text(node.id, 5, &saved).unwrap();
             assert_eq!(ckpt::state_text(&back), saved, "node {i} roundtrip drifted");
             assert_eq!(back.outbox, node.outbox, "node {i} outbox order");
+            assert_eq!(back.catchup, node.catchup, "node {i} catch-up order");
             assert_eq!(back.seen, node.seen);
             assert_eq!(back.belief, node.belief);
         }

@@ -13,7 +13,7 @@
 //! experiment A1) reproduce this, which is precisely why Theorem 7 needs
 //! the imaginary-timestamp machinery.
 
-use dds_net::checkpoint::{self as ckpt, Checkpointable, Deserialize as _, Value, Writer};
+use dds_net::checkpoint::{self as ckpt, Checkpointable, Reader, Writer};
 use dds_net::{
     Answer, BitSized, Edge, Flags, LocalEvent, Node, NodeId, Outbox, Query, QueryError, QueryKind,
     Queryable, Received, Response, Round,
@@ -191,37 +191,40 @@ impl Checkpointable for NaiveTwoHopNode {
         });
     }
 
-    fn load_state(id: NodeId, n: usize, v: &Value) -> Result<Self, String> {
+    fn load_state(id: NodeId, n: usize, r: &mut Reader<'_>) -> Result<Self, String> {
         let mut node = <NaiveTwoHopNode as Node>::new(id, n);
-        for p in ckpt::ids_from(ckpt::field(v, "incident")?)? {
-            if p == id || p.index() >= n {
-                return Err(format!("incident: bad peer {p:?}"));
+        r.object(|r| {
+            for p in ckpt::read_ids(r.key("incident")?)? {
+                if p == id || p.index() >= n {
+                    return Err(format!("incident: bad peer {p:?}"));
+                }
+                if !node.incident.insert(p) {
+                    return Err(format!("incident: duplicate peer {p:?}"));
+                }
             }
-            if !node.incident.insert(p) {
-                return Err(format!("incident: duplicate peer {p:?}"));
-            }
-        }
-        for ev in ckpt::arr(ckpt::field(v, "s")?)? {
-            let e = ckpt::edge_from(ev)?;
-            if e.hi().index() >= n {
-                return Err(format!("s: out-of-range edge {e:?}"));
-            }
-            if !node.s.insert(e) {
-                return Err(format!("s: duplicate edge {e:?}"));
-            }
-        }
-        for item in ckpt::arr(ckpt::field(v, "q")?)? {
-            let item = ckpt::arr(item)?;
-            if item.len() != 2 {
-                return Err("q: expected [edge, insert]".into());
-            }
-            let e = ckpt::edge_from(&item[0])?;
-            if e.hi().index() >= n {
-                return Err(format!("q: out-of-range edge {e:?}"));
-            }
-            node.q.push_back((e, bool::from_value(&item[1])?));
-        }
-        node.consistent = bool::from_value(ckpt::field(v, "consistent")?)?;
+            r.key("s")?.elements(|r| {
+                let e = ckpt::read_edge(r)?;
+                if e.hi().index() >= n {
+                    return Err(format!("s: out-of-range edge {e:?}"));
+                }
+                if !node.s.insert(e) {
+                    return Err(format!("s: duplicate edge {e:?}"));
+                }
+                Ok(())
+            })?;
+            r.key("q")?.elements(|r| {
+                r.array(|r| {
+                    let e = ckpt::read_edge(r)?;
+                    if e.hi().index() >= n {
+                        return Err(format!("q: out-of-range edge {e:?}"));
+                    }
+                    node.q.push_back((e, r.bool()?));
+                    Ok(())
+                })
+            })?;
+            node.consistent = r.key("consistent")?.bool()?;
+            Ok(())
+        })?;
         Ok(node)
     }
 }
@@ -237,8 +240,13 @@ mod tests {
         let mut b = EventBatch::new();
         b.push_insert(edge(0, 1));
         b.push_insert(edge(0, 2));
+        b.push_insert(edge(0, 3));
         sim.step(&b);
         sim.step(&EventBatch::insert(edge(1, 2)));
+        assert!(
+            (0..4u32).any(|i| !sim.node(NodeId(i)).q.is_empty()),
+            "the test wants a queue mid-update"
+        );
         for i in 0..4u32 {
             let node = sim.node(NodeId(i));
             let saved = ckpt::state_text(node);

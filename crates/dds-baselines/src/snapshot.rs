@@ -18,7 +18,7 @@
 //!   impossibility threshold — there is provably no asymptotically better
 //!   algorithm.
 
-use dds_net::checkpoint::{self as ckpt, Checkpointable, Deserialize as _, Value, Writer};
+use dds_net::checkpoint::{self as ckpt, Checkpointable, Reader, Writer};
 use dds_net::{
     Answer, BitSized, Edge, Flags, LocalEvent, Node, NodeId, Outbox, Query, QueryError, QueryKind,
     Queryable, Received, Response, Round,
@@ -395,106 +395,104 @@ impl Checkpointable for SnapshotNode {
         });
     }
 
-    fn load_state(id: NodeId, n: usize, v: &Value) -> Result<Self, String> {
+    fn load_state(id: NodeId, n: usize, r: &mut Reader<'_>) -> Result<Self, String> {
         let mut node = <SnapshotNode as Node>::new(id, n);
-        let peer = |x: &Value| -> Result<NodeId, String> {
-            let p = NodeId(u32::from_value(x)?);
+        let peer = |r: &mut Reader<'_>| -> Result<NodeId, String> {
+            let p = ckpt::read_id(r)?;
             if p == id || p.index() >= n {
                 return Err(format!("bad peer {p:?}"));
             }
             Ok(p)
         };
-        for p in ckpt::ids_from(ckpt::field(v, "incident")?)? {
-            if p == id || p.index() >= n {
-                return Err(format!("incident: bad peer {p:?}"));
-            }
-            if !node.incident.insert(p) {
-                return Err(format!("incident: duplicate peer {p:?}"));
-            }
-        }
-        for pair in ckpt::arr(ckpt::field(v, "known")?)? {
-            let pair = ckpt::arr(pair)?;
-            if pair.len() != 2 {
-                return Err("known: expected [peer, neighbors]".into());
-            }
-            let p = peer(&pair[0])?;
-            let mut ns: FxHashSet<NodeId> = FxHashSet::default();
-            for u in ckpt::ids_from(&pair[1])? {
-                if u.index() >= n {
-                    return Err(format!("known: out-of-range neighbor {u:?}"));
+        r.object(|r| {
+            for p in ckpt::read_ids(r.key("incident")?)? {
+                if p == id || p.index() >= n {
+                    return Err(format!("incident: bad peer {p:?}"));
                 }
-                ns.insert(u);
-            }
-            if node.known.insert(p, ns).is_some() {
-                return Err(format!("known: duplicate peer {p:?}"));
-            }
-        }
-        for pair in ckpt::arr(ckpt::field(v, "queues")?)? {
-            let pair = ckpt::arr(pair)?;
-            if pair.len() != 2 {
-                return Err("queues: expected [peer, items]".into());
-            }
-            let p = peer(&pair[0])?;
-            let mut q = VecDeque::new();
-            for item in ckpt::arr(&pair[1])? {
-                let item = ckpt::arr(item)?;
-                let tag = item
-                    .first()
-                    .and_then(Value::as_str)
-                    .ok_or("queues: missing item tag")?;
-                match tag {
-                    "delta" => {
-                        if item.len() != 3 {
-                            return Err("queues: expected [\"delta\", edge, insert]".into());
-                        }
-                        let edge = ckpt::edge_from(&item[1])?;
-                        if !edge.touches(id) || edge.hi().index() >= n {
-                            return Err(format!("queues: non-incident delta {edge:?}"));
-                        }
-                        q.push_back(QueueItem::Delta {
-                            edge,
-                            insert: bool::from_value(&item[2])?,
-                        });
-                    }
-                    "chunk" => {
-                        if item.len() != 5 {
-                            return Err(
-                                "queues: expected [\"chunk\", start, span, members, last]".into()
-                            );
-                        }
-                        let start = u32::from_value(&item[1])?;
-                        let span = u32::from_value(&item[2])?;
-                        let members = ckpt::ids_from(&item[3])?;
-                        let end = start as u64 + span as u64;
-                        if (start as usize) >= n || end as usize > n || span == 0 {
-                            return Err(format!("queues: chunk [{start}, {span}) out of range"));
-                        }
-                        if members.iter().any(|m| m.0 < start || (m.0 as u64) >= end) {
-                            return Err("queues: chunk member outside its span".into());
-                        }
-                        q.push_back(QueueItem::Chunk(SnapMsg::Chunk {
-                            start,
-                            span,
-                            members,
-                            last: bool::from_value(&item[4])?,
-                        }));
-                    }
-                    other => return Err(format!("queues: unknown item tag {other:?}")),
+                if !node.incident.insert(p) {
+                    return Err(format!("incident: duplicate peer {p:?}"));
                 }
             }
-            if node.queues.insert(p, q).is_some() {
-                return Err(format!("queues: duplicate peer {p:?}"));
+            r.key("known")?.elements(|r| {
+                r.array(|r| {
+                    let p = peer(r)?;
+                    let mut ns: FxHashSet<NodeId> = FxHashSet::default();
+                    for u in ckpt::read_ids(r)? {
+                        if u.index() >= n {
+                            return Err(format!("known: out-of-range neighbor {u:?}"));
+                        }
+                        ns.insert(u);
+                    }
+                    if node.known.insert(p, ns).is_some() {
+                        return Err(format!("known: duplicate peer {p:?}"));
+                    }
+                    Ok(())
+                })
+            })?;
+            r.key("queues")?.elements(|r| {
+                r.array(|r| {
+                    let p = peer(r)?;
+                    let mut q = VecDeque::new();
+                    r.elements(|r| {
+                        r.array(|r| {
+                            match &*r.str()? {
+                                "delta" => {
+                                    let edge = ckpt::read_edge(r)?;
+                                    if !edge.touches(id) || edge.hi().index() >= n {
+                                        return Err(format!("queues: non-incident delta {edge:?}"));
+                                    }
+                                    q.push_back(QueueItem::Delta {
+                                        edge,
+                                        insert: r.bool()?,
+                                    });
+                                }
+                                "chunk" => {
+                                    let span_u32 = |x: u64| {
+                                        u32::try_from(x).map_err(|_| {
+                                            format!("queues: chunk bound {x} out of range")
+                                        })
+                                    };
+                                    let start = span_u32(r.u64()?)?;
+                                    let span = span_u32(r.u64()?)?;
+                                    let members = ckpt::read_ids(r)?;
+                                    let end = start as u64 + span as u64;
+                                    if (start as usize) >= n || end as usize > n || span == 0 {
+                                        return Err(format!(
+                                            "queues: chunk [{start}, {span}) out of range"
+                                        ));
+                                    }
+                                    if members.iter().any(|m| m.0 < start || (m.0 as u64) >= end) {
+                                        return Err("queues: chunk member outside its span".into());
+                                    }
+                                    q.push_back(QueueItem::Chunk(SnapMsg::Chunk {
+                                        start,
+                                        span,
+                                        members,
+                                        last: r.bool()?,
+                                    }));
+                                }
+                                other => return Err(format!("queues: unknown item tag {other:?}")),
+                            }
+                            Ok(())
+                        })
+                    })?;
+                    if node.queues.insert(p, q).is_some() {
+                        return Err(format!("queues: duplicate peer {p:?}"));
+                    }
+                    Ok(())
+                })
+            })?;
+            for p in ckpt::read_ids(r.key("synced")?)? {
+                if p.index() >= n {
+                    return Err(format!("synced: out-of-range peer {p:?}"));
+                }
+                if !node.synced.insert(p) {
+                    return Err(format!("synced: duplicate peer {p:?}"));
+                }
             }
-        }
-        for p in ckpt::ids_from(ckpt::field(v, "synced")?)? {
-            if p.index() >= n {
-                return Err(format!("synced: out-of-range peer {p:?}"));
-            }
-            if !node.synced.insert(p) {
-                return Err(format!("synced: duplicate peer {p:?}"));
-            }
-        }
-        node.consistent = bool::from_value(ckpt::field(v, "consistent")?)?;
+            node.consistent = r.key("consistent")?.bool()?;
+            Ok(())
+        })?;
         Ok(node)
     }
 }
@@ -514,15 +512,26 @@ mod tests {
         // Attach node 0 and stop mid-snapshot-transfer: chunk queues are live.
         sim.step(&EventBatch::insert(edge(0, 1)));
         sim.step_quiet();
-        let node = sim.node(NodeId(1));
-        assert!(node.backlog() > 0, "test wants a live chunk queue");
-        let saved = ckpt::state_text(node);
-        let back: SnapshotNode = ckpt::load_text(node.id, n, &saved).unwrap();
-        assert_eq!(ckpt::state_text(&back), saved);
-        assert_eq!(back.backlog(), node.backlog());
-        assert_eq!(back.incident, node.incident);
-        assert_eq!(back.known, node.known);
-        assert_eq!(back.synced, node.synced);
+        // A change during the transfer queues deltas next to the chunks.
+        sim.step(&EventBatch::insert(edge(1, 10)));
+        let queued = |delta: bool| {
+            (0..n as u32).any(|i| {
+                let mut items = sim.node(NodeId(i)).queues.values().flatten();
+                items.any(|item| matches!(item, QueueItem::Delta { .. }) == delta)
+            })
+        };
+        assert!(queued(false), "test wants a live chunk queue");
+        assert!(queued(true), "test wants a queued delta");
+        for i in 0..n as u32 {
+            let node = sim.node(NodeId(i));
+            let saved = ckpt::state_text(node);
+            let back: SnapshotNode = ckpt::load_text(node.id, n, &saved).unwrap();
+            assert_eq!(ckpt::state_text(&back), saved, "node {i} roundtrip drifted");
+            assert_eq!(back.backlog(), node.backlog());
+            assert_eq!(back.incident, node.incident);
+            assert_eq!(back.known, node.known);
+            assert_eq!(back.synced, node.synced);
+        }
     }
 
     fn settle(sim: &mut Simulator<SnapshotNode>, max: usize) {

@@ -114,8 +114,8 @@ pub fn cmd_serve(args: &Args) -> Result<(), String> {
         let report = server
             .recover(std::path::Path::new(dir), default_session)
             .map_err(|e| format!("--recover {dir}: {e}"))?;
-        for (name, round) in &report.sessions {
-            println!("recovered session {name:?} at round {round}");
+        for ((name, round), stages) in report.sessions.iter().zip(&report.stages) {
+            println!("recovered session {name:?} at round {round} ({stages})");
         }
         for (path, reason) in &report.skipped {
             eprintln!("recover: skipped {}: {reason}", path.display());

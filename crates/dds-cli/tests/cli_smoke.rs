@@ -1192,6 +1192,23 @@ fn binary_serve_kill9_then_recover_resumes_the_durable_watermark() {
         boot.contains("recovered session \"main\" at round 10"),
         "recovery must resume the last durable watermark: {boot}"
     );
+    // The line ends with the recovery's four stage timings, in order.
+    let line = boot
+        .lines()
+        .find(|l| l.starts_with("recovered session"))
+        .expect("a recovered-session line");
+    let stages = line
+        .strip_prefix("recovered session \"main\" at round 10 (")
+        .and_then(|rest| rest.strip_suffix(')'))
+        .unwrap_or_else(|| panic!("no stage suffix: {line}"));
+    let names: Vec<&str> = stages
+        .split(", ")
+        .map(|stage| match stage.split(' ').collect::<Vec<_>>()[..] {
+            [name, ms, "ms"] if ms.parse::<f64>().is_ok_and(|ms| ms >= 0.0) => name,
+            _ => panic!("not a stage timing: {stage:?} in {line}"),
+        })
+        .collect();
+    assert_eq!(names, ["read", "verify", "restore", "publish"], "{line}");
     // The recovered daemon answers immediately, with zero errors.
     let (ok, stdout, stderr) = run_bin(&[
         "loadgen",

@@ -178,16 +178,19 @@ impl BandwidthMeter {
 
     /// Restore the counters written by [`BandwidthMeter::save_state`]
     /// into a freshly constructed meter.
-    pub(crate) fn load_counters(&mut self, v: &serde::Value) -> Result<(), String> {
-        use serde::Deserialize as _;
-        let get = |k: &str| u64::from_value(crate::checkpoint::field(v, k)?);
-        self.total_bits = get("total_bits")?;
-        self.total_messages = get("total_messages")?;
-        self.round_bits = get("round_bits")?;
-        self.round_messages = get("round_messages")?;
-        self.violations = get("violations")?;
-        self.max_message_bits = get("max_message_bits")?;
-        Ok(())
+    pub(crate) fn load_counters(
+        &mut self,
+        r: &mut crate::checkpoint::Reader<'_>,
+    ) -> Result<(), String> {
+        r.object(|r| {
+            self.total_bits = r.key("total_bits")?.u64()?;
+            self.total_messages = r.key("total_messages")?.u64()?;
+            self.round_bits = r.key("round_bits")?.u64()?;
+            self.round_messages = r.key("round_messages")?.u64()?;
+            self.violations = r.key("violations")?.u64()?;
+            self.max_message_bits = r.key("max_message_bits")?.u64()?;
+            Ok(())
+        })
     }
 }
 

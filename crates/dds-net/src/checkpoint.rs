@@ -29,18 +29,26 @@
 //!   column; the sorted adjacency is rebuilt from the topology section,
 //!   of which it is a pure function).
 //!
-//! # Capture is the encoding
+//! # Capture is the encoding, restore is the decoding
 //!
 //! Capturing a snapshot writes the body's JSON text straight from the
 //! live state, through one compact [`Writer`]: every [`Checkpointable`]
 //! node, the topology, the meters and the simulator write their own
 //! sections, and no value tree is built. [`Snapshot::to_json`] then
 //! splices that text with the header and checksums exactly those bytes.
-//! Reading goes the other way, once: [`Snapshot::from_json`] parses the
-//! document into a tree and restore reads the tree. A parsed snapshot
-//! written again goes through the tree renderer, which formats every
-//! scalar with the writer's own routines, so a document read and written
-//! back keeps its bytes.
+//!
+//! Restoring goes the other way through one pull [`Reader`]: the same
+//! sections read their text straight into live state, in the order they
+//! wrote it, again with no tree. A [`Snapshot`] holds the body as text
+//! either way. [`Snapshot::from_json`] reads the header, checks the
+//! body's syntax without building anything, checksums its bytes and keeps
+//! them, so a document read and written back is spliced, not re-encoded,
+//! and keeps its bytes.
+//!
+//! Key order is part of the format: each section's reader expects its
+//! members in the order its writer writes them, and a reordered, missing
+//! or unknown key is [`RestoreError::Corrupt`] naming the key. Only the
+//! document's two sections are found by name, in either order.
 //!
 //! # Determinism
 //!
@@ -57,8 +65,8 @@ use std::fmt;
 use std::path::Path as FsPath;
 
 pub use serde::{Deserialize, Serialize, Value};
-pub use serde_json::Writer;
-use std::borrow::Cow;
+pub use serde_json::{Reader, Writer};
+use std::time::{Duration, Instant};
 
 /// Magic format name stored in every snapshot header.
 pub const SNAPSHOT_FORMAT: &str = "dds-snapshot";
@@ -74,15 +82,16 @@ const SCHEDULING_TOKENS: [&str; 2] = ["balanced", "chunked"];
 /// Protocol node state that can be written into and rebuilt from a
 /// snapshot. Implementations must be *lossless and canonical*: writing
 /// hash maps/sets sorted by key, queues in order — so equal states write
-/// equal bytes and loading the parsed text of `save_state(x)` gives back
-/// `x` in every observable respect.
+/// equal bytes and loading the text of `save_state(x)` gives back `x` in
+/// every observable respect.
 pub trait Checkpointable: Sized {
     /// Write this node's full state as one JSON value.
     fn save_state(&self, w: &mut Writer);
 
-    /// Rebuild a node from a captured state. `id`/`n` are the same
-    /// arguments the node was constructed with.
-    fn load_state(id: NodeId, n: usize, v: &Value) -> Result<Self, String>;
+    /// Rebuild a node by reading the one value [`Checkpointable::save_state`]
+    /// wrote, object keys in the order it wrote them. `id`/`n` are the
+    /// same arguments the node was constructed with.
+    fn load_state(id: NodeId, n: usize, r: &mut Reader<'_>) -> Result<Self, String>;
 }
 
 /// Typed failures of snapshot reading/restore. Every corruption mode the
@@ -204,41 +213,25 @@ impl SnapshotHeader {
     }
 }
 
-/// A parsed (or freshly captured) snapshot: validated header + body.
+/// A validated (or freshly captured) snapshot: the header, and the body
+/// as JSON text — the text a live session wrote, or the bytes
+/// [`Snapshot::from_json`] checked.
 #[derive(Clone, Debug)]
 pub struct Snapshot {
     /// The validated header.
     pub header: SnapshotHeader,
-    body: Body,
-}
-
-/// A snapshot's engine-state section, as its producer has it.
-#[derive(Clone, Debug)]
-enum Body {
-    /// Captured from a live session: the compact JSON text it wrote.
-    Text(String),
-    /// Read from a document: the tree [`Snapshot::from_json`] parsed.
-    Tree(Value),
+    body: String,
 }
 
 impl Snapshot {
     /// Pair a header with the body text a live session wrote.
     pub(crate) fn captured(header: SnapshotHeader, body: String) -> Self {
-        Snapshot {
-            header,
-            body: Body::Text(body),
-        }
+        Snapshot { header, body }
     }
 
-    /// The engine-state section as a tree: the one [`Snapshot::from_json`]
-    /// parsed, or a captured body's text parsed now.
-    pub(crate) fn body_tree(&self) -> Result<Cow<'_, Value>, RestoreError> {
-        match &self.body {
-            Body::Tree(tree) => Ok(Cow::Borrowed(tree)),
-            Body::Text(text) => serde_json::from_str(text)
-                .map(Cow::Owned)
-                .map_err(|e| RestoreError::Parse(e.to_string())),
-        }
+    /// The engine-state section's JSON text.
+    pub(crate) fn body(&self) -> &str {
+        &self.body
     }
 
     /// Serialize to the on-disk JSON document. Compact (no whitespace):
@@ -250,17 +243,9 @@ impl Snapshot {
     /// The document is the header and body spliced into
     /// `{"header":…,"body":…}`, the compact writer's rendering of that
     /// object, and the header's `checksum` field is the FNV-1a 64 of
-    /// exactly the body bytes spliced in. A captured body is spliced as
-    /// written; a parsed one is rendered from its tree first.
+    /// exactly the body bytes spliced in.
     pub fn to_json(&self) -> String {
-        let rendered;
-        let body = match &self.body {
-            Body::Text(text) => text,
-            Body::Tree(tree) => {
-                rendered = serde_json::to_string(tree).expect("json write is infallible");
-                &rendered
-            }
-        };
+        let body = &self.body;
         let h = &self.header;
         let mut header = Writer::new();
         header.object(|w| {
@@ -281,28 +266,41 @@ impl Snapshot {
         ["{\"header\":", &header, ",\"body\":", body, "}\n"].concat()
     }
 
-    /// Parse and validate an on-disk snapshot document: JSON shape, format
+    /// Read and validate an on-disk snapshot document: JSON syntax, format
     /// name, version (refusing the future), header fields, and the body
     /// checksum — in that order, so the most informative error wins.
     ///
-    /// The text is parsed once. The checksum is taken over the `body`
-    /// member's bytes exactly as they appear in `s`, the bytes
-    /// [`Snapshot::to_json`] hashed, and the parsed body is moved out of
-    /// the document, not copied.
+    /// The text is read once. The `header` and `body` sections are found
+    /// by name; the header is read as a small tree, and the body's syntax
+    /// is checked without building anything. The checksum is taken over
+    /// the body's bytes exactly as they appear in `s`, the bytes
+    /// [`Snapshot::to_json`] hashed, and those bytes are what the
+    /// snapshot keeps: restoring reads them straight into live state.
     pub fn from_json(s: &str) -> Result<Snapshot, RestoreError> {
-        let (doc, spans) =
-            serde_json::from_str_spanned(s).map_err(|e| RestoreError::Parse(e.to_string()))?;
-        let mut sections = match doc {
-            Value::Obj(members) => members,
-            _ => Vec::new(),
-        };
-        let section = |name: &str| {
-            sections
-                .iter()
-                .position(|(k, _)| k == name)
-                .ok_or_else(|| RestoreError::Corrupt(format!("missing `{name}` section")))
-        };
-        let header = &sections[section("header")?].1;
+        let parse = |e: serde_json::Error| RestoreError::Parse(e.to_string());
+        let mut r = Reader::new(s);
+        let (mut header, mut body) = (None, None);
+        if s.trim_start_matches([' ', '\t', '\n', '\r'])
+            .starts_with('{')
+        {
+            r.object(|r| {
+                while let Some(name) = r.next_key()? {
+                    match &*name {
+                        "header" if header.is_none() => header = Some(r.value()?),
+                        "body" if body.is_none() => body = Some(r.skip()?),
+                        _ => drop(r.skip()?),
+                    }
+                }
+                Ok::<_, serde_json::Error>(())
+            })
+            .map_err(parse)?;
+        } else {
+            // Any other JSON value has no sections.
+            r.skip().map_err(parse)?;
+        }
+        r.end().map_err(parse)?;
+        let missing = |name: &str| RestoreError::Corrupt(format!("missing `{name}` section"));
+        let header = header.ok_or_else(|| missing("header"))?;
         match header.get("format").and_then(Value::as_str) {
             Some(SNAPSHOT_FORMAT) => {}
             Some(other) => {
@@ -355,13 +353,15 @@ impl Snapshot {
                 .map_err(|e| RestoreError::Corrupt(format!("header: {e}")))?,
         };
         let expected = hu64("checksum")?;
-        let at = section("body")?;
-        let actual = fnv1a64(s[spans[at].clone()].as_bytes());
+        let body = body.ok_or_else(|| missing("body"))?;
+        let actual = fnv1a64(body.as_bytes());
         if actual != expected {
             return Err(RestoreError::ChecksumMismatch { expected, actual });
         }
-        let body = Body::Tree(sections.swap_remove(at).1);
-        Ok(Snapshot { header, body })
+        Ok(Snapshot {
+            header,
+            body: body.to_string(),
+        })
     }
 
     /// Write the snapshot to a file, atomically: a crash mid-write must
@@ -373,9 +373,7 @@ impl Snapshot {
 
     /// Read and validate a snapshot file.
     pub fn read_file(path: &FsPath) -> Result<Snapshot, RestoreError> {
-        let raw = std::fs::read_to_string(path)
-            .map_err(|e| RestoreError::Io(format!("{}: {e}", path.display())))?;
-        Snapshot::from_json(&raw)
+        Snapshot::from_json(&read_text(path)?)
     }
 }
 
@@ -398,6 +396,11 @@ pub fn write_bytes_atomic(path: &FsPath, bytes: &[u8]) -> Result<(), RestoreErro
     std::fs::rename(&tmp, path).map_err(|e| io(path, e))
 }
 
+/// A snapshot file's text.
+fn read_text(path: &FsPath) -> Result<String, RestoreError> {
+    std::fs::read_to_string(path).map_err(|e| RestoreError::Io(format!("{}: {e}", path.display())))
+}
+
 /// What a snapshot-directory scan found: the newest valid snapshot (if
 /// any) and every newer candidate that had to be skipped, with the typed
 /// reason.
@@ -409,6 +412,11 @@ pub struct SnapshotScan {
     /// Candidates newer than `latest` that failed validation — a crash's
     /// corrupt/truncated tail, reported so operators see what was lost.
     pub skipped: Vec<(std::path::PathBuf, RestoreError)>,
+    /// Wall time spent reading the candidate files the scan opened.
+    pub read: Duration,
+    /// Wall time spent validating them ([`Snapshot::from_json`]: header,
+    /// body syntax and checksum).
+    pub verify: Duration,
 }
 
 /// Scan a checkpoint directory for `checkpoint_NNNNNN.json` files and
@@ -438,7 +446,13 @@ pub fn scan_snapshot_dir(dir: &FsPath) -> Result<SnapshotScan, RestoreError> {
     candidates.sort_by(|a, b| b.cmp(a));
     let mut scan = SnapshotScan::default();
     for (round, path) in candidates {
-        match Snapshot::read_file(&path) {
+        let reading = Instant::now();
+        let text = read_text(&path);
+        let verifying = Instant::now();
+        scan.read += verifying - reading;
+        let read = text.and_then(|text| Snapshot::from_json(&text));
+        scan.verify += verifying.elapsed();
+        match read {
             Ok(snap) if snap.header.round == round => {
                 scan.latest = Some((path, snap));
                 break;
@@ -488,21 +502,22 @@ pub fn state_text<N: Checkpointable>(node: &N) -> String {
     w.into_string()
 }
 
-/// Rebuild a node from [`state_text`]'s output: the text is parsed, then
-/// loaded by [`Checkpointable::load_state`], as a restore does.
+/// Rebuild a node from [`state_text`]'s output, read by
+/// [`Checkpointable::load_state`] as a restore reads it; nothing may
+/// follow the node's value.
 pub fn load_text<N: Checkpointable>(id: NodeId, n: usize, text: &str) -> Result<N, String> {
-    let tree: Value = serde_json::from_str(text).map_err(|e| e.to_string())?;
-    N::load_state(id, n, &tree)
+    let mut r = Reader::new(text);
+    let node = N::load_state(id, n, &mut r)?;
+    r.end()?;
+    Ok(node)
 }
 
-/// Fetch a required field from an object value.
-pub fn field<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
-    v.get(key).ok_or_else(|| format!("missing field `{key}`"))
-}
-
-/// View a value as an array, or fail.
-pub fn arr(v: &Value) -> Result<&Vec<Value>, String> {
-    v.as_array().ok_or_else(|| "expected an array".to_string())
+/// Read a node id, which must fit a `u32`.
+pub fn read_id(r: &mut Reader<'_>) -> Result<NodeId, String> {
+    let id = r.u64()?;
+    u32::try_from(id)
+        .map(NodeId)
+        .map_err(|_| format!("node id {id} out of range"))
 }
 
 /// Write an edge in its canonical encoding, `[lo, hi]`.
@@ -512,18 +527,15 @@ pub fn write_edge(w: &mut Writer, e: Edge) {
     });
 }
 
-/// Decode an edge from its canonical `[lo, hi]` encoding.
-pub fn edge_from(v: &Value) -> Result<Edge, String> {
-    let arr = v.as_array().ok_or("edge: expected [lo, hi]")?;
-    if arr.len() != 2 {
-        return Err(format!("edge: expected 2 endpoints, got {}", arr.len()));
-    }
-    let a = u32::from_value(&arr[0])?;
-    let b = u32::from_value(&arr[1])?;
-    if a == b {
-        return Err(format!("edge: degenerate self-loop {a}-{b}"));
-    }
-    Ok(Edge::new(NodeId(a), NodeId(b)))
+/// Read an edge in its canonical `[lo, hi]` encoding.
+pub fn read_edge(r: &mut Reader<'_>) -> Result<Edge, String> {
+    r.array(|r| {
+        let (a, b) = (read_id(r)?, read_id(r)?);
+        if a == b {
+            return Err(format!("edge: degenerate self-loop {}-{}", a.0, b.0));
+        }
+        Ok(Edge::new(a, b))
+    })
 }
 
 /// Write a node-id list in order (callers pass them already sorted when
@@ -536,10 +548,14 @@ pub fn write_ids(w: &mut Writer, ids: &[NodeId]) {
     });
 }
 
-/// Decode a node-id list.
-pub fn ids_from(v: &Value) -> Result<Vec<NodeId>, String> {
-    let arr = v.as_array().ok_or("expected a node-id array")?;
-    arr.iter().map(|x| u32::from_value(x).map(NodeId)).collect()
+/// Read a node-id list.
+pub fn read_ids(r: &mut Reader<'_>) -> Result<Vec<NodeId>, String> {
+    let mut ids = Vec::new();
+    r.elements(|r| {
+        ids.push(read_id(r)?);
+        Ok::<_, String>(())
+    })?;
+    Ok(ids)
 }
 
 #[cfg(test)]
@@ -575,19 +591,30 @@ mod tests {
         let json = snap.to_json();
         let back = Snapshot::from_json(&json).unwrap();
         assert_eq!(back.header, snap.header);
-        // The captured text is spliced; the parsed tree is rendered.
-        assert!(matches!(snap.body, Body::Text(_)));
-        assert!(matches!(back.body, Body::Tree(_)));
+        // Both hold the body's text, and both splice it.
+        assert_eq!(back.body(), two_field_body());
         assert_eq!(back.to_json(), json);
-        let lent = back.body_tree().unwrap();
-        assert!(matches!(lent, Cow::Borrowed(_)), "a parsed body is lent");
-        assert_eq!(snap.body_tree().unwrap(), lent);
     }
 
     #[test]
-    fn a_captured_body_that_does_not_parse_is_a_parse_error() {
-        let snap = snapshot(header(), r#"{"round":"#);
-        assert!(matches!(snap.body_tree(), Err(RestoreError::Parse(_))));
+    fn a_body_that_is_not_json_is_a_parse_error() {
+        // Checksummed as written, so only the syntax check can catch it.
+        let json = snapshot(header(), r#"{"round":[7}"#).to_json();
+        assert!(matches!(
+            Snapshot::from_json(&json),
+            Err(RestoreError::Parse(_))
+        ));
+        // Not an object at all: valid JSON without sections is corrupt.
+        for doc in ["[]", "7", " \"header\" "] {
+            assert!(matches!(
+                Snapshot::from_json(doc),
+                Err(RestoreError::Corrupt(_))
+            ));
+        }
+        assert!(matches!(
+            Snapshot::from_json("[1,"),
+            Err(RestoreError::Parse(_))
+        ));
     }
 
     #[test]
@@ -683,12 +710,10 @@ mod tests {
         write_edge(&mut w, e);
         let written = w.into_string();
         assert_eq!(written, "[2,9]");
-        assert_eq!(
-            edge_from(&serde_json::from_str(&written).unwrap()).unwrap(),
-            e
-        );
-        assert!(edge_from(&Value::Arr(vec![Value::U64(3), Value::U64(3)])).is_err());
-        assert!(edge_from(&Value::U64(3)).is_err());
+        assert_eq!(read_edge(&mut Reader::new(&written)).unwrap(), e);
+        for bad in ["[3,3]", "3", "[1]", "[1,2,3]", "[1,4294967296]", "[-1,2]"] {
+            assert!(read_edge(&mut Reader::new(bad)).is_err(), "{bad}");
+        }
     }
 
     fn scratch_dir(tag: &str) -> std::path::PathBuf {

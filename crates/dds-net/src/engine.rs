@@ -379,7 +379,12 @@ mod tests {
         fn save_state(&self, w: &mut crate::checkpoint::Writer) {
             w.null();
         }
-        fn load_state(_id: NodeId, _n: usize, _v: &serde::Value) -> Result<Self, String> {
+        fn load_state(
+            _id: NodeId,
+            _n: usize,
+            r: &mut crate::checkpoint::Reader<'_>,
+        ) -> Result<Self, String> {
+            r.skip()?;
             Ok(Idle)
         }
     }

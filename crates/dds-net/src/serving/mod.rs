@@ -38,6 +38,6 @@ pub use metrics::{LatencyHistogram, ServerMetrics, WriteStages};
 pub use server::{DurabilityOptions, Server, ServerHandle, ServerOptions, ServerState};
 pub use state::{
     path_safe, recover_sessions, Directory, Durability, PublishedView, RecoveryReport,
-    ServingSession,
+    RecoveryStages, ServingSession,
 };
 pub use wire::{Request, FRAME_HEADER_BYTES, MAX_FRAME_BYTES, WIRE_VERSION};

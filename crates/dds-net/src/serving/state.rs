@@ -546,9 +546,41 @@ pub fn path_safe(name: &str) -> bool {
 pub struct RecoveryReport {
     /// Recovered sessions as `(name, watermark round)`.
     pub sessions: Vec<(String, Round)>,
+    /// How long each recovered session took, stage by stage: one entry
+    /// per entry of `sessions`, in the same order.
+    pub stages: Vec<RecoveryStages>,
     /// Corrupt or truncated candidates that were skipped, with the typed
     /// reason.
     pub skipped: Vec<(PathBuf, String)>,
+}
+
+/// Wall time of each stage of one session's recovery. These are
+/// measurements of this host, never part of a snapshot, a golden file or
+/// a fingerprint.
+#[derive(Clone, Copy, Debug)]
+pub struct RecoveryStages {
+    /// Reading every checkpoint file the directory scan opened.
+    pub read: Duration,
+    /// Validating them: header, body syntax and checksum.
+    pub verify: Duration,
+    /// Reading the chosen snapshot's body into a live session.
+    pub restore: Duration,
+    /// Publishing the session's first view, a fork of it.
+    pub publish: Duration,
+}
+
+impl std::fmt::Display for RecoveryStages {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let ms = |d: Duration| d.as_secs_f64() * 1e3;
+        write!(
+            f,
+            "read {:.1} ms, verify {:.1} ms, restore {:.1} ms, publish {:.1} ms",
+            ms(self.read),
+            ms(self.verify),
+            ms(self.restore),
+            ms(self.publish)
+        )
+    }
 }
 
 /// Scan a checkpoint base directory and rebuild every recoverable
@@ -588,8 +620,18 @@ pub fn recover_sessions(
             return;
         };
         let round = snap.header.round;
-        match ServingSession::open_from_snapshot(registry, name, &snap) {
+        let restoring = Instant::now();
+        let restored = registry.restore(&snap);
+        let publishing = Instant::now();
+        match restored {
             Ok(session) => {
+                let session = ServingSession::new(name, session);
+                report.stages.push(RecoveryStages {
+                    read: scan.read,
+                    verify: scan.verify,
+                    restore: publishing - restoring,
+                    publish: publishing.elapsed(),
+                });
                 if let Some((watermark, seq, digest)) = read_meta(dir) {
                     // The meta record only describes the snapshot it was
                     // written next to; an older snapshot (corrupt tail
@@ -602,7 +644,7 @@ pub fn recover_sessions(
                 report.sessions.push((name.to_string(), round));
                 recovered.push((session, dir.to_path_buf()));
             }
-            Err(e) => report.skipped.push((dir.to_path_buf(), e)),
+            Err(e) => report.skipped.push((dir.to_path_buf(), e.to_string())),
         }
     }
     let mut report = RecoveryReport::default();
@@ -776,7 +818,7 @@ mod tests {
         }
     }
 
-    use crate::checkpoint::{Checkpointable, Writer};
+    use crate::checkpoint::{Checkpointable, Reader, Writer};
     use crate::event::LocalEvent;
     use crate::ids::NodeId;
     use crate::message::{Outbox, Received};
@@ -838,7 +880,8 @@ mod tests {
         fn save_state(&self, w: &mut Writer) {
             w.null();
         }
-        fn load_state(_id: NodeId, _n: usize, _v: &Value) -> Result<Self, String> {
+        fn load_state(_id: NodeId, _n: usize, r: &mut Reader<'_>) -> Result<Self, String> {
+            r.skip()?;
             Ok(DropProbe)
         }
     }

@@ -18,7 +18,7 @@
 //! the two paths are bit-identical.
 
 use crate::bandwidth::BandwidthMeter;
-use crate::checkpoint::{Checkpointable, RestoreError, Snapshot, SnapshotHeader, Writer};
+use crate::checkpoint::{Checkpointable, Reader, RestoreError, Snapshot, SnapshotHeader, Writer};
 use crate::engine::{summarize, RunSummary};
 use crate::event::EventBatch;
 use crate::fingerprint::Fingerprint;
@@ -167,8 +167,11 @@ impl Session {
     /// [`ProtocolRegistry::restore`](crate::engine::ProtocolRegistry::restore),
     /// which resolves `N` from the header's protocol name.
     ///
-    /// The body is read as a tree: the one [`Snapshot::from_json`] parsed,
-    /// or, for a snapshot captured in this process, its text parsed here.
+    /// The body's text is read straight into live state by one pull
+    /// [`Reader`], section by section in the order capture wrote them; no
+    /// value tree is built. A reordered, missing or unknown key, a value of
+    /// the wrong type or out of range, and trailing text are all
+    /// [`RestoreError::Corrupt`].
     pub fn restore<N: Queryable + Checkpointable + Clone + 'static>(
         protocol: &'static str,
         snap: &Snapshot,
@@ -180,8 +183,12 @@ impl Session {
             });
         }
         let cfg = snap.header.sim_config()?;
-        let body = snap.body_tree()?;
-        let sim = Simulator::<N>::restore_state(snap.header.n, cfg, &body)
+        let mut body = Reader::new(snap.body());
+        let sim = Simulator::<N>::restore_state(snap.header.n, cfg, &mut body)
+            .and_then(|sim| {
+                body.end()?;
+                Ok(sim)
+            })
             .map_err(RestoreError::Corrupt)?;
         if sim.round() != snap.header.round {
             return Err(RestoreError::Corrupt(format!(
@@ -478,11 +485,9 @@ mod tests {
             // captured verbatim, not sorted.
             w.object(|w| crate::checkpoint::write_ids(w.key("peers"), &self.peers));
         }
-        fn load_state(id: NodeId, _n: usize, v: &serde::Value) -> Result<Self, String> {
-            Ok(EdgeSet {
-                id,
-                peers: crate::checkpoint::ids_from(crate::checkpoint::field(v, "peers")?)?,
-            })
+        fn load_state(id: NodeId, _n: usize, r: &mut Reader<'_>) -> Result<Self, String> {
+            let peers = r.object(|r| crate::checkpoint::read_ids(r.key("peers")?))?;
+            Ok(EdgeSet { id, peers })
         }
     }
 

@@ -54,7 +54,7 @@
 //! task computes them.
 
 use crate::bandwidth::{BandwidthConfig, BandwidthMeter};
-use crate::checkpoint::{self, Checkpointable, Writer};
+use crate::checkpoint::{self, Checkpointable, Reader, Writer};
 use crate::event::EventBatch;
 use crate::ids::{Edge, NodeId, Round};
 use crate::message::{Addressed, BitSized, Flags, Received};
@@ -63,7 +63,7 @@ use crate::pool::Pool;
 use crate::protocol::Node;
 use crate::round::{LocalView, RecvParts, RoundBuffers, ShardParts, ShardScratch};
 use crate::topology::Topology;
-use serde::{Deserialize as _, Serialize as _, Value};
+use serde::{Deserialize as _, Serialize as _};
 use std::sync::Mutex;
 
 /// Which nodes the per-node phases visit each round.
@@ -396,100 +396,105 @@ impl<N: Node + Checkpointable> Simulator<N> {
         });
     }
 
-    /// Rebuild a simulator from the parsed text of
-    /// [`Simulator::save_state`].
-    /// Continuing the restored simulator is bit-identical to continuing
-    /// the one that produced the capture (the differential suite in
-    /// `tests/checkpoint_restore.rs` locks this).
-    pub fn restore_state(n: usize, cfg: SimConfig, v: &Value) -> Result<Self, String> {
+    /// Rebuild a simulator by reading the text [`Simulator::save_state`]
+    /// wrote, section by section in the order it wrote them, straight
+    /// into live state. Continuing the restored simulator is
+    /// bit-identical to continuing the one that produced the capture (the
+    /// differential suite in `tests/checkpoint_restore.rs` locks this).
+    pub fn restore_state(n: usize, cfg: SimConfig, r: &mut Reader<'_>) -> Result<Self, String> {
         if n == 0 {
             return Err("snapshot has n = 0".into());
         }
-        let get_u64 = |k: &str| u64::from_value(checkpoint::field(v, k)?);
-        let round = get_u64("round")?;
-        let topo = Topology::load_state(n, checkpoint::field(v, "topology")?)?;
-        let node_vals = checkpoint::field(v, "nodes")?
-            .as_array()
-            .ok_or("`nodes` is not an array")?;
-        if node_vals.len() != n {
-            return Err(format!(
-                "snapshot holds {} node states for n = {n}",
-                node_vals.len()
-            ));
-        }
-        let nodes: Vec<N> = node_vals
-            .iter()
-            .enumerate()
-            .map(|(i, nv)| {
-                N::load_state(NodeId(i as u32), n, nv).map_err(|e| format!("node {i}: {e}"))
+        r.object(|r| {
+            let round = r.key("round")?.u64()?;
+            let topo = Topology::load_state(n, r.key("topology")?)?;
+            // Nothing is sized by `n` until the body holds `n` nodes.
+            let mut nodes: Vec<N> = Vec::new();
+            r.key("nodes")?.elements(|r| {
+                let i = nodes.len();
+                if i == n {
+                    return Err(format!("snapshot holds more than n = {n} node states"));
+                }
+                let node =
+                    N::load_state(NodeId(i as u32), n, r).map_err(|e| format!("node {i}: {e}"))?;
+                nodes.push(node);
+                Ok(())
+            })?;
+            if nodes.len() != n {
+                return Err(format!(
+                    "snapshot holds {} node states for n = {n}",
+                    nodes.len()
+                ));
+            }
+            let meter = AmortizedMeter::from_value(&r.key("meter")?.value()?)?;
+            let per_node = PerNodeMeter::from_value(&r.key("per_node")?.value()?)?;
+            let mut bandwidth = BandwidthMeter::new(n, cfg.bandwidth);
+            bandwidth.load_counters(r.key("bandwidth")?)?;
+            let mut stats = Vec::new();
+            r.key("stats")?.elements(|r| {
+                stats.push(RoundStats::from_value(&r.value()?)?);
+                Ok::<_, String>(())
+            })?;
+            let inconsistent_now = r.key("inconsistent_now")?.u64()? as usize;
+            let last_active = r.key("last_active")?.u64()? as usize;
+            let last_shards = r.key("last_shards")?.u64()? as usize;
+            let mut shard_peak_active = Vec::new();
+            r.key("shard_peak_active")?.elements(|r| {
+                shard_peak_active.push(r.u64()? as usize);
+                Ok::<_, String>(())
+            })?;
+
+            let mut nbrs = vec![Vec::new(); n];
+            for e in topo.edges() {
+                nbrs[e.lo().index()].push(e.hi());
+                nbrs[e.hi().index()].push(e.lo());
+            }
+            for list in &mut nbrs {
+                list.sort_unstable();
+            }
+            let mut active: Vec<u32> = Vec::new();
+            r.key("active")?.elements(|r| {
+                let id = checkpoint::read_id(r)?.0;
+                if id as usize >= n {
+                    return Err(format!("active node {id} out of range for n = {n}"));
+                }
+                if active.last().is_some_and(|&p| p >= id) {
+                    return Err("active set is not strictly ascending".into());
+                }
+                active.push(id);
+                Ok(())
+            })?;
+            let mut out_flags = vec![Flags::default(); n];
+            r.key("out_flags")?.elements(|r| {
+                r.array(|r| {
+                    let idx = r.u64()?;
+                    if idx >= n as u64 {
+                        return Err(format!("out_flags node {idx} out of range for n = {n}"));
+                    }
+                    out_flags[idx as usize] = Flags {
+                        is_empty: r.bool()?,
+                        neighbors_empty: r.bool()?,
+                    };
+                    Ok(())
+                })
+            })?;
+            let buffers = RoundBuffers::resume(nbrs, active, out_flags);
+
+            Ok(Simulator {
+                topo,
+                nodes,
+                round,
+                meter,
+                per_node,
+                bandwidth,
+                cfg,
+                stats,
+                inconsistent_now,
+                last_active,
+                last_shards,
+                shard_peak_active,
+                buffers,
             })
-            .collect::<Result<_, _>>()?;
-        let meter = AmortizedMeter::from_value(checkpoint::field(v, "meter")?)?;
-        let per_node = PerNodeMeter::from_value(checkpoint::field(v, "per_node")?)?;
-        let mut bandwidth = BandwidthMeter::new(n, cfg.bandwidth);
-        bandwidth.load_counters(checkpoint::field(v, "bandwidth")?)?;
-        let stats = Vec::<RoundStats>::from_value(checkpoint::field(v, "stats")?)?;
-        let shard_peak_active = Vec::<u64>::from_value(checkpoint::field(v, "shard_peak_active")?)?
-            .into_iter()
-            .map(|x| x as usize)
-            .collect();
-
-        let mut nbrs = vec![Vec::new(); n];
-        for e in topo.edges() {
-            nbrs[e.lo().index()].push(e.hi());
-            nbrs[e.hi().index()].push(e.lo());
-        }
-        for list in &mut nbrs {
-            list.sort_unstable();
-        }
-        let mut active = Vec::new();
-        for a in checkpoint::field(v, "active")?
-            .as_array()
-            .ok_or("`active` is not an array")?
-        {
-            let id = u32::from_value(a)?;
-            if id as usize >= n {
-                return Err(format!("active node {id} out of range for n = {n}"));
-            }
-            if active.last().is_some_and(|&p| p >= id) {
-                return Err("active set is not strictly ascending".into());
-            }
-            active.push(id);
-        }
-        let mut out_flags = vec![Flags::default(); n];
-        for entry in checkpoint::field(v, "out_flags")?
-            .as_array()
-            .ok_or("`out_flags` is not an array")?
-        {
-            let t = entry.as_array().ok_or("out_flags entry is not an array")?;
-            if t.len() != 3 {
-                return Err("out_flags entry must be [node, is_empty, neighbors_empty]".into());
-            }
-            let idx = u32::from_value(&t[0])? as usize;
-            if idx >= n {
-                return Err(format!("out_flags node {idx} out of range for n = {n}"));
-            }
-            out_flags[idx] = Flags {
-                is_empty: bool::from_value(&t[1])?,
-                neighbors_empty: bool::from_value(&t[2])?,
-            };
-        }
-        let buffers = RoundBuffers::resume(nbrs, active, out_flags);
-
-        Ok(Simulator {
-            topo,
-            nodes,
-            round,
-            meter,
-            per_node,
-            bandwidth,
-            cfg,
-            stats,
-            inconsistent_now: get_u64("inconsistent_now")? as usize,
-            last_active: get_u64("last_active")? as usize,
-            last_shards: get_u64("last_shards")? as usize,
-            shard_peak_active,
-            buffers,
         })
     }
 }

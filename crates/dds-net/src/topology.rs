@@ -8,7 +8,7 @@
 //! buffers, which are maintained from the same batches.
 
 use crate::event::{EventBatch, TopologyEvent};
-use crate::ids::{Edge, NodeId, Round};
+use crate::ids::{Edge, Round};
 use rustc_hash::FxHashMap;
 
 /// The edge set of the current graph `G_i` with true insertion timestamps
@@ -124,35 +124,32 @@ impl Topology {
         });
     }
 
-    /// Rebuild a topology from the parsed text of [`Topology::save_state`].
-    pub(crate) fn load_state(n: usize, v: &serde::Value) -> Result<Topology, String> {
-        use serde::Deserialize as _;
+    /// Rebuild a topology by reading the text of [`Topology::save_state`].
+    pub(crate) fn load_state(
+        n: usize,
+        r: &mut crate::checkpoint::Reader<'_>,
+    ) -> Result<Topology, String> {
+        use crate::checkpoint::read_id;
         let mut topo = Topology::new(n);
-        topo.changes = u64::from_value(crate::checkpoint::field(v, "changes")?)?;
-        let edges = crate::checkpoint::field(v, "edges")?
-            .as_array()
-            .ok_or("topology: `edges` is not an array")?;
-        for entry in edges {
-            let triple = entry
-                .as_array()
-                .ok_or("topology: edge entry not an array")?;
-            if triple.len() != 3 {
-                return Err(format!(
-                    "topology: edge entry has {} fields, expected [lo, hi, round]",
-                    triple.len()
-                ));
-            }
-            let lo = u32::from_value(&triple[0])?;
-            let hi = u32::from_value(&triple[1])?;
-            let round = u64::from_value(&triple[2])?;
-            if lo >= hi || hi as usize >= n {
-                return Err(format!("topology: invalid edge {lo}-{hi} for n = {n}"));
-            }
-            let e = Edge::new(NodeId(lo), NodeId(hi));
-            if topo.edges.insert(e, round).is_some() {
-                return Err(format!("topology: duplicate edge {lo}-{hi}"));
-            }
-        }
+        r.object(|r| {
+            topo.changes = r.key("changes")?.u64()?;
+            r.key("edges")?.elements(|r| {
+                r.array(|r| {
+                    let (lo, hi) = (read_id(r)?, read_id(r)?);
+                    let round = r.u64()?;
+                    if lo >= hi || hi.index() >= n {
+                        return Err(format!(
+                            "topology: invalid edge {}-{} for n = {n}",
+                            lo.0, hi.0
+                        ));
+                    }
+                    if topo.edges.insert(Edge::new(lo, hi), round).is_some() {
+                        return Err(format!("topology: duplicate edge {}-{}", lo.0, hi.0));
+                    }
+                    Ok(())
+                })
+            })
+        })?;
         Ok(topo)
     }
 }

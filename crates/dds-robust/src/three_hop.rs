@@ -29,7 +29,7 @@
 //! and 5-cycle listing (Theorem 5; see [`crate::cycle`]).
 
 use crate::paths::{Path, MAX_PATH_NODES};
-use dds_net::checkpoint::{self as ckpt, Checkpointable, Deserialize as _, Value, Writer};
+use dds_net::checkpoint::{self as ckpt, Checkpointable, Reader, Writer};
 use dds_net::{
     Answer, BitSized, Edge, Flags, LocalEvent, Node, NodeId, Outbox, Query, QueryError, QueryKind,
     Queryable, Received, Response, Round,
@@ -404,11 +404,11 @@ impl Queryable for ThreeHopNode {
     }
 }
 
-/// Decode a learning path from its vertex list, validating everything
+/// Read a learning path from its vertex list, validating everything
 /// [`Path::from_nodes`] would otherwise assert on, so corrupt snapshots
 /// surface as errors instead of panics.
-fn path_from(v: &Value) -> Result<Path, String> {
-    let ids = ckpt::ids_from(v)?;
+fn read_path(r: &mut Reader<'_>) -> Result<Path, String> {
+    let ids = ckpt::read_ids(r)?;
     if !(2..=MAX_PATH_NODES).contains(&ids.len()) {
         return Err(format!("path: {} vertices (need 2..=4)", ids.len()));
     }
@@ -469,91 +469,83 @@ impl Checkpointable for ThreeHopNode {
         });
     }
 
-    fn load_state(id: NodeId, n: usize, v: &Value) -> Result<Self, String> {
+    fn load_state(id: NodeId, n: usize, r: &mut Reader<'_>) -> Result<Self, String> {
         let mut node = <ThreeHopNode as Node>::new(id, n);
-        for p in ckpt::ids_from(ckpt::field(v, "incident")?)? {
-            if p == id || p.index() >= n {
-                return Err(format!("incident: bad peer {p:?}"));
-            }
-            if !node.incident.insert(p) {
-                return Err(format!("incident: duplicate peer {p:?}"));
-            }
-        }
-        for pair in ckpt::arr(ckpt::field(v, "s")?)? {
-            let pair = ckpt::arr(pair)?;
-            if pair.len() != 2 {
-                return Err("s: expected [edge, paths]".into());
-            }
-            let e = ckpt::edge_from(&pair[0])?;
-            if e.hi().index() >= n {
-                return Err(format!("s: out-of-range edge {e:?}"));
-            }
-            let mut paths: FxHashSet<Path> = FxHashSet::default();
-            for pv in ckpt::arr(&pair[1])? {
-                let p = path_from(pv)?;
-                let ns = p.nodes();
-                if ns[0] != id || p.last_edge() != e {
-                    return Err(format!(
-                        "s: path {ns:?} is not rooted at {id:?} ending at {e:?}"
-                    ));
+        r.object(|r| {
+            for p in ckpt::read_ids(r.key("incident")?)? {
+                if p == id || p.index() >= n {
+                    return Err(format!("incident: bad peer {p:?}"));
                 }
-                if !paths.insert(p) {
-                    return Err(format!("s: duplicate learning path {ns:?}"));
+                if !node.incident.insert(p) {
+                    return Err(format!("incident: duplicate peer {p:?}"));
                 }
             }
-            if paths.is_empty() {
-                return Err(format!("s: edge {e:?} stored with no learning path"));
-            }
-            if node.s.insert(e, paths).is_some() {
-                return Err(format!("s: duplicate edge {e:?}"));
-            }
-        }
-        for item in ckpt::arr(ckpt::field(v, "q")?)? {
-            let item = ckpt::arr(item)?;
-            let tag = item
-                .first()
-                .and_then(Value::as_str)
-                .ok_or("q: missing item tag")?;
-            match tag {
-                "insert" => {
-                    if item.len() != 2 {
-                        return Err("q: expected [\"insert\", path]".into());
+            r.key("s")?.elements(|r| {
+                r.array(|r| {
+                    let e = ckpt::read_edge(r)?;
+                    if e.hi().index() >= n {
+                        return Err(format!("s: out-of-range edge {e:?}"));
                     }
-                    let p = path_from(&item[1])?;
-                    if p.nodes().iter().any(|u| u.index() >= n) {
-                        return Err("q: path vertex out of range".into());
+                    let mut paths: FxHashSet<Path> = FxHashSet::default();
+                    r.elements(|r| {
+                        let p = read_path(r)?;
+                        let ns = p.nodes();
+                        if ns[0] != id || p.last_edge() != e {
+                            return Err(format!(
+                                "s: path {ns:?} is not rooted at {id:?} ending at {e:?}"
+                            ));
+                        }
+                        if !paths.insert(p) {
+                            return Err(format!("s: duplicate learning path {ns:?}"));
+                        }
+                        Ok(())
+                    })?;
+                    if paths.is_empty() {
+                        return Err(format!("s: edge {e:?} stored with no learning path"));
                     }
-                    node.q.push_back(QueueItem::Insert(p));
-                }
-                "delete" => {
-                    if item.len() != 4 {
-                        return Err("q: expected [\"delete\", edge, level, via]".into());
+                    if node.s.insert(e, paths).is_some() {
+                        return Err(format!("s: duplicate edge {e:?}"));
                     }
-                    let edge = ckpt::edge_from(&item[1])?;
-                    let level = u64::from_value(&item[2])?;
-                    if edge.hi().index() >= n || level > MAX_DELETE_HOPS as u64 {
-                        return Err(format!("q: invalid delete notice for {edge:?}"));
+                    Ok(())
+                })
+            })?;
+            r.key("q")?.elements(|r| {
+                r.array(|r| {
+                    match &*r.str()? {
+                        "insert" => {
+                            let p = read_path(r)?;
+                            if p.nodes().iter().any(|u| u.index() >= n) {
+                                return Err("q: path vertex out of range".into());
+                            }
+                            node.q.push_back(QueueItem::Insert(p));
+                        }
+                        "delete" => {
+                            let edge = ckpt::read_edge(r)?;
+                            let level = r.u64()?;
+                            if edge.hi().index() >= n || level > MAX_DELETE_HOPS as u64 {
+                                return Err(format!("q: invalid delete notice for {edge:?}"));
+                            }
+                            let via = r.null_or(ckpt::read_id)?;
+                            if (level == 0) != via.is_none() {
+                                return Err("q: delete level/via disagree".into());
+                            }
+                            node.q.push_back(QueueItem::Delete {
+                                edge,
+                                level: level as u8,
+                                via,
+                            });
+                        }
+                        other => return Err(format!("q: unknown item tag {other:?}")),
                     }
-                    let via = match &item[3] {
-                        Value::Null => None,
-                        x => Some(NodeId(u32::from_value(x)?)),
-                    };
-                    if (level == 0) != via.is_none() {
-                        return Err("q: delete level/via disagree".into());
-                    }
-                    node.q.push_back(QueueItem::Delete {
-                        edge,
-                        level: level as u8,
-                        via,
-                    });
-                }
-                other => return Err(format!("q: unknown item tag {other:?}")),
-            }
-        }
-        node.dirty_topology = bool::from_value(ckpt::field(v, "dirty_topology")?)?;
-        node.clean_prev = bool::from_value(ckpt::field(v, "clean_prev")?)?;
-        node.consistent = bool::from_value(ckpt::field(v, "consistent")?)?;
-        node.neighbors_were_empty = bool::from_value(ckpt::field(v, "neighbors_were_empty")?)?;
+                    Ok(())
+                })
+            })?;
+            node.dirty_topology = r.key("dirty_topology")?.bool()?;
+            node.clean_prev = r.key("clean_prev")?.bool()?;
+            node.consistent = r.key("consistent")?.bool()?;
+            node.neighbors_were_empty = r.key("neighbors_were_empty")?.bool()?;
+            Ok(())
+        })?;
         Ok(node)
     }
 }
@@ -582,10 +574,13 @@ mod tests {
 
     #[test]
     fn corrupt_paths_error_instead_of_panicking() {
-        let v = Value::Arr(vec![Value::U64(0)]);
-        assert!(path_from(&v).is_err(), "1-vertex path must be refused");
-        let v = Value::Arr(vec![Value::U64(0), Value::U64(0)]);
-        assert!(path_from(&v).is_err(), "repeated vertex must be refused");
+        let read = |text: &str| read_path(&mut Reader::new(text));
+        assert!(read("[0]").is_err(), "1-vertex path must be refused");
+        assert!(read("[0,0]").is_err(), "repeated vertex must be refused");
+        assert!(
+            read("[0,1,2,3,0]").is_err(),
+            "5-vertex path must be refused"
+        );
     }
 
     fn settle(sim: &mut Simulator<ThreeHopNode>) {

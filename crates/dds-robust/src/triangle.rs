@@ -22,7 +22,7 @@
 //! `S_v` — giving exact membership listing, and by Corollary 1 exact
 //! k-clique membership listing for every `k ≥ 3`.
 
-use dds_net::checkpoint::{self as ckpt, Checkpointable, Deserialize as _, Value, Writer};
+use dds_net::checkpoint::{self as ckpt, Checkpointable, Reader, Writer};
 use dds_net::{
     Answer, BitSized, Edge, Flags, LocalEvent, Node, NodeId, Outbox, Query, QueryError, QueryKind,
     Queryable, Received, Response, Round,
@@ -563,89 +563,82 @@ impl Checkpointable for TriangleNode {
         });
     }
 
-    fn load_state(id: NodeId, n: usize, v: &Value) -> Result<Self, String> {
+    fn load_state(id: NodeId, n: usize, r: &mut Reader<'_>) -> Result<Self, String> {
         let mut node = <TriangleNode as Node>::new(id, n);
-        for pair in ckpt::arr(ckpt::field(v, "incident")?)? {
-            let pair = ckpt::arr(pair)?;
-            if pair.len() != 2 {
-                return Err("incident: expected [peer, te]".into());
-            }
-            let p = NodeId(u32::from_value(&pair[0])?);
-            if p == id || p.index() >= n {
-                return Err(format!("incident: bad peer {p:?}"));
-            }
-            let te = u64::from_value(&pair[1])?;
-            if node.incident.insert(p, te).is_some() {
-                return Err(format!("incident: duplicate peer {p:?}"));
-            }
-        }
-        for quad in ckpt::arr(ckpt::field(v, "s")?)? {
-            let quad = ckpt::arr(quad)?;
-            if quad.len() != 4 {
-                return Err("s: expected [edge, via, b_present, tombstones]".into());
-            }
-            let e = ckpt::edge_from(&quad[0])?;
-            if e.touches(id) || e.hi().index() >= n {
-                return Err(format!("s: invalid learned edge {e:?}"));
-            }
-            let via = u64::from_value(&quad[1])?;
-            let b_present = bool::from_value(&quad[2])?;
-            let tombstones = u64::from_value(&quad[3])?;
-            if via > 3 || tombstones > 3 {
-                return Err(format!("s: mark bits out of range for {e:?}"));
-            }
-            let entry = Entry {
-                via: via as u8,
-                b_present,
-                tombstones: tombstones as u8,
-            };
-            if entry.is_dead() {
-                return Err(format!("s: dead entry stored for {e:?}"));
-            }
-            if node.s.insert(e, entry).is_some() {
-                return Err(format!("s: duplicate edge {e:?}"));
-            }
-        }
-        for item in ckpt::arr(ckpt::field(v, "q")?)? {
-            let item = ckpt::arr(item)?;
-            let tag = item
-                .first()
-                .and_then(Value::as_str)
-                .ok_or("q: missing item tag")?;
-            match tag {
-                "a" => {
-                    if item.len() != 4 {
-                        return Err("q: expected [\"a\", edge, te, insert]".into());
+        r.object(|r| {
+            r.key("incident")?.elements(|r| {
+                r.array(|r| {
+                    let p = ckpt::read_id(r)?;
+                    if p == id || p.index() >= n {
+                        return Err(format!("incident: bad peer {p:?}"));
                     }
-                    let edge = ckpt::edge_from(&item[1])?;
-                    if !edge.touches(id) || edge.hi().index() >= n {
-                        return Err(format!("q: non-incident (a) edge {edge:?}"));
+                    if node.incident.insert(p, r.u64()?).is_some() {
+                        return Err(format!("incident: duplicate peer {p:?}"));
                     }
-                    node.q.push_back(QueueItem::A {
-                        edge,
-                        te: u64::from_value(&item[2])?,
-                        insert: bool::from_value(&item[3])?,
-                    });
-                }
-                "b" => {
-                    if item.len() != 3 {
-                        return Err("q: expected [\"b\", edge, target]".into());
+                    Ok(())
+                })
+            })?;
+            r.key("s")?.elements(|r| {
+                r.array(|r| {
+                    let e = ckpt::read_edge(r)?;
+                    if e.touches(id) || e.hi().index() >= n {
+                        return Err(format!("s: invalid learned edge {e:?}"));
                     }
-                    let edge = ckpt::edge_from(&item[1])?;
-                    let target = NodeId(u32::from_value(&item[2])?);
-                    if !edge.touches(id) || edge.hi().index() >= n || target.index() >= n {
-                        return Err(format!("q: invalid (b) hint {edge:?} -> {target:?}"));
+                    let (via, b_present, tombstones) = (r.u64()?, r.bool()?, r.u64()?);
+                    if via > 3 || tombstones > 3 {
+                        return Err(format!("s: mark bits out of range for {e:?}"));
                     }
-                    if !node.pending_b.insert((edge, target)) {
-                        return Err(format!("q: duplicate (b) hint {edge:?} -> {target:?}"));
+                    let entry = Entry {
+                        via: via as u8,
+                        b_present,
+                        tombstones: tombstones as u8,
+                    };
+                    if entry.is_dead() {
+                        return Err(format!("s: dead entry stored for {e:?}"));
                     }
-                    node.q.push_back(QueueItem::B { edge, target });
-                }
-                other => return Err(format!("q: unknown item tag {other:?}")),
-            }
-        }
-        node.sent_this_round = bool::from_value(ckpt::field(v, "sent_this_round")?)?;
-        node.consistent = bool::from_value(ckpt::field(v, "consistent")?)?;
+                    if node.s.insert(e, entry).is_some() {
+                        return Err(format!("s: duplicate edge {e:?}"));
+                    }
+                    Ok(())
+                })
+            })?;
+            r.key("q")?.elements(|r| {
+                r.array(|r| {
+                    match &*r.str()? {
+                        "a" => {
+                            let edge = ckpt::read_edge(r)?;
+                            if !edge.touches(id) || edge.hi().index() >= n {
+                                return Err(format!("q: non-incident (a) edge {edge:?}"));
+                            }
+                            let te = r.u64()?;
+                            node.q.push_back(QueueItem::A {
+                                edge,
+                                te,
+                                insert: r.bool()?,
+                            });
+                        }
+                        "b" => {
+                            let edge = ckpt::read_edge(r)?;
+                            let target = ckpt::read_id(r)?;
+                            if !edge.touches(id) || edge.hi().index() >= n || target.index() >= n {
+                                return Err(format!("q: invalid (b) hint {edge:?} -> {target:?}"));
+                            }
+                            if !node.pending_b.insert((edge, target)) {
+                                return Err(format!(
+                                    "q: duplicate (b) hint {edge:?} -> {target:?}"
+                                ));
+                            }
+                            node.q.push_back(QueueItem::B { edge, target });
+                        }
+                        other => return Err(format!("q: unknown item tag {other:?}")),
+                    }
+                    Ok(())
+                })
+            })?;
+            node.sent_this_round = r.key("sent_this_round")?.bool()?;
+            node.consistent = r.key("consistent")?.bool()?;
+            Ok::<_, String>(())
+        })?;
         Ok(node)
     }
 }

@@ -29,7 +29,7 @@
 //!   the start of the send phase; a node is consistent iff its queue is
 //!   empty and no neighbor signalled `IsEmpty = false` this round.
 
-use dds_net::checkpoint::{self as ckpt, Checkpointable, Deserialize as _, Value, Writer};
+use dds_net::checkpoint::{self as ckpt, Checkpointable, Reader, Writer};
 use dds_net::{
     Answer, BitSized, Edge, Flags, LocalEvent, Node, NodeId, Outbox, Query, QueryError, QueryKind,
     Queryable, Received, Response, Round,
@@ -354,55 +354,55 @@ impl Checkpointable for TwoHopNode {
         });
     }
 
-    fn load_state(id: NodeId, n: usize, v: &Value) -> Result<Self, String> {
+    fn load_state(id: NodeId, n: usize, r: &mut Reader<'_>) -> Result<Self, String> {
         let mut node = <TwoHopNode as Node>::new(id, n);
-        for pair in ckpt::arr(ckpt::field(v, "incident")?)? {
-            let pair = ckpt::arr(pair)?;
-            if pair.len() != 2 {
-                return Err("incident: expected [peer, te]".into());
-            }
-            let p = NodeId(u32::from_value(&pair[0])?);
-            if p == id || p.index() >= n {
-                return Err(format!("incident: bad peer {p:?}"));
-            }
-            let te = u64::from_value(&pair[1])?;
-            if node.incident.insert(p, te).is_some() {
-                return Err(format!("incident: duplicate peer {p:?}"));
-            }
-        }
-        for pair in ckpt::arr(ckpt::field(v, "s")?)? {
-            let pair = ckpt::arr(pair)?;
-            if pair.len() != 2 {
-                return Err("s: expected [edge, witness]".into());
-            }
-            let e = ckpt::edge_from(&pair[0])?;
-            if e.touches(id) || e.hi().index() >= n {
-                return Err(format!("s: invalid learned edge {e:?}"));
-            }
-            let w = u64::from_value(&pair[1])?;
-            if !(1..=3).contains(&w) {
-                return Err(format!("s: witness bits {w} out of range"));
-            }
-            if node.s.insert(e, Witness(w as u8)).is_some() {
-                return Err(format!("s: duplicate edge {e:?}"));
-            }
-        }
-        for item in ckpt::arr(ckpt::field(v, "q")?)? {
-            let item = ckpt::arr(item)?;
-            if item.len() != 3 {
-                return Err("q: expected [edge, te, insert]".into());
-            }
-            let edge = ckpt::edge_from(&item[0])?;
-            if !edge.touches(id) || edge.hi().index() >= n {
-                return Err(format!("q: non-incident queued edge {edge:?}"));
-            }
-            node.q.push_back(QueueItem {
-                edge,
-                te: u64::from_value(&item[1])?,
-                insert: bool::from_value(&item[2])?,
-            });
-        }
-        node.consistent = bool::from_value(ckpt::field(v, "consistent")?)?;
+        r.object(|r| {
+            r.key("incident")?.elements(|r| {
+                r.array(|r| {
+                    let p = ckpt::read_id(r)?;
+                    if p == id || p.index() >= n {
+                        return Err(format!("incident: bad peer {p:?}"));
+                    }
+                    if node.incident.insert(p, r.u64()?).is_some() {
+                        return Err(format!("incident: duplicate peer {p:?}"));
+                    }
+                    Ok(())
+                })
+            })?;
+            r.key("s")?.elements(|r| {
+                r.array(|r| {
+                    let e = ckpt::read_edge(r)?;
+                    if e.touches(id) || e.hi().index() >= n {
+                        return Err(format!("s: invalid learned edge {e:?}"));
+                    }
+                    let w = r.u64()?;
+                    if !(1..=3).contains(&w) {
+                        return Err(format!("s: witness bits {w} out of range"));
+                    }
+                    if node.s.insert(e, Witness(w as u8)).is_some() {
+                        return Err(format!("s: duplicate edge {e:?}"));
+                    }
+                    Ok(())
+                })
+            })?;
+            r.key("q")?.elements(|r| {
+                r.array(|r| {
+                    let edge = ckpt::read_edge(r)?;
+                    if !edge.touches(id) || edge.hi().index() >= n {
+                        return Err(format!("q: non-incident queued edge {edge:?}"));
+                    }
+                    let te = r.u64()?;
+                    node.q.push_back(QueueItem {
+                        edge,
+                        te,
+                        insert: r.bool()?,
+                    });
+                    Ok(())
+                })
+            })?;
+            node.consistent = r.key("consistent")?.bool()?;
+            Ok::<_, String>(())
+        })?;
         Ok(node)
     }
 }
@@ -411,6 +411,34 @@ impl Checkpointable for TwoHopNode {
 mod tests {
     use super::*;
     use dds_net::{edge, EventBatch, Simulator};
+
+    #[test]
+    fn a_reordered_missing_or_unknown_key_is_an_error_naming_it() {
+        let saved = ckpt::state_text(&<TwoHopNode as Node>::new(NodeId(0), 4));
+        let load = |text: &str| match ckpt::load_text::<TwoHopNode>(NodeId(0), 4, text) {
+            Ok(_) => panic!("{text} must not load"),
+            Err(e) => e,
+        };
+        let reordered = saved.replacen(r#""s":[],"q":[]"#, r#""q":[],"s":[]"#, 1);
+        assert_ne!(reordered, saved, "the keys moved");
+        let err = load(&reordered);
+        assert!(err.contains(r#"expected key "s", found key "q""#), "{err}");
+        let (head, _) = saved.split_once(r#","consistent""#).expect("the last key");
+        let err = load(&format!("{head}}}"));
+        assert!(
+            err.contains(r#"expected key "consistent", found the end"#),
+            "{err}"
+        );
+        let err = load(&format!(
+            "{}{}",
+            &saved[..saved.len() - 1],
+            r#","extra":1}"#
+        ));
+        assert!(err.contains(r#"unexpected key "extra""#), "{err}");
+        // Nothing may follow the node's value either.
+        assert!(ckpt::load_text::<TwoHopNode>(NodeId(0), 4, &format!("{saved} 7")).is_err());
+        assert!(ckpt::load_text::<TwoHopNode>(NodeId(0), 4, &saved).is_ok());
+    }
 
     #[test]
     fn checkpoint_roundtrip_preserves_every_field() {

@@ -235,21 +235,25 @@ fn a_resumed_session_checkpoints_the_same_bytes() {
 }
 
 /// The snapshot writer against the tree renderer. `doc` is what a live
-/// session wrote, straight from its state. Parsing it and writing it back
-/// renders the parsed tree; restoring the parsed document and capturing
-/// again writes from live state once more. Both must give `doc`'s bytes.
+/// session wrote, straight from its state. Parsing its body into a tree
+/// and rendering the tree must give the body's bytes; restoring the
+/// parsed document and capturing again writes from live state once more,
+/// and must give `doc`'s bytes.
 fn assert_writer_matches_renderer(doc: &str, ctx: &str) {
-    let differ_at = |other: &str| {
-        let at = doc.bytes().zip(other.bytes()).position(|(a, b)| a != b);
-        at.unwrap_or(doc.len().min(other.len()))
+    let differ_at = |one: &str, other: &str| {
+        let at = one.bytes().zip(other.bytes()).position(|(a, b)| a != b);
+        at.unwrap_or(one.len().min(other.len()))
     };
-    let parsed = Snapshot::from_json(doc).unwrap_or_else(|e| panic!("{ctx}: reparse: {e}"));
-    let rendered = parsed.to_json();
+    let body = body_of(doc);
+    let tree: serde::Value =
+        serde_json::from_str(body).unwrap_or_else(|e| panic!("{ctx}: body parse: {e}"));
+    let rendered = serde_json::to_string(&tree).expect("json write is infallible");
     assert!(
-        rendered == doc,
-        "{ctx}: the renderer differs from the writer at byte {}",
-        differ_at(&rendered)
+        rendered == body,
+        "{ctx}: the renderer differs from the writer at body byte {}",
+        differ_at(body, &rendered)
     );
+    let parsed = Snapshot::from_json(doc).unwrap_or_else(|e| panic!("{ctx}: reparse: {e}"));
     let restored = dds_bench::protocols()
         .restore(&parsed)
         .unwrap_or_else(|e| panic!("{ctx}: restore: {e}"));
@@ -257,8 +261,17 @@ fn assert_writer_matches_renderer(doc: &str, ctx: &str) {
     assert!(
         again == doc,
         "{ctx}: the restored session writes other bytes from byte {}",
-        differ_at(&again)
+        differ_at(doc, &again)
     );
+}
+
+/// The body of a document [`Snapshot::to_json`] wrote.
+fn body_of(doc: &str) -> &str {
+    let (_, body) = doc
+        .split_once(",\"body\":")
+        .expect("the header, then the body");
+    body.strip_suffix("}\n")
+        .expect("the body ends the document")
 }
 
 #[test]
@@ -520,6 +533,24 @@ fn the_retired_scheduling_token_restores_and_unknown_tokens_are_corrupt() {
 }
 
 #[test]
+fn a_header_claiming_more_nodes_than_the_body_holds_is_corrupt() {
+    // The checksum covers the body only, so a header's `n` is checked by
+    // the body it claims to describe, before anything is sized by it.
+    let committed = std::fs::read_to_string(golden_dir().join("two-hop.json")).unwrap();
+    for n in [17u64, 1 << 40] {
+        let doc = committed.replacen("\"n\":16,", &format!("\"n\":{n},"), 1);
+        assert_ne!(doc, committed, "the fixture's n moved");
+        let snap = Snapshot::from_json(&doc).expect("the header is well-formed");
+        match dds_bench::protocols().restore(&snap) {
+            Err(RestoreError::Corrupt(msg)) => {
+                assert!(msg.contains("16 node states for n = "), "{msg}")
+            }
+            other => panic!("n = {n}: {:?}", other.map(|s| s.n())),
+        }
+    }
+}
+
+#[test]
 fn golden_snapshot_fixtures_have_no_strays() {
     // Every fixture corresponds to a registered protocol — renaming or
     // removing a protocol means dealing with its frozen snapshot too.
@@ -532,5 +563,172 @@ fn golden_snapshot_fixtures_have_no_strays() {
             names.contains(&stem),
             "stray golden snapshot {name} (no protocol of that name)"
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Hostile bodies: an `open` request can carry a snapshot inline, so the
+// body reader parses untrusted input. Whatever the bytes, a restore is a
+// typed error or a session, never a panic.
+// ---------------------------------------------------------------------
+
+/// `doc` with its body replaced by `body` and the header's checksum
+/// re-stamped to match, so the body gets past the checksum to the reader.
+fn with_body(doc: &str, body: &str) -> String {
+    let (header, _) = doc
+        .split_once(",\"body\":")
+        .expect("the header, then the body");
+    let (head, _) = header
+        .rsplit_once("\"checksum\":")
+        .expect("the checksum ends the header");
+    let checksum = dynamic_subgraphs::net::checkpoint::fnv1a64(body.as_bytes());
+    format!("{head}\"checksum\":{checksum}}},\"body\":{body}}}\n")
+}
+
+/// Paths (child indices from the root) to every value in `v` that `keep`
+/// accepts, depth first.
+fn paths_where(v: &serde::Value, keep: fn(&serde::Value) -> bool) -> Vec<Vec<usize>> {
+    fn walk(
+        v: &serde::Value,
+        at: &mut Vec<usize>,
+        keep: fn(&serde::Value) -> bool,
+        out: &mut Vec<Vec<usize>>,
+    ) {
+        if keep(v) {
+            out.push(at.clone());
+        }
+        let children: Vec<&serde::Value> = match v {
+            serde::Value::Arr(items) => items.iter().collect(),
+            serde::Value::Obj(members) => members.iter().map(|(_, m)| m).collect(),
+            _ => Vec::new(),
+        };
+        for (i, child) in children.into_iter().enumerate() {
+            at.push(i);
+            walk(child, at, keep, out);
+            at.pop();
+        }
+    }
+    let mut out = Vec::new();
+    walk(v, &mut Vec::new(), keep, &mut out);
+    out
+}
+
+fn value_at<'a>(v: &'a mut serde::Value, path: &[usize]) -> &'a mut serde::Value {
+    path.iter().fold(v, |v, &i| match v {
+        serde::Value::Arr(items) => &mut items[i],
+        serde::Value::Obj(members) => &mut members[i].1,
+        _ => unreachable!("a path only descends into arrays and objects"),
+    })
+}
+
+/// One way to damage a body.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Mutation {
+    Cut,
+    ReplaceByte,
+    DropElement,
+    DuplicateElement,
+    RenameKey,
+    Nest,
+}
+
+const MUTATIONS: [Mutation; 6] = [
+    Mutation::Cut,
+    Mutation::ReplaceByte,
+    Mutation::DropElement,
+    Mutation::DuplicateElement,
+    Mutation::RenameKey,
+    Mutation::Nest,
+];
+
+/// `body` damaged by `kind`, at a place `pick` and `sub` choose.
+fn mutate(body: &str, kind: Mutation, pick: u64, sub: u64) -> String {
+    use serde::Value;
+    let (pick, sub) = (pick as usize, sub as usize);
+    let mut tree: Value = serde_json::from_str(body).expect("the body parses");
+    let pick_path = |keep: fn(&Value) -> bool, tree: &Value| {
+        let paths = paths_where(tree, keep);
+        paths[pick % paths.len()].clone()
+    };
+    match kind {
+        Mutation::Cut => return body[..pick % body.len()].to_string(),
+        Mutation::ReplaceByte => {
+            let mut bytes = body.as_bytes().to_vec();
+            let with = b"0123456789[]{},:\"-. aefnrtlsux";
+            bytes[pick % body.len()] = with[sub % with.len()];
+            return String::from_utf8(bytes).expect("ASCII in, ASCII out");
+        }
+        Mutation::DropElement | Mutation::DuplicateElement => {
+            let path = pick_path(
+                |v| matches!(v, Value::Arr(items) if !items.is_empty()),
+                &tree,
+            );
+            let Value::Arr(items) = value_at(&mut tree, &path) else {
+                unreachable!()
+            };
+            let at = sub % items.len();
+            if kind == Mutation::DropElement {
+                items.remove(at);
+            } else {
+                items.insert(at, items[at].clone());
+            }
+        }
+        Mutation::RenameKey => {
+            let path = pick_path(|v| matches!(v, Value::Obj(m) if !m.is_empty()), &tree);
+            let Value::Obj(members) = value_at(&mut tree, &path) else {
+                unreachable!()
+            };
+            let at = sub % members.len();
+            members[at].0.push('_');
+        }
+        Mutation::Nest => {
+            let path = pick_path(|_| true, &tree);
+            let v = value_at(&mut tree, &path);
+            for _ in 0..200 {
+                *v = Value::Arr(vec![std::mem::replace(v, Value::Null)]);
+            }
+        }
+    }
+    serde_json::to_string(&tree).expect("json write is infallible")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases() * 16))]
+
+    // Each protocol's golden fixture with one random body mutation, its
+    // checksum re-stamped: reading and restoring it must return a typed
+    // error or a session, and a cut or over-deep body must be a parse
+    // error.
+    #[test]
+    fn hostile_snapshot_bodies_are_typed_errors_never_panics(
+        pi in 0usize..6,
+        ki in 0usize..MUTATIONS.len(),
+        pick in 0u64..u64::MAX,
+        sub in 0u64..u64::MAX,
+    ) {
+        let protocols = dds_bench::protocols().names();
+        let protocol = protocols[pi % protocols.len()];
+        let golden = std::fs::read_to_string(golden_dir().join(format!("{protocol}.json")))
+            .expect("golden snapshot");
+        let body = body_of(&golden);
+        prop_assert!(body.is_ascii(), "{protocol}: the fixture's body is ASCII");
+        prop_assert_eq!(with_body(&golden, body), golden.clone());
+        let kind = MUTATIONS[ki];
+        let doc = with_body(&golden, &mutate(body, kind, pick, sub));
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            Snapshot::from_json(&doc).and_then(|snap| dds_bench::protocols().restore(&snap))
+        }));
+        let Ok(outcome) = outcome else {
+            return Err(TestCaseError(format!("{protocol}: {kind:?} panicked")));
+        };
+        if matches!(kind, Mutation::Cut | Mutation::Nest) {
+            prop_assert!(
+                matches!(outcome, Err(RestoreError::Parse(_))),
+                "{}: {:?} must be a parse error, got {:?}",
+                protocol,
+                kind,
+                outcome.map(|s| s.round())
+            );
+        }
     }
 }

@@ -1083,6 +1083,70 @@ fn oversized_opens_and_ingests_are_too_large_and_change_nothing() {
     join.join().expect("server thread");
 }
 
+#[test]
+fn an_open_whose_snapshot_body_is_broken_is_a_typed_error() {
+    use dynamic_subgraphs::net::checkpoint::fnv1a64;
+    use dynamic_subgraphs::net::serving::wire::Request;
+    let (addr, join, stop) = boot_with(ServerOptions::default());
+    let mut client = deadline_client(&addr);
+    let golden = std::fs::read_to_string(
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/snapshots/triangle.json"),
+    )
+    .expect("golden snapshot");
+    let (header, body) = golden.split_once(",\"body\":").expect("header, then body");
+    let body = body
+        .strip_suffix("}\n")
+        .expect("the body ends the document");
+    let (head, _) = header
+        .rsplit_once("\"checksum\":")
+        .expect("the checksum ends the header");
+    // Each broken body keeps a valid checksum, so only reading it can
+    // refuse it: cut short, a key renamed, a node past n.
+    let broken = [
+        (body[..body.len() / 2].to_string(), "snapshot parse error"),
+        (
+            body.replacen("\"incident\"", "\"incidents\"", 1),
+            "corrupt snapshot",
+        ),
+        (
+            body.replacen("\"edges\":[", "\"edges\":[[0,99,1],", 1),
+            "corrupt snapshot",
+        ),
+    ];
+    for (body, typed) in broken {
+        let checksum = fnv1a64(body.as_bytes());
+        let doc = format!("{head}\"checksum\":{checksum}}},\"body\":{body}}}\n");
+        let err = client
+            .request(&Request::Open {
+                session: "broken".into(),
+                protocol: None,
+                n: None,
+                engine: None,
+                shards: None,
+                snapshot: Some(doc),
+            })
+            .expect_err("a broken body must be refused");
+        assert!(err.contains(typed), "typed error, got: {err}");
+    }
+    let err = client
+        .query("broken", vec![(NodeId(0), Query::Edge(edge(0, 1)))])
+        .expect_err("no session was created");
+    assert!(err.starts_with("no session named"), "got: {err}");
+
+    // The daemon still answers, and the intact document still opens.
+    let snap = Snapshot::from_json(&golden).expect("the fixture parses");
+    client
+        .open_from_snapshot("intact", &snap)
+        .expect("the intact document opens");
+    let reply = client
+        .query("intact", vec![(NodeId(0), Query::Edge(edge(0, 1)))])
+        .expect("query after the refused opens");
+    assert_eq!(reply.watermark, 8);
+    drop(client);
+    stop();
+    join.join().expect("server thread");
+}
+
 // ---- batches that repeat an edge ----------------------------------------
 
 #[test]

@@ -103,7 +103,9 @@ usage:
                 [seed=U,drop=P,torn=P,corrupt=P,delay-ms=N,crash=POINT:K];
                 --max-sessions caps the directory [`overloaded` errors
                 beyond it], --idle-timeout-secs evicts idle sessions
-                [`evicted` errors; durable ones recover on reopen])
+                [`evicted` errors; a durable one comes back only
+                through --recover, as a fresh open refuses a checkpoint
+                directory that already holds snapshots])
   dds loadgen  --addr HOST:PORT [--session NAME] [--clients N] [--queries M]
                [--churn-rounds K --workload <name> ... [--skip-rounds R]]
                [--tolerate-faults [--retries R] [--deadline-ms D]

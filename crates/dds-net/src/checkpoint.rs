@@ -117,8 +117,9 @@ pub enum RestoreError {
     },
     /// Written by a newer format version than this binary understands.
     VersionFromFuture {
-        /// Version found in the header.
-        found: u32,
+        /// Version found in the header (past `u32::MAX` too, which is never
+        /// read as a smaller version).
+        found: u64,
         /// Highest version this binary supports.
         supported: u32,
     },
@@ -325,13 +326,14 @@ impl Snapshot {
         let hbool = |k: &str| {
             bool::from_value(hfield(k)?).map_err(|e| RestoreError::Corrupt(format!("header: {e}")))
         };
-        let version = hu64("version")? as u32;
-        if version > SNAPSHOT_VERSION {
-            return Err(RestoreError::VersionFromFuture {
-                found: version,
+        let found = hu64("version")?;
+        let version = u32::try_from(found)
+            .ok()
+            .filter(|&version| version <= SNAPSHOT_VERSION)
+            .ok_or(RestoreError::VersionFromFuture {
+                found,
                 supported: SNAPSHOT_VERSION,
-            });
-        }
+            })?;
         let scheduling = hstr("scheduling")?;
         if !SCHEDULING_TOKENS.contains(&scheduling.as_str()) {
             return Err(RestoreError::Corrupt(format!(
@@ -472,7 +474,7 @@ pub fn scan_snapshot_dir(dir: &FsPath) -> Result<SnapshotScan, RestoreError> {
 
 /// Parse the round out of a `checkpoint_NNNNNN.json` file name; `None`
 /// for anything else (including `.tmp` orphans).
-fn checkpoint_file_round(name: &str) -> Option<u64> {
+pub(crate) fn checkpoint_file_round(name: &str) -> Option<u64> {
     let digits = name.strip_prefix("checkpoint_")?.strip_suffix(".json")?;
     if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
         return None;
@@ -652,6 +654,19 @@ mod tests {
             Snapshot::from_json(&future),
             Err(RestoreError::VersionFromFuture {
                 found: 999,
+                supported: SNAPSHOT_VERSION
+            })
+        ));
+        // 2^32 + 1 is version 1 once cut to 32 bits: it is from the future
+        // all the same.
+        let wrapping = json.replace(
+            &format!("\"version\":{SNAPSHOT_VERSION}"),
+            "\"version\":4294967297",
+        );
+        assert!(matches!(
+            Snapshot::from_json(&wrapping),
+            Err(RestoreError::VersionFromFuture {
+                found: 4_294_967_297,
                 supported: SNAPSHOT_VERSION
             })
         ));

@@ -24,7 +24,7 @@
 //! config seeds: sequence streams derive from the seed, and the dedup
 //! record compares `(seq, content digest)`.
 
-use super::fault::splitmix64_mix;
+use super::fault::{splitmix64, splitmix64_mix};
 use super::wire::{self, Request};
 use crate::checkpoint::Snapshot;
 use crate::event::EventBatch;
@@ -209,7 +209,7 @@ impl Client {
             return;
         }
         let exp = base.saturating_mul(1u64 << (attempt - 1).min(6));
-        let jitter = splitmix64_next(&mut self.rng) % base;
+        let jitter = splitmix64(&mut self.rng) % base;
         std::thread::sleep(Duration::from_nanos(exp.saturating_add(jitter)));
     }
 
@@ -374,12 +374,6 @@ fn open_stream(addr: &str, cfg: &ClientConfig) -> Result<TcpStream, String> {
         let _ = stream.set_write_timeout(Some(deadline));
     }
     Ok(stream)
-}
-
-/// One splitmix64 step on mutable state (jitter stream).
-fn splitmix64_next(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    splitmix64_mix(*state)
 }
 
 fn watermark_of(v: &Value) -> Result<Round, String> {

@@ -45,10 +45,10 @@ pub fn splitmix64_mix(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// splitmix64: the one-word PRNG behind every fault decision. Constants
-/// and shape match the reference implementation (and the vendored rand
-/// shim's seeder).
-fn splitmix64(state: &mut u64) -> u64 {
+/// splitmix64: the one-word PRNG behind every fault decision and the
+/// client's backoff jitter. Constants and shape match the reference
+/// implementation (and the vendored rand shim's seeder).
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     splitmix64_mix(*state)
 }

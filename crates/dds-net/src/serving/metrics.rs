@@ -125,7 +125,7 @@ fn upper_edge_ns(i: usize) -> f64 {
 /// stage by stage: `stats` reports it per session as `write_stages_us`.
 #[derive(Debug, Default)]
 pub struct WriteStages {
-    /// Waiting for the session's write locks.
+    /// Waiting for the session's writer lock.
     pub lock_wait: LatencyHistogram,
     /// The verb's own work: validating and stepping its rounds.
     pub step: LatencyHistogram,

@@ -190,11 +190,11 @@ impl Server {
     }
 
     /// Pre-open a session before serving (the `--resume` warm start and
-    /// `--open` boot paths). Durability is attached when the daemon has a
-    /// checkpoint base.
+    /// `--open` boot paths). It is admitted as the `open` verb admits one:
+    /// on a daemon with a checkpoint base, it is on disk before any write
+    /// can reach it.
     pub fn open_session(&self, session: ServingSession) -> Result<(), String> {
-        let arc = self.state.directory.insert(session)?;
-        attach_durability(&self.state, &arc)?;
+        admit(&self.state, session)?;
         Ok(())
     }
 
@@ -203,16 +203,16 @@ impl Server {
     /// are skipped and reported. Recovered sessions keep persisting into
     /// the directories they were recovered from.
     ///
-    /// Recovery writes nothing: each session's durable round is the round
-    /// of the snapshot it was restored from, and its next persisting
-    /// write comes `every` writes later. Only [`Server::open_session`]
-    /// and the `open` verb persist at once.
+    /// Recovery writes nothing: each session is admitted with its durable
+    /// round (its snapshot's), dedup record and cadence already set, and
+    /// its next persisting write comes `every` writes later. Only
+    /// [`Server::open_session`] and the `open` verb persist at once.
     pub fn recover(&self, base: &Path, default_session: &str) -> Result<RecoveryReport, String> {
         let every = self.state.durability.as_ref().map_or(1, |d| d.every);
         let (sessions, report) = recover_sessions(self.registry, base, default_session)?;
-        for (session, dir) in sessions {
-            let arc = self.state.directory.insert(session)?;
-            arc.resume_durability(Durability { dir, every });
+        for (mut session, dir) in sessions {
+            session.resume_durability(Durability { dir, every });
+            self.state.directory.admit(session, None)?;
         }
         Ok(report)
     }
@@ -280,17 +280,16 @@ impl Server {
     }
 }
 
-/// Enable durability for a newly opened session when the daemon has a
-/// checkpoint base: the session persists into `base/<name>/`.
-fn attach_durability(state: &ServerState, session: &Arc<ServingSession>) -> Result<(), String> {
-    let Some(d) = &state.durability else {
-        return Ok(());
-    };
-    session.enable_durability(Durability {
+/// Admit a newly opened session (the `open` verb and
+/// [`Server::open_session`]). On a daemon with a checkpoint base the
+/// session persists into `base/<name>/`, and [`Directory::admit`] keeps
+/// every write off it until its first snapshot is there.
+fn admit(state: &ServerState, session: ServingSession) -> Result<Arc<ServingSession>, String> {
+    let durability = state.durability.as_ref().map(|d| Durability {
         dir: d.base.join(&session.name),
         every: d.every,
-    })?;
-    Ok(())
+    });
+    state.directory.admit(session, durability)
 }
 
 /// One connection: read frames, dispatch, write responses, until the
@@ -510,8 +509,7 @@ fn handle_request(
                     ServingSession::open(registry, &session, &protocol, n, cfg)?
                 }
             };
-            let arc = state.directory.insert(serving)?;
-            attach_durability(state, &arc)?;
+            let arc = admit(state, serving)?;
             let view = arc.view();
             Ok(wire::ok_response(vec![
                 ("session", Value::Str(arc.name.clone())),

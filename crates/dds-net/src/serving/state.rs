@@ -4,17 +4,18 @@
 //!
 //! # The invariant
 //!
-//! Each named session has exactly one writer side (`writer`, a mutex over
-//! the live [`Session`]) and one published read side (`published`, an
-//! `Arc` swapped under a second mutex). Write verbs — `open`, `ingest`,
-//! `step`, `checkpoint`, `close` — serialize on the writer lock, so the
-//! round loop runs exactly as it does locally: determinism is untouched.
-//! After every write verb the writer *publishes*: it forks the live
-//! session ([`Session::fork`] — an in-memory copy, nothing serialized)
-//! into a fully independent `Session`, then swaps the `Arc` in. The swap
-//! holds the view lock for the pointer exchange only; the replaced view,
-//! often the last reference to a whole session, is freed after the lock
-//! is released.
+//! Each named session has one write side and one published read side.
+//! The write side is one mutex, the writer lock, over everything a write
+//! verb reads or changes: the live [`Session`], the last sequenced write
+//! and the durability cadence. Write verbs — `ingest`, `step` — run whole
+//! under it, so the round loop runs exactly as it does locally:
+//! determinism is untouched. After every write verb the writer
+//! *publishes*: it forks the live session ([`Session::fork`] — an
+//! in-memory copy, nothing serialized) into a fully independent
+//! `Session`, then swaps the read side's `Arc` in under a second mutex.
+//! The swap holds that view lock for the pointer exchange only; the
+//! replaced view, often the last reference to a whole session, is freed
+//! after the lock is released.
 //!
 //! Readers (`query` verbs) clone the current `Arc` — the only time they
 //! hold any lock is for that pointer copy — and answer against an
@@ -33,57 +34,59 @@
 //!
 //! # Durability and the fail-stop invariant
 //!
-//! When a session has durability enabled, every `every`-th write verb
-//! also *persists*: it captures a [`Snapshot`] of the writer and writes
-//! it (atomically: tmp + fsync + rename) to the session's checkpoint
-//! directory **before** the view swap. A write that does not persist
-//! captures nothing; one that does writes the body's JSON text straight
-//! from the live session (the capture is the encoding; no value tree is
-//! built), and [`Snapshot::to_json`] splices it with the header and the
-//! checksum over those bytes ([`Snapshot::from_json`] checks it on
-//! recovery; no in-memory header holds it). The ordering is the whole
-//! argument: a write verb is
+//! When a session is durable, every `every`-th write verb also
+//! *persists*, **before** the view swap. One routine does every persist:
+//! it captures a [`Snapshot`] of the live session (the capture is the
+//! encoding; no value tree is built), writes it atomically (tmp + fsync +
+//! rename), writes `meta.json` when the write was sequenced, then advances
+//! the durable round. The ordering is the whole argument: a write verb is
 //! acknowledged only after its state is durable *and* published, so an
-//! acked round can always be recovered, and a crash at any point loses
-//! at most un-acked work. [`CrashPoint`]s bracket exactly the interesting
+//! acked round can always be recovered, and a crash at any point loses at
+//! most un-acked work. [`CrashPoint`]s bracket exactly the interesting
 //! moments — before persist+publish, after publish before the reply, and
 //! midway through the snapshot file write.
 //!
 //! A session becomes durable on one of two paths.
 //! [`ServingSession::enable_durability`] persists the current state at
-//! once, so a session that is not yet on disk (a fresh `open`,
-//! `--resume`, an `open` with a snapshot) is recoverable from the moment
-//! it exists. Recovery ([`recover_sessions`], then
+//! once, so a session that is not yet on disk (a fresh `open`, `--resume`,
+//! an `open` with a snapshot) is recoverable from the moment it exists.
+//! [`Directory::admit`] holds such a session's writer lock from before it
+//! enters the directory until that snapshot is on disk; if it cannot be
+//! written, the session leaves the directory and every write that reached
+//! it is refused. A directory that already holds a snapshot is refused: a
+//! closed or evicted session's higher rounds would win recovery.
+//! Recovery ([`recover_sessions`], then
 //! [`Server::recover`](super::Server::recover)) persists nothing: the
-//! newest snapshot in the directory already holds the restored state,
-//! its header's round is the durable round, and that file and `meta.json`
-//! stay as they are. A file whose name and header name different rounds
-//! is skipped as corrupt (see
-//! [`scan_snapshot_dir`]). On both
-//! paths the next persisting write comes `every` writes later.
+//! newest snapshot in the directory already holds the restored state, its
+//! header's round is the durable round, and that file and `meta.json` stay
+//! as they are. A file whose name and header name different rounds is
+//! skipped as corrupt (see [`scan_snapshot_dir`]). On both paths the next
+//! persisting write comes `every` writes later.
 //!
 //! # Write stages
 //!
 //! Each write verb times its stages into the session's [`WriteStages`]:
-//! waiting for the write locks, the verb's own work, the persist (only
-//! on persisting writes) and the publish. `stats` reports them per
-//! session; they are wall-clock readings and stay out of every snapshot.
+//! waiting for the writer lock, the verb's own work, the persist (only on
+//! persisting writes) and the publish. `stats` reports them per session;
+//! they are wall-clock readings and stay out of every snapshot.
 //!
 //! # Retry deduplication
 //!
 //! A client that retries a write after a transport failure cannot know
 //! whether the original applied. Write verbs therefore carry an optional
 //! client sequence number; the session remembers the last sequenced
-//! write's `(seq, content digest, result)` — under a mutex held across
-//! the *entire* write, so a retry racing the original blocks until the
-//! original's result is recorded — and answers an exact duplicate from
+//! write's `(seq, content digest, result)` — under the writer lock, held
+//! across the *entire* write, so a retry racing the original blocks until
+//! the original's result is recorded — and answers an exact duplicate from
 //! the record instead of re-applying it. The digest (FNV-1a-64 of the
 //! verb + serialized content) keeps a colliding sequence number from a
 //! different client from masquerading as a retry. The record also rides
 //! into `meta.json` next to each persisted snapshot, so deduplication
 //! survives a daemon restart.
 
-use crate::checkpoint::{fnv1a64, scan_snapshot_dir, write_bytes_atomic, Snapshot};
+use crate::checkpoint::{
+    checkpoint_file_round, fnv1a64, scan_snapshot_dir, write_bytes_atomic, Snapshot,
+};
 use crate::engine::ProtocolRegistry;
 use crate::event::EventBatch;
 use crate::ids::Round;
@@ -96,7 +99,7 @@ use super::metrics::WriteStages;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// An immutable, fully settled view of a session at one round — what
@@ -128,10 +131,17 @@ struct LastWrite {
     result: Result<Round, String>,
 }
 
-struct DurableState {
-    cfg: Durability,
+/// Everything a write verb reads or changes, behind the one writer lock.
+struct WriteSide {
+    session: Session,
+    last_write: Option<LastWrite>,
+    /// `None` while the session is not durable.
+    durability: Option<Durability>,
     /// Write verbs since the last persisted snapshot.
     pending: u64,
+    /// Set when the session's admission failed: the reply to every write
+    /// that reached it anyway.
+    refused: Option<String>,
 }
 
 /// One named session on the daemon: writer side + published view +
@@ -139,15 +149,11 @@ struct DurableState {
 pub struct ServingSession {
     /// Directory key.
     pub name: String,
-    /// Outer write lock: held across the whole write verb so a retry
-    /// blocks until the original records its result. Always taken
-    /// before `writer`.
-    last_write: Mutex<Option<LastWrite>>,
-    writer: Mutex<Session>,
+    writer: Mutex<WriteSide>,
     published: Mutex<Arc<PublishedView>>,
-    durability: Mutex<Option<DurableState>>,
     /// The newest round with a fully persisted snapshot (0 when
-    /// durability is off or nothing has been persisted yet).
+    /// durability is off or nothing has been persisted yet). Written under
+    /// the writer lock; `list` and `stats` read it without taking it.
     durable_round: AtomicU64,
     /// Rounds executed on this session since it was opened here (warm
     /// starts begin counting at the snapshot round).
@@ -171,10 +177,14 @@ impl ServingSession {
         };
         ServingSession {
             name: name.to_string(),
-            last_write: Mutex::new(None),
-            writer: Mutex::new(session),
+            writer: Mutex::new(WriteSide {
+                session,
+                last_write: None,
+                durability: None,
+                pending: 0,
+                refused: None,
+            }),
             published: Mutex::new(Arc::new(view)),
-            durability: Mutex::new(None),
             durable_round: AtomicU64::new(0),
             rounds_served: AtomicU64::new(0),
             peak_active: AtomicU64::new(0),
@@ -236,162 +246,173 @@ impl ServingSession {
     /// verb. Returns the durable round.
     ///
     /// This is the path of every session that is not yet on disk: a
-    /// fresh `open`, `--resume`, and an `open` with a snapshot. A session
-    /// recovered from its directory by
-    /// [`Server::recover`](super::Server::recover) persists nothing.
+    /// fresh `open`, `--resume`, and an `open` with a snapshot. It refuses
+    /// a directory that already holds a `checkpoint_*.json`, naming the
+    /// directory and its newest round: only recovery resumes one.
     pub fn enable_durability(&self, cfg: Durability) -> Result<Round, String> {
-        std::fs::create_dir_all(&cfg.dir)
-            .map_err(|e| format!("checkpoint dir {}: {e}", cfg.dir.display()))?;
-        let seq_digest = {
-            let guard = self.last_write.lock().expect("last-write lock poisoned");
-            guard.as_ref().map(|lw| (lw.seq, lw.digest))
-        };
-        let snap = self
-            .writer
-            .lock()
-            .expect("writer lock poisoned")
-            .checkpoint();
-        let round = snap.header.round;
-        let mut durability = self.durability.lock().expect("durability lock poisoned");
-        persist_snapshot(&cfg.dir, &snap, seq_digest, None)?;
-        self.durable_round.store(round, Ordering::Release);
-        *durability = Some(DurableState { cfg, pending: 0 });
+        self.make_durable(&mut self.writer.lock().expect("writer lock poisoned"), cfg)
+    }
+
+    /// [`ServingSession::enable_durability`] under a writer lock the
+    /// caller already holds.
+    fn make_durable(&self, writer: &mut WriteSide, cfg: Durability) -> Result<Round, String> {
+        let io = |e: std::io::Error| format!("checkpoint dir {}: {e}", cfg.dir.display());
+        std::fs::create_dir_all(&cfg.dir).map_err(io)?;
+        let newest = std::fs::read_dir(&cfg.dir)
+            .map_err(io)?
+            .filter_map(|entry| checkpoint_file_round(entry.ok()?.file_name().to_str()?))
+            .max();
+        if let Some(round) = newest {
+            return Err(format!(
+                "checkpoint dir {} already holds snapshots up to round {round}; only \
+                 --recover resumes them",
+                cfg.dir.display()
+            ));
+        }
+        let record = writer.last_write.as_ref().map(|lw| (lw.seq, lw.digest));
+        let round = self.persist(&writer.session, record, &cfg.dir, None)?;
+        writer.durability = Some(cfg);
         Ok(round)
     }
 
-    /// Attach durability to a session [`recover_sessions`] restored from
-    /// `cfg.dir`, capturing and writing nothing: the snapshot it came from
-    /// is already durable, and its round is the durable round recovery
-    /// set. The next persisting write comes `cfg.every` writes from now.
-    pub(crate) fn resume_durability(&self, cfg: Durability) {
-        *self.durability.lock().expect("durability lock poisoned") =
-            Some(DurableState { cfg, pending: 0 });
+    /// Set the persisting cadence of a session [`recover_sessions`]
+    /// restored from `cfg.dir`, before it is admitted. Nothing is written:
+    /// the snapshot it came from is durable, and the next persisting write
+    /// comes `cfg.every` writes from now.
+    pub(crate) fn resume_durability(&mut self, cfg: Durability) {
+        let writer = self.writer.get_mut().expect("writer lock poisoned");
+        writer.durability = Some(cfg);
     }
 
-    /// Seed the retry-dedup record (recovery: replays `meta.json` so a
-    /// client retrying across the restart is still deduplicated).
-    fn seed_last_write(&self, seq: u64, digest: u64, round: Round) {
-        *self.last_write.lock().expect("last-write lock poisoned") = Some(LastWrite {
-            seq,
-            digest,
-            result: Ok(round),
-        });
+    /// Capture `session` and persist it into `dir`: the snapshot file
+    /// (atomically), `meta.json` when `record` names a sequenced write's
+    /// `(seq, digest)`, then the durable round. Every persist, the first
+    /// one and the cadence's alike, comes through here. A scheduled
+    /// mid-checkpoint crash leaves a torn `.tmp`, the artifact recovery
+    /// must skip.
+    fn persist(
+        &self,
+        session: &Session,
+        record: Option<(u64, u64)>,
+        dir: &Path,
+        faults: Option<&FaultPlan>,
+    ) -> Result<Round, String> {
+        let snap = session.checkpoint();
+        let round = snap.header.round;
+        let path = dir.join(format!("checkpoint_{round:06}.json"));
+        let bytes = snap.to_json().into_bytes();
+        if let Some(plan) = faults {
+            if plan.crash_due(CrashPoint::MidCheckpoint) {
+                // A real crash mid-write leaves a partial tmp file; fabricate
+                // exactly that, then die. The rename never happens, so no
+                // checkpoint_*.json is ever torn.
+                let tmp = path.with_extension("tmp");
+                let _ = std::fs::write(&tmp, &bytes[..bytes.len() / 2]);
+                plan.execute_crash();
+                return Err("daemon crashed mid-checkpoint (injected)".into());
+            }
+        }
+        write_bytes_atomic(&path, &bytes).map_err(|e| format!("persist checkpoint: {e}"))?;
+        if let Some((seq, digest)) = record {
+            let meta = Value::Obj(vec![
+                ("v".into(), Value::U64(1)),
+                ("watermark".into(), Value::U64(round)),
+                ("seq".into(), Value::U64(seq)),
+                ("digest".into(), Value::U64(digest)),
+            ]);
+            let doc = format!("{}\n", serde_json::to_string(&meta).expect("json"));
+            write_bytes_atomic(&dir.join("meta.json"), doc.as_bytes())
+                .map_err(|e| format!("persist meta: {e}"))?;
+        }
+        self.durable_round.store(round, Ordering::Release);
+        Ok(round)
     }
 
-    /// Run one write verb end to end: dedup check, execute under the
-    /// writer lock, persist if due, publish, record the result. The
-    /// `last_write` mutex is held for the whole function — that is what
-    /// makes a racing retry block until the original's outcome exists.
-    fn write_verb(
+    /// Run one write verb end to end under the writer lock: refuse it if
+    /// the session's admission failed, answer an exact retry from the
+    /// dedup record, else run `work`, persist when the cadence is due,
+    /// publish a fork of the result as the new settled view, and record
+    /// the result for dedup. Returns the watermark round. The publish
+    /// happens even when `work` errors partway: the applied prefix is real,
+    /// settled state that readers must see (the error goes back to the
+    /// writer client only). Persist strictly precedes publish, and publish
+    /// the (caller-written) reply: an acknowledged write is recoverable.
+    fn write(
         &self,
         seq: Option<u64>,
         digest: u64,
         faults: Option<&FaultPlan>,
-        work: impl FnOnce(&mut MutexGuard<'_, Session>) -> Result<(), String>,
+        work: impl FnOnce(&mut Session) -> Result<(), String>,
     ) -> Result<Round, String> {
+        let stages = &self.write_stages;
         let waiting = Instant::now();
-        let mut last = self.last_write.lock().expect("last-write lock poisoned");
-        if let (Some(seq), Some(prev)) = (seq, last.as_ref()) {
-            if prev.seq == seq && prev.digest == digest {
-                return prev.result.clone();
+        let mut guard = self.writer.lock().expect("writer lock poisoned");
+        let writer = &mut *guard;
+        if let Some(refusal) = &writer.refused {
+            return Err(refusal.clone());
+        }
+        if let (Some(seq), Some(last)) = (seq, &writer.last_write) {
+            if last.seq == seq && last.digest == digest {
+                return last.result.clone();
             }
         }
-        let result = self.write_and_publish(waiting, seq.map(|s| (s, digest)), faults, work);
-        *last = seq.map(|seq| LastWrite {
+        stages.lock_wait.record(waiting.elapsed().as_secs_f64());
+        let stepping = Instant::now();
+        let outcome = work(&mut writer.session);
+        stages.step.record(stepping.elapsed().as_secs_f64());
+        let round = writer.session.round();
+        // Every result from here on, a crash or persist error too, is
+        // recorded for dedup below.
+        let result = (|| {
+            if let Some(plan) = faults {
+                if plan.crash_due(CrashPoint::BeforePublish) {
+                    plan.execute_crash();
+                    return Err("daemon crashed before publish (injected)".to_string());
+                }
+            }
+            // Persist and fork under the writer lock (the state must not
+            // advance under either), but *not* the view lock: readers keep
+            // querying the old view the whole time.
+            if let Some(cfg) = &writer.durability {
+                writer.pending += 1;
+                if writer.pending >= cfg.every {
+                    let persisting = Instant::now();
+                    let record = seq.map(|seq| (seq, digest));
+                    self.persist(&writer.session, record, &cfg.dir, faults)?;
+                    writer.pending = 0;
+                    stages.persist.record(persisting.elapsed().as_secs_f64());
+                }
+            }
+            let publishing = Instant::now();
+            let view = Arc::new(PublishedView {
+                session: writer.session.fork(),
+                round,
+            });
+            // The lock guard is a temporary of this statement, so the view
+            // lock is held for the pointer swap only. The replaced view,
+            // often the last reference to a whole session, is freed on the
+            // next line, after the lock is released: readers never wait on
+            // the free.
+            let replaced = std::mem::replace(
+                &mut *self.published.lock().expect("published view poisoned"),
+                view,
+            );
+            drop(replaced);
+            stages.publish.record(publishing.elapsed().as_secs_f64());
+            if let Some(plan) = faults {
+                if plan.crash_due(CrashPoint::AfterPublish) {
+                    plan.execute_crash();
+                    return Err("daemon crashed after publish (injected)".to_string());
+                }
+            }
+            outcome.map(|()| round)
+        })();
+        writer.last_write = seq.map(|seq| LastWrite {
             seq,
             digest,
             result: result.clone(),
         });
         result
-    }
-
-    /// Run write work under the writer lock, persist a snapshot when
-    /// durability says so, then publish a fork of the resulting state as
-    /// the new settled view. The publish happens even when the work
-    /// errors partway: the applied prefix is real, settled state, and
-    /// readers must be able to see it (the error goes back to the writer
-    /// client only). Returns the watermark round.
-    ///
-    /// Ordering is the durability argument: persist strictly before
-    /// publish, publish strictly before the (caller-written) reply — an
-    /// acknowledged write is always recoverable.
-    ///
-    /// `waiting` is when the verb began waiting for its write locks.
-    fn write_and_publish(
-        &self,
-        waiting: Instant,
-        seq_digest: Option<(u64, u64)>,
-        faults: Option<&FaultPlan>,
-        work: impl FnOnce(&mut MutexGuard<'_, Session>) -> Result<(), String>,
-    ) -> Result<Round, String> {
-        let stages = &self.write_stages;
-        let mut writer = self.writer.lock().expect("writer lock poisoned");
-        stages.lock_wait.record(waiting.elapsed().as_secs_f64());
-        let stepping = Instant::now();
-        let outcome = work(&mut writer);
-        stages.step.record(stepping.elapsed().as_secs_f64());
-        let round = writer.round();
-        if let Some(plan) = faults {
-            if plan.crash_due(CrashPoint::BeforePublish) {
-                plan.execute_crash();
-                return Err("daemon crashed before publish (injected)".into());
-            }
-        }
-        // Persist and fork while still holding the writer lock (the state
-        // must not advance under either), but *not* the view lock:
-        // readers keep querying the old view the whole time.
-        self.persist_if_due(&writer, seq_digest, faults)?;
-        let publishing = Instant::now();
-        let view = Arc::new(PublishedView {
-            session: writer.fork(),
-            round,
-        });
-        // The lock guard is a temporary of this statement, so the view lock
-        // is held for the pointer swap only. The replaced view, often the
-        // last reference to a whole session, is freed on the next line,
-        // after the lock is released: readers never wait on the free.
-        let replaced = std::mem::replace(
-            &mut *self.published.lock().expect("published view poisoned"),
-            view,
-        );
-        drop(replaced);
-        stages.publish.record(publishing.elapsed().as_secs_f64());
-        if let Some(plan) = faults {
-            if plan.crash_due(CrashPoint::AfterPublish) {
-                plan.execute_crash();
-                return Err("daemon crashed after publish (injected)".into());
-            }
-        }
-        outcome.map(|()| round)
-    }
-
-    /// Persist a snapshot of the writer if this write hits the durability
-    /// cadence. The snapshot is captured only here, so a write that does
-    /// not persist never writes one.
-    fn persist_if_due(
-        &self,
-        writer: &Session,
-        seq_digest: Option<(u64, u64)>,
-        faults: Option<&FaultPlan>,
-    ) -> Result<(), String> {
-        let mut guard = self.durability.lock().expect("durability lock poisoned");
-        let Some(state) = guard.as_mut() else {
-            return Ok(());
-        };
-        state.pending += 1;
-        if state.pending < state.cfg.every {
-            return Ok(());
-        }
-        let persisting = Instant::now();
-        let snap = writer.checkpoint();
-        persist_snapshot(&state.cfg.dir, &snap, seq_digest, faults)?;
-        self.write_stages
-            .persist
-            .record(persisting.elapsed().as_secs_f64());
-        state.pending = 0;
-        self.durable_round
-            .store(snap.header.round, Ordering::Release);
-        Ok(())
     }
 
     /// Ingest: one round per batch, in order. Returns the new watermark.
@@ -416,19 +437,19 @@ impl ServingSession {
         faults: Option<&FaultPlan>,
     ) -> Result<Round, String> {
         let digest = ingest_digest(batches);
-        self.write_verb(seq, digest, faults, |writer| {
+        self.write(seq, digest, faults, |session| {
             for batch in batches {
-                writer.topology().validate(batch).map_err(|e| {
+                session.topology().validate(batch).map_err(|e| {
                     format!(
                         "ingest rejected at round {}: {e} (the batch must be \
                          consistent with the session's current topology — \
                          against a warm-started session, skip the rounds the \
                          snapshot already covers)",
-                        writer.round() + 1
+                        session.round() + 1
                     )
                 })?;
-                writer.step(batch);
-                self.note_round(writer);
+                session.step(batch);
+                self.note_round(session);
             }
             Ok(())
         })
@@ -442,19 +463,19 @@ impl ServingSession {
         faults: Option<&FaultPlan>,
     ) -> Result<Round, String> {
         let digest = step_digest(rounds);
-        self.write_verb(seq, digest, faults, |writer| {
+        self.write(seq, digest, faults, |session| {
             for _ in 0..rounds {
-                writer.step_quiet();
-                self.note_round(writer);
+                session.step_quiet();
+                self.note_round(session);
             }
             Ok(())
         })
     }
 
-    fn note_round(&self, writer: &Session) {
+    fn note_round(&self, session: &Session) {
         self.rounds_served.fetch_add(1, Ordering::Relaxed);
         self.peak_active
-            .fetch_max(writer.active_nodes() as u64, Ordering::Relaxed);
+            .fetch_max(session.active_nodes() as u64, Ordering::Relaxed);
     }
 
     /// Capture the writer's state as a snapshot (written between rounds,
@@ -463,6 +484,7 @@ impl ServingSession {
         self.writer
             .lock()
             .expect("writer lock poisoned")
+            .session
             .checkpoint()
     }
 }
@@ -479,55 +501,26 @@ fn step_digest(rounds: u64) -> u64 {
     fnv1a64(format!("step:{rounds}").as_bytes())
 }
 
-/// Write `checkpoint_NNNNNN.json` (and `meta.json` when the write was
-/// sequenced) into `dir`, atomically, honoring a scheduled mid-checkpoint
-/// crash: the crash leaves a *torn `.tmp`* — precisely the artifact the
-/// recovery scan must skip.
-fn persist_snapshot(
-    dir: &Path,
-    snap: &Snapshot,
-    seq_digest: Option<(u64, u64)>,
-    faults: Option<&FaultPlan>,
-) -> Result<(), String> {
-    let path = dir.join(format!("checkpoint_{:06}.json", snap.header.round));
-    let bytes = snap.to_json().into_bytes();
-    if let Some(plan) = faults {
-        if plan.crash_due(CrashPoint::MidCheckpoint) {
-            // A real crash mid-write leaves a partial tmp file; fabricate
-            // exactly that, then die. The rename never happens, so no
-            // checkpoint_*.json is ever torn.
-            let tmp = path.with_extension("tmp");
-            let _ = std::fs::write(&tmp, &bytes[..bytes.len() / 2]);
-            plan.execute_crash();
-            return Err("daemon crashed mid-checkpoint (injected)".into());
-        }
-    }
-    write_bytes_atomic(&path, &bytes).map_err(|e| format!("persist checkpoint: {e}"))?;
-    if let Some((seq, digest)) = seq_digest {
-        let meta = Value::Obj(vec![
-            ("v".into(), Value::U64(1)),
-            ("watermark".into(), Value::U64(snap.header.round)),
-            ("seq".into(), Value::U64(seq)),
-            ("digest".into(), Value::U64(digest)),
-        ]);
-        let doc = format!("{}\n", serde_json::to_string(&meta).expect("json"));
-        write_bytes_atomic(&dir.join("meta.json"), doc.as_bytes())
-            .map_err(|e| format!("persist meta: {e}"))?;
-    }
-    Ok(())
-}
-
-/// Read a session directory's `meta.json`, tolerantly: the file is an
-/// optimization (cross-restart retry dedup), so absence or damage just
-/// means no seeding. Returns `(watermark, seq, digest)`.
-fn read_meta(dir: &Path) -> Option<(u64, u64, u64)> {
+/// Read the retry-dedup record a session directory's `meta.json` keeps
+/// for the snapshot at `round`, so a client retrying across a restart is
+/// still deduplicated. Tolerant: the file is an optimization, so absence,
+/// damage or a record of another round (an older snapshot, its corrupt
+/// tail skipped, must not inherit it) just means no record.
+fn read_meta(dir: &Path, round: Round) -> Option<LastWrite> {
     let text = std::fs::read_to_string(dir.join("meta.json")).ok()?;
     let v: Value = serde_json::from_str(&text).ok()?;
     let field = |k: &str| match v.get(k) {
         Some(Value::U64(x)) => Some(*x),
         _ => None,
     };
-    Some((field("watermark")?, field("seq")?, field("digest")?))
+    if field("watermark")? != round {
+        return None;
+    }
+    Some(LastWrite {
+        seq: field("seq")?,
+        digest: field("digest")?,
+        result: Ok(round),
+    })
 }
 
 /// Is `name` usable as a checkpoint directory component? Conservative:
@@ -625,22 +618,16 @@ pub fn recover_sessions(
         let publishing = Instant::now();
         match restored {
             Ok(session) => {
-                let session = ServingSession::new(name, session);
+                let mut session = ServingSession::new(name, session);
                 report.stages.push(RecoveryStages {
                     read: scan.read,
                     verify: scan.verify,
                     restore: publishing - restoring,
                     publish: publishing.elapsed(),
                 });
-                if let Some((watermark, seq, digest)) = read_meta(dir) {
-                    // The meta record only describes the snapshot it was
-                    // written next to; an older snapshot (corrupt tail
-                    // skipped) must not inherit it.
-                    if watermark == round {
-                        session.seed_last_write(seq, digest, round);
-                    }
-                }
-                session.durable_round.store(round, Ordering::Release);
+                let writer = session.writer.get_mut().expect("writer lock poisoned");
+                writer.last_write = read_meta(dir, round);
+                *session.durable_round.get_mut() = round;
                 report.sessions.push((name.to_string(), round));
                 recovered.push((session, dir.to_path_buf()));
             }
@@ -687,19 +674,32 @@ pub struct Directory {
 }
 
 impl Directory {
-    /// Cap the number of live sessions (0 = unlimited). Inserts beyond
+    /// Cap the number of live sessions (0 = unlimited). Admissions beyond
     /// the cap fail with a typed `[overloaded]` error.
     pub fn set_session_cap(&self, cap: usize) {
         self.cap.store(cap, Ordering::Relaxed);
     }
 
-    /// Insert a newly opened session. Errors when the name is taken —
-    /// sessions are single-writer, so a second opener must not silently
-    /// share one — or when the session cap is reached.
-    pub fn insert(&self, session: ServingSession) -> Result<Arc<ServingSession>, String> {
+    /// Admit a newly opened session: the one way a session enters the
+    /// directory. Errors when the name is taken — sessions are
+    /// single-writer, so a second opener must not silently share one — or
+    /// when the session cap is reached.
+    ///
+    /// With `durability` (a session not yet on disk), its writer is locked
+    /// before the insert and released only once
+    /// [`ServingSession::enable_durability`] has its first snapshot on
+    /// disk. If that fails, the session leaves the directory again and
+    /// every write that reached it is refused.
+    pub fn admit(
+        &self,
+        session: ServingSession,
+        durability: Option<Durability>,
+    ) -> Result<Arc<ServingSession>, String> {
+        let session = Arc::new(session);
+        let name = &session.name;
+        let mut writer = session.writer.lock().expect("writer lock poisoned");
         let mut map = self.sessions.lock().expect("directory lock poisoned");
-        let name = session.name.clone();
-        if map.contains_key(&name) {
+        if map.contains_key(name) {
             return Err(format!("session {name:?} is already open"));
         }
         let cap = self.cap.load(Ordering::Relaxed);
@@ -710,15 +710,25 @@ impl Directory {
             ));
         }
         session.touch();
-        let arc = Arc::new(session);
-        map.insert(name.clone(), Arc::clone(&arc));
+        map.insert(name.clone(), Arc::clone(&session));
         drop(map);
+        if let Some(cfg) = durability {
+            if let Err(e) = session.make_durable(&mut writer, cfg) {
+                writer.refused = Some(format!("no session named {name:?} (its open failed: {e})"));
+                // A `close` may have raced the open and a new session taken
+                // the name: only this session leaves.
+                let mut map = self.sessions.lock().expect("directory lock poisoned");
+                map.retain(|_, s| !Arc::ptr_eq(s, &session));
+                return Err(e);
+            }
+        }
+        drop(writer);
         // Reopening an evicted name is a fresh session, not a zombie.
         self.evicted
             .lock()
             .expect("evicted set poisoned")
-            .remove(&name);
-        Ok(arc)
+            .remove(name);
+        Ok(session)
     }
 
     /// Look up a session by name (marks it touched for idle eviction).
@@ -743,8 +753,9 @@ impl Directory {
                 {
                     Err(format!(
                         "[evicted] session {name:?} was evicted after idling past the \
-                         daemon's idle timeout — reopen it (a durable session recovers \
-                         from its checkpoint directory)"
+                         daemon's idle timeout — open it again to start fresh; a durable \
+                         session's state comes back only when the daemon restarts with \
+                         --recover"
                     ))
                 } else {
                     Err(format!("no session named {name:?} (open it first)"))

@@ -844,6 +844,152 @@ fn server_level_kill_recover_continue_is_seamless() {
     std::fs::remove_dir_all(&base).ok();
 }
 
+/// The names `list` reports.
+fn listed(client: &mut Client) -> Vec<String> {
+    let listing = client.list().expect("list");
+    let sessions = listing.get("sessions").and_then(|v| v.as_array());
+    let name = |s: &serde::Value| s.get("session").and_then(|v| v.as_str()).map(String::from);
+    sessions
+        .expect("sessions")
+        .iter()
+        .filter_map(name)
+        .collect()
+}
+
+#[test]
+fn a_durable_open_that_cannot_persist_leaves_no_session() {
+    // A regular file holds the name the session's checkpoint directory
+    // needs, so its first snapshot cannot be written. The open fails, and
+    // no session stays behind that could ack a write it never persists.
+    let base = tempdir("open-cannot-persist");
+    std::fs::write(base.join("x.json"), b"not a directory").expect("plant a file");
+    let (addr, join, stop) = boot_with(ServerOptions {
+        durability: Some(DurabilityOptions {
+            base: base.clone(),
+            every: 1,
+        }),
+        ..ServerOptions::default()
+    });
+    let mut client = deadline_client(&addr);
+    let err = client
+        .open("x.json", "two-hop", 8)
+        .expect_err("a session that cannot persist must not open");
+    assert!(err.contains("checkpoint dir"), "got: {err}");
+    assert_eq!(listed(&mut client), Vec::<String>::new());
+    let err = client
+        .ingest("x.json", vec![EventBatch::insert(edge(0, 1))])
+        .expect_err("no session may take the write");
+    assert!(err.starts_with("no session named"), "got: {err}");
+    drop(client);
+    stop();
+    join.join().expect("server thread");
+    std::fs::remove_dir_all(&base).ok();
+}
+
+#[test]
+fn a_write_that_reaches_a_failing_admission_is_refused() {
+    // A FIFO sits where the first snapshot's temporary file goes. The
+    // admission blocks opening it — the session already in the directory,
+    // its writer lock held — until the test opens the read end, and then
+    // fails, since a FIFO cannot be fsync'd. A write that found the
+    // session meanwhile must be refused, never acked.
+    use dynamic_subgraphs::net::serving::Directory;
+    let base = tempdir("admission-race");
+    let dir = base.join("s");
+    std::fs::create_dir_all(&dir).expect("create session dir");
+    let fifo = dir.join("checkpoint_000000.tmp");
+    let made = std::process::Command::new("mkfifo").arg(&fifo).status();
+    assert!(made.expect("run mkfifo").success(), "mkfifo failed");
+    let directory = std::sync::Arc::new(Directory::default());
+    let session = ServingSession::open(
+        dds_bench::protocols(),
+        "s",
+        "two-hop",
+        8,
+        Default::default(),
+    )
+    .expect("open");
+    let admitting = std::thread::spawn({
+        let directory = std::sync::Arc::clone(&directory);
+        move || directory.admit(session, Some(Durability { dir, every: 1 }))
+    });
+    let reached = loop {
+        if let Ok(session) = directory.get("s") {
+            break session;
+        }
+        assert!(!admitting.is_finished(), "the admission never blocked");
+        std::thread::yield_now();
+    };
+    let writing = std::thread::spawn(move || reached.step_quiet(1, Some(1), None));
+    let mut read_end = std::fs::File::open(&fifo).expect("open the FIFO's read end");
+    std::io::copy(&mut read_end, &mut std::io::sink()).expect("drain the FIFO");
+    let err = admitting
+        .join()
+        .expect("admission thread")
+        .err()
+        .expect("the first snapshot cannot be fsync'd");
+    assert!(err.contains("persist checkpoint"), "got: {err}");
+    let refused = writing
+        .join()
+        .expect("writer thread")
+        .expect_err("a write to a session that is not on disk must not be acked");
+    assert!(refused.contains("its open failed"), "got: {refused}");
+    let err = directory
+        .get("s")
+        .err()
+        .expect("the session left the directory");
+    assert!(err.starts_with("no session named"), "got: {err}");
+    std::fs::remove_dir_all(&base).ok();
+}
+
+#[test]
+fn reopening_a_closed_durable_session_is_refused_and_writes_nothing() {
+    // A closed session's snapshots stay in its directory. A fresh open
+    // under its name would write rounds 0 and 1 next to the closed
+    // session's round 3, and recovery would bring back the closed session
+    // in place of the acked one. The open is refused and the directory is
+    // left as it was: only recovery resumes it.
+    let base = tempdir("reopen-closed");
+    let (addr, join, stop) = boot_with(ServerOptions {
+        durability: Some(DurabilityOptions {
+            base: base.clone(),
+            every: 1,
+        }),
+        ..ServerOptions::default()
+    });
+    let mut client = deadline_client(&addr);
+    client.open("s", "two-hop", 8).expect("open");
+    let rounds = vec![
+        EventBatch::insert(edge(0, 1)),
+        EventBatch::insert(edge(1, 2)),
+        EventBatch::insert(edge(2, 3)),
+    ];
+    assert_eq!(client.ingest("s", rounds), Ok(3));
+    // The name check comes first: a retried open whose reply was lost
+    // still reads `already open`.
+    let err = client
+        .open("s", "triangle", 8)
+        .expect_err("the name is taken");
+    assert!(err.contains("already open"), "got: {err}");
+    client.close("s").expect("close");
+    let dir = base.join("s");
+    let closed = dir_bytes(&dir);
+
+    let err = client
+        .open("s", "triangle", 8)
+        .expect_err("an open over a closed session's snapshots must be refused");
+    assert!(
+        err.contains(&dir.display().to_string()) && err.contains("round 3"),
+        "names the directory and its newest round: {err}"
+    );
+    assert!(dir_bytes(&dir) == closed, "the refused open wrote");
+    assert_eq!(listed(&mut client), Vec::<String>::new());
+    drop(client);
+    stop();
+    join.join().expect("server thread");
+    std::fs::remove_dir_all(&base).ok();
+}
+
 // ---- graceful degradation ---------------------------------------------
 
 #[test]

@@ -23,6 +23,7 @@ pub mod run;
 pub mod serve;
 
 use args::Args;
+use dds_net::checkpoint::checkpoint_file_name;
 use dds_net::{NodeId, Query, Response};
 use dds_oracle::DynamicGraph;
 use dds_workloads::bounds;
@@ -325,7 +326,7 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
         session.step(&batch);
         let r = session.round();
         if ckpt_every > 0 && r % ckpt_every == 0 {
-            let path = std::path::Path::new(&dir).join(format!("checkpoint_{r:06}.json"));
+            let path = std::path::Path::new(&dir).join(checkpoint_file_name(r));
             session
                 .checkpoint()
                 .write_file(&path)

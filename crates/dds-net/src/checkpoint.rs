@@ -22,6 +22,10 @@
 //!   the same bytes where it reads them, without re-encoding anything. A
 //!   body reformatted to other bytes for the same value fails the check.
 //!   No in-memory [`SnapshotHeader`] holds the checksum.
+//!
+//!   A serving session's persist also writes its last sequenced write
+//!   after the checksum, as `last_write` ([`WriteRecord`]);
+//!   [`Session::checkpoint`](crate::Session::checkpoint) never does.
 //! - `body` — the full engine state: topology (timestamped edge set),
 //!   per-node protocol state (via [`Checkpointable`]), both amortized
 //!   meters, bandwidth counters, the per-round stats log, and the
@@ -62,7 +66,7 @@
 
 use crate::ids::{Edge, NodeId};
 use std::fmt;
-use std::path::Path as FsPath;
+use std::path::{Path as FsPath, PathBuf};
 
 pub use serde::{Deserialize, Serialize, Value};
 pub use serde_json::{Reader, Writer};
@@ -183,6 +187,22 @@ pub struct SnapshotHeader {
     pub record_stats: bool,
     /// Bandwidth budget configuration.
     pub bandwidth: crate::bandwidth::BandwidthConfig,
+    /// The last sequenced write of the serving session that persisted
+    /// this snapshot; `None` in every other snapshot.
+    pub last_write: Option<WriteRecord>,
+}
+
+/// A served session's last sequenced write: the server-side half of retry
+/// deduplication, kept under the writer lock and persisted in the header.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct WriteRecord {
+    /// The client's sequence number.
+    pub seq: u64,
+    /// FNV-1a 64 of the write's verb and content.
+    pub digest: u64,
+    /// The write's error reply; `None` when it was acked, at the round
+    /// the session is at (every later write replaces or clears the record).
+    pub error: Option<String>,
 }
 
 impl SnapshotHeader {
@@ -197,6 +217,7 @@ impl SnapshotHeader {
             shards: cfg.shards.token(),
             record_stats: cfg.record_stats,
             bandwidth: cfg.bandwidth,
+            last_write: None,
         }
     }
 
@@ -262,6 +283,9 @@ impl Snapshot {
             w.key("record_stats").bool(h.record_stats);
             w.key("bandwidth").value(&h.bandwidth.to_value());
             w.key("checksum").u64(fnv1a64(body.as_bytes()));
+            if let Some(record) = &h.last_write {
+                w.key("last_write").value(&record.to_value());
+            }
         });
         let header = header.into_string();
         ["{\"header\":", &header, ",\"body\":", body, "}\n"].concat()
@@ -353,6 +377,11 @@ impl Snapshot {
             record_stats: hbool("record_stats")?,
             bandwidth: crate::bandwidth::BandwidthConfig::from_value(hfield("bandwidth")?)
                 .map_err(|e| RestoreError::Corrupt(format!("header: {e}")))?,
+            last_write: header
+                .get("last_write")
+                .map(WriteRecord::from_value)
+                .transpose()
+                .map_err(|e| RestoreError::Corrupt(format!("header `last_write`: {e}")))?,
         };
         let expected = hu64("checksum")?;
         let body = body.ok_or_else(|| missing("body"))?;
@@ -387,7 +416,7 @@ impl Snapshot {
 /// next successful write).
 pub fn write_bytes_atomic(path: &FsPath, bytes: &[u8]) -> Result<(), RestoreError> {
     use std::io::Write as _;
-    let tmp = path.with_extension("tmp");
+    let tmp = tmp_sibling(path);
     let io = |at: &FsPath, e: std::io::Error| RestoreError::Io(format!("{}: {e}", at.display()));
     let mut f = std::fs::File::create(&tmp).map_err(|e| io(&tmp, e))?;
     f.write_all(bytes).map_err(|e| io(&tmp, e))?;
@@ -396,6 +425,12 @@ pub fn write_bytes_atomic(path: &FsPath, bytes: &[u8]) -> Result<(), RestoreErro
     f.sync_all().map_err(|e| io(&tmp, e))?;
     drop(f);
     std::fs::rename(&tmp, path).map_err(|e| io(path, e))
+}
+
+/// The sibling `.tmp` file [`write_bytes_atomic`] writes before renaming
+/// it over `path`.
+pub(crate) fn tmp_sibling(path: &FsPath) -> PathBuf {
+    path.with_extension("tmp")
 }
 
 /// A snapshot file's text.
@@ -470,6 +505,12 @@ pub fn scan_snapshot_dir(dir: &FsPath) -> Result<SnapshotScan, RestoreError> {
         }
     }
     Ok(scan)
+}
+
+/// The name of the snapshot file of `round` in a checkpoint directory,
+/// `checkpoint_NNNNNN.json`, the name [`scan_snapshot_dir`] looks for.
+pub fn checkpoint_file_name(round: u64) -> String {
+    format!("checkpoint_{round:06}.json")
 }
 
 /// Parse the round out of a `checkpoint_NNNNNN.json` file name; `None`
@@ -576,6 +617,7 @@ mod tests {
             shards: "auto".into(),
             record_stats: true,
             bandwidth: BandwidthConfig::default(),
+            last_write: None,
         }
     }
 
@@ -719,6 +761,54 @@ mod tests {
     }
 
     #[test]
+    fn a_header_with_a_write_record_roundtrips_byte_for_byte() {
+        for error in [
+            None,
+            Some("ingest rejected at round 3: \"quoted\"".to_string()),
+        ] {
+            let mut h = header();
+            h.last_write = Some(WriteRecord {
+                seq: 7,
+                digest: u64::MAX,
+                error,
+            });
+            let snap = snapshot(h, two_field_body());
+            let json = snap.to_json();
+            assert!(json.contains(",\"last_write\":{\"seq\":7,"), "{json}");
+            let back = Snapshot::from_json(&json).unwrap();
+            assert_eq!(back.header, snap.header);
+            assert_eq!(back.to_json(), json);
+        }
+        // Without a record the header has no such member at all.
+        let plain = snapshot(header(), two_field_body()).to_json();
+        assert!(!plain.contains("last_write"));
+        assert_eq!(Snapshot::from_json(&plain).unwrap().header.last_write, None);
+    }
+
+    #[test]
+    fn a_malformed_write_record_is_corrupt_and_named() {
+        let json = snapshot(header(), body()).to_json();
+        let (head, tail) = json.split_once(",\"checksum\":").unwrap();
+        for record in [
+            "7",
+            "null",
+            "[7,1]",
+            r#"{"digest":1,"error":null}"#,
+            r#"{"seq":7,"error":null}"#,
+            r#"{"seq":7,"digest":1}"#,
+            r#"{"seq":"7","digest":1,"error":null}"#,
+            r#"{"seq":7,"digest":-1,"error":null}"#,
+            r#"{"seq":7,"digest":1,"error":false}"#,
+        ] {
+            let doc = format!("{head},\"last_write\":{record},\"checksum\":{tail}");
+            match Snapshot::from_json(&doc) {
+                Err(RestoreError::Corrupt(msg)) => assert!(msg.contains("last_write"), "{msg}"),
+                other => panic!("{record}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn edge_codec_roundtrips_and_validates() {
         let e = edge(9, 2);
         let mut w = Writer::new();
@@ -849,6 +939,11 @@ mod tests {
 
     #[test]
     fn checkpoint_file_names_parse_strictly() {
+        assert_eq!(checkpoint_file_name(42), "checkpoint_000042.json");
+        assert_eq!(
+            checkpoint_file_round(&checkpoint_file_name(1234567)),
+            Some(1234567)
+        );
         assert_eq!(checkpoint_file_round("checkpoint_000042.json"), Some(42));
         assert_eq!(checkpoint_file_round("checkpoint_1.json"), Some(1));
         assert_eq!(checkpoint_file_round("checkpoint_000042.tmp"), None);

@@ -37,14 +37,14 @@
 //! When a session is durable, every `every`-th write verb also
 //! *persists*, **before** the view swap. One routine does every persist:
 //! it captures a [`Snapshot`] of the live session (the capture is the
-//! encoding; no value tree is built), writes it atomically (tmp + fsync +
-//! rename), writes `meta.json` when the write was sequenced, then advances
-//! the durable round. The ordering is the whole argument: a write verb is
-//! acknowledged only after its state is durable *and* published, so an
-//! acked round can always be recovered, and a crash at any point loses at
-//! most un-acked work. [`CrashPoint`]s bracket exactly the interesting
-//! moments — before persist+publish, after publish before the reply, and
-//! midway through the snapshot file write.
+//! encoding; no value tree is built) with the session's dedup record in
+//! its header, writes that one file atomically (tmp + fsync + rename),
+//! then advances the durable round. The ordering is the whole argument: a
+//! write verb is acknowledged only after its state is durable *and*
+//! published, so an acked round can always be recovered, and a crash at
+//! any point loses at most un-acked work. [`CrashPoint`]s bracket exactly
+//! the interesting moments — before persist+publish, after publish before
+//! the reply, and midway through the snapshot file write.
 //!
 //! A session becomes durable on one of two paths.
 //! [`ServingSession::enable_durability`] persists the current state at
@@ -57,9 +57,9 @@
 //! closed or evicted session's higher rounds would win recovery.
 //! Recovery ([`recover_sessions`], then
 //! [`Server::recover`](super::Server::recover)) persists nothing: the
-//! newest snapshot in the directory already holds the restored state, its
-//! header's round is the durable round, and that file and `meta.json` stay
-//! as they are. A file whose name and header name different rounds is
+//! newest snapshot in the directory already holds the restored state and
+//! dedup record, its header's round is the durable round, and the file
+//! stays as it is. A file whose name and header name different rounds is
 //! skipped as corrupt (see [`scan_snapshot_dir`]). On both paths the next
 //! persisting write comes `every` writes later.
 //!
@@ -80,19 +80,21 @@
 //! the original's result is recorded — and answers an exact duplicate from
 //! the record instead of re-applying it. The digest (FNV-1a-64 of the
 //! verb + serialized content) keeps a colliding sequence number from a
-//! different client from masquerading as a retry. The record also rides
-//! into `meta.json` next to each persisted snapshot, so deduplication
-//! survives a daemon restart.
+//! different client from masquerading as a retry. Every persisted
+//! snapshot carries the record in its header ([`WriteRecord`]), and a
+//! recovered session starts with it, so deduplication survives a daemon
+//! restart. A warm start ([`ServingSession::open_from_snapshot`]) is a new
+//! session and starts with none.
 
 use crate::checkpoint::{
-    checkpoint_file_round, fnv1a64, scan_snapshot_dir, write_bytes_atomic, Snapshot,
+    checkpoint_file_name, checkpoint_file_round, fnv1a64, scan_snapshot_dir, tmp_sibling,
+    write_bytes_atomic, Snapshot, WriteRecord,
 };
 use crate::engine::ProtocolRegistry;
 use crate::event::EventBatch;
 use crate::ids::Round;
 use crate::session::Session;
 use crate::sim::SimConfig;
-use serde::Value;
 
 use super::fault::{CrashPoint, FaultPlan};
 use super::metrics::WriteStages;
@@ -115,26 +117,18 @@ pub struct PublishedView {
 /// how often they are taken.
 #[derive(Clone, Debug)]
 pub struct Durability {
-    /// The session's own checkpoint directory (`checkpoint_NNNNNN.json`
-    /// files plus `meta.json`).
+    /// The session's own checkpoint directory: its `checkpoint_NNNNNN.json`
+    /// files and nothing else, each header carrying the dedup record.
     pub dir: PathBuf,
     /// Persist after every `every`-th write verb (1 = every write; the
     /// durable watermark then always equals the acked watermark).
     pub every: u64,
 }
 
-/// The record of the last sequenced write — the server-side half of
-/// retry deduplication.
-struct LastWrite {
-    seq: u64,
-    digest: u64,
-    result: Result<Round, String>,
-}
-
 /// Everything a write verb reads or changes, behind the one writer lock.
 struct WriteSide {
     session: Session,
-    last_write: Option<LastWrite>,
+    last_write: Option<WriteRecord>,
     /// `None` while the session is not durable.
     durability: Option<Durability>,
     /// Write verbs since the last persisted snapshot.
@@ -168,9 +162,9 @@ pub struct ServingSession {
 }
 
 impl ServingSession {
-    /// Wrap a freshly opened (or restored) session, publishing its
-    /// current state as the first view.
-    fn new(name: &str, session: Session) -> ServingSession {
+    /// Wrap a freshly opened (or restored) session and its dedup record,
+    /// publishing its current state as the first view.
+    fn new(name: &str, session: Session, last_write: Option<WriteRecord>) -> ServingSession {
         let view = PublishedView {
             session: session.fork(),
             round: session.round(),
@@ -179,7 +173,7 @@ impl ServingSession {
             name: name.to_string(),
             writer: Mutex::new(WriteSide {
                 session,
-                last_write: None,
+                last_write,
                 durability: None,
                 pending: 0,
                 refused: None,
@@ -202,18 +196,35 @@ impl ServingSession {
         n: usize,
         cfg: SimConfig,
     ) -> Result<ServingSession, String> {
-        Ok(ServingSession::new(name, registry.open(protocol, n, cfg)?))
+        let session = registry.open(protocol, n, cfg)?;
+        Ok(ServingSession::new(name, session, None))
     }
 
-    /// Warm-start from a snapshot (the `--resume` / inline-snapshot /
-    /// `--recover` path).
+    /// Warm-start from a snapshot (the `--resume` / inline-snapshot path)
+    /// with no dedup record, whatever the header holds: no client had a
+    /// write in flight to the new session, so a copied record could only
+    /// match a new client's write by accident and answer it unapplied.
     pub fn open_from_snapshot(
         registry: &'static ProtocolRegistry,
         name: &str,
         snap: &Snapshot,
     ) -> Result<ServingSession, String> {
+        Ok(ServingSession::restore(registry, name, snap, None)?.0)
+    }
+
+    /// Build a session with dedup record `last_write` from a snapshot (a
+    /// warm start or `--recover`), timing the restore and the publish.
+    fn restore(
+        registry: &'static ProtocolRegistry,
+        name: &str,
+        snap: &Snapshot,
+        last_write: Option<WriteRecord>,
+    ) -> Result<(ServingSession, Duration, Duration), String> {
+        let restoring = Instant::now();
         let session = registry.restore(snap).map_err(|e| e.to_string())?;
-        Ok(ServingSession::new(name, session))
+        let publishing = Instant::now();
+        let serving = ServingSession::new(name, session, last_write);
+        Ok((serving, publishing - restoring, publishing.elapsed()))
     }
 
     /// The current settled view (an `Arc` clone; the lock is held only
@@ -269,8 +280,7 @@ impl ServingSession {
                 cfg.dir.display()
             ));
         }
-        let record = writer.last_write.as_ref().map(|lw| (lw.seq, lw.digest));
-        let round = self.persist(&writer.session, record, &cfg.dir, None)?;
+        let round = self.persist(&writer.session, writer.last_write.clone(), &cfg.dir, None)?;
         writer.durability = Some(cfg);
         Ok(round)
     }
@@ -284,46 +294,34 @@ impl ServingSession {
         writer.durability = Some(cfg);
     }
 
-    /// Capture `session` and persist it into `dir`: the snapshot file
-    /// (atomically), `meta.json` when `record` names a sequenced write's
-    /// `(seq, digest)`, then the durable round. Every persist, the first
-    /// one and the cadence's alike, comes through here. A scheduled
-    /// mid-checkpoint crash leaves a torn `.tmp`, the artifact recovery
-    /// must skip.
+    /// Capture `session` with `record` in its header and persist it into
+    /// `dir` with one atomic file write, then advance the durable round.
+    /// Every persist, the first one and the cadence's alike, comes through
+    /// here. A scheduled mid-checkpoint crash leaves a torn `.tmp`, the
+    /// artifact recovery must skip.
     fn persist(
         &self,
         session: &Session,
-        record: Option<(u64, u64)>,
+        record: Option<WriteRecord>,
         dir: &Path,
         faults: Option<&FaultPlan>,
     ) -> Result<Round, String> {
-        let snap = session.checkpoint();
+        let mut snap = session.checkpoint();
+        snap.header.last_write = record;
         let round = snap.header.round;
-        let path = dir.join(format!("checkpoint_{round:06}.json"));
+        let path = dir.join(checkpoint_file_name(round));
         let bytes = snap.to_json().into_bytes();
         if let Some(plan) = faults {
             if plan.crash_due(CrashPoint::MidCheckpoint) {
                 // A real crash mid-write leaves a partial tmp file; fabricate
                 // exactly that, then die. The rename never happens, so no
                 // checkpoint_*.json is ever torn.
-                let tmp = path.with_extension("tmp");
-                let _ = std::fs::write(&tmp, &bytes[..bytes.len() / 2]);
+                let _ = std::fs::write(tmp_sibling(&path), &bytes[..bytes.len() / 2]);
                 plan.execute_crash();
                 return Err("daemon crashed mid-checkpoint (injected)".into());
             }
         }
         write_bytes_atomic(&path, &bytes).map_err(|e| format!("persist checkpoint: {e}"))?;
-        if let Some((seq, digest)) = record {
-            let meta = Value::Obj(vec![
-                ("v".into(), Value::U64(1)),
-                ("watermark".into(), Value::U64(round)),
-                ("seq".into(), Value::U64(seq)),
-                ("digest".into(), Value::U64(digest)),
-            ]);
-            let doc = format!("{}\n", serde_json::to_string(&meta).expect("json"));
-            write_bytes_atomic(&dir.join("meta.json"), doc.as_bytes())
-                .map_err(|e| format!("persist meta: {e}"))?;
-        }
         self.durable_round.store(round, Ordering::Release);
         Ok(round)
     }
@@ -353,7 +351,7 @@ impl ServingSession {
         }
         if let (Some(seq), Some(last)) = (seq, &writer.last_write) {
             if last.seq == seq && last.digest == digest {
-                return last.result.clone();
+                return last.error.clone().map_or(Ok(writer.session.round()), Err);
             }
         }
         stages.lock_wait.record(waiting.elapsed().as_secs_f64());
@@ -361,6 +359,10 @@ impl ServingSession {
         let outcome = work(&mut writer.session);
         stages.step.record(stepping.elapsed().as_secs_f64());
         let round = writer.session.round();
+        let record = |error: Option<&String>| {
+            let error = error.cloned();
+            seq.map(|seq| WriteRecord { seq, digest, error })
+        };
         // Every result from here on, a crash or persist error too, is
         // recorded for dedup below.
         let result = (|| {
@@ -377,7 +379,7 @@ impl ServingSession {
                 writer.pending += 1;
                 if writer.pending >= cfg.every {
                     let persisting = Instant::now();
-                    let record = seq.map(|seq| (seq, digest));
+                    let record = record(outcome.as_ref().err());
                     self.persist(&writer.session, record, &cfg.dir, faults)?;
                     writer.pending = 0;
                     stages.persist.record(persisting.elapsed().as_secs_f64());
@@ -407,11 +409,7 @@ impl ServingSession {
             }
             outcome.map(|()| round)
         })();
-        writer.last_write = seq.map(|seq| LastWrite {
-            seq,
-            digest,
-            result: result.clone(),
-        });
+        writer.last_write = record(result.as_ref().err());
         result
     }
 
@@ -499,28 +497,6 @@ fn ingest_digest(batches: &[EventBatch]) -> u64 {
 /// Content digest of a quiet-step write.
 fn step_digest(rounds: u64) -> u64 {
     fnv1a64(format!("step:{rounds}").as_bytes())
-}
-
-/// Read the retry-dedup record a session directory's `meta.json` keeps
-/// for the snapshot at `round`, so a client retrying across a restart is
-/// still deduplicated. Tolerant: the file is an optimization, so absence,
-/// damage or a record of another round (an older snapshot, its corrupt
-/// tail skipped, must not inherit it) just means no record.
-fn read_meta(dir: &Path, round: Round) -> Option<LastWrite> {
-    let text = std::fs::read_to_string(dir.join("meta.json")).ok()?;
-    let v: Value = serde_json::from_str(&text).ok()?;
-    let field = |k: &str| match v.get(k) {
-        Some(Value::U64(x)) => Some(*x),
-        _ => None,
-    };
-    if field("watermark")? != round {
-        return None;
-    }
-    Some(LastWrite {
-        seq: field("seq")?,
-        digest: field("digest")?,
-        result: Ok(round),
-    })
 }
 
 /// Is `name` usable as a checkpoint directory component? Conservative:
@@ -612,26 +588,20 @@ pub fn recover_sessions(
         let Some((_path, snap)) = scan.latest else {
             return;
         };
-        let round = snap.header.round;
-        let restoring = Instant::now();
-        let restored = registry.restore(&snap);
-        let publishing = Instant::now();
-        match restored {
-            Ok(session) => {
-                let mut session = ServingSession::new(name, session);
+        match ServingSession::restore(registry, name, &snap, snap.header.last_write.clone()) {
+            Ok((mut session, restore, publish)) => {
                 report.stages.push(RecoveryStages {
                     read: scan.read,
                     verify: scan.verify,
-                    restore: publishing - restoring,
-                    publish: publishing.elapsed(),
+                    restore,
+                    publish,
                 });
-                let writer = session.writer.get_mut().expect("writer lock poisoned");
-                writer.last_write = read_meta(dir, round);
+                let round = snap.header.round;
                 *session.durable_round.get_mut() = round;
                 report.sessions.push((name.to_string(), round));
                 recovered.push((session, dir.to_path_buf()));
             }
-            Err(e) => report.skipped.push((dir.to_path_buf(), e.to_string())),
+            Err(e) => report.skipped.push((dir.to_path_buf(), e)),
         }
     }
     let mut report = RecoveryReport::default();
@@ -900,7 +870,7 @@ mod tests {
     #[test]
     fn a_write_frees_the_replaced_view_after_releasing_the_view_lock() {
         let session = Session::open::<DropProbe>("drop-probe", 2, SimConfig::default());
-        let serving = Arc::new(ServingSession::new("main", session));
+        let serving = Arc::new(ServingSession::new("main", session, None));
         WATCHED.set(Some(Arc::clone(&serving)));
         // Each write replaces a view no reader holds, so the writer frees
         // its two nodes, and must do so with the view lock released.
@@ -932,8 +902,9 @@ mod tests {
 
     #[test]
     fn ingest_digest_is_pinned() {
-        // `meta.json` persists this digest and a restarted daemon compares
-        // retried writes against it, so its value must never change.
+        // Every persisted snapshot's header carries this digest, and a
+        // restarted daemon compares retried writes against it, so its value
+        // must never change.
         use crate::event::TopologyEvent;
         use crate::ids::edge;
         let mut second = EventBatch::new();

@@ -28,9 +28,11 @@
 //!
 //! Verbs: `open`, `ingest`, `step`, `query`, `list`, `stats`,
 //! `checkpoint`, `close`, `shutdown` — see [`Request`] for each verb's
-//! fields. `ingest` and `step` carry an optional client sequence number
-//! so a retried write is deduplicated server-side instead of
-//! double-applied.
+//! fields. Each verb's set of top-level fields is closed: a request
+//! carrying any other field besides `v` and `verb` is refused, naming the
+//! field and the verb. `ingest` and `step` carry an optional client
+//! sequence number so a retried write is deduplicated server-side instead
+//! of double-applied.
 
 use crate::checkpoint::fnv1a64;
 use crate::event::EventBatch;
@@ -319,6 +321,20 @@ impl Request {
         }
     }
 
+    /// The top-level fields a request of `verb` may carry besides `v` and
+    /// `verb` (DESIGN.md's verb table); `None` for an unknown verb.
+    fn fields(verb: &str) -> Option<&'static [&'static str]> {
+        Some(match verb {
+            "open" => &["session", "protocol", "n", "engine", "shards", "snapshot"],
+            "ingest" => &["session", "batches", "seq"],
+            "step" => &["session", "rounds", "seq"],
+            "query" => &["session", "queries"],
+            "checkpoint" | "close" => &["session"],
+            "list" | "stats" | "shutdown" => &[],
+            _ => return None,
+        })
+    }
+
     /// Is an automatic retry of this request safe? Reads always; writes
     /// only when sequence-numbered (the server deduplicates them).
     pub fn idempotent(&self) -> bool {
@@ -424,6 +440,14 @@ impl Deserialize for Request {
             .get("verb")
             .and_then(Value::as_str)
             .ok_or("request has no string `verb` field")?;
+        if let (Some(fields), Value::Obj(members)) = (Request::fields(verb), v) {
+            let known = |key: &str| key == "v" || key == "verb" || fields.contains(&key);
+            if let Some((key, _)) = members.iter().find(|(key, _)| !known(key)) {
+                return Err(format!(
+                    "{verb} request has an unknown field {key:?}; a {verb} takes {fields:?}"
+                ));
+            }
+        }
         let session = || {
             v.get("session")
                 .and_then(Value::as_str)
@@ -741,13 +765,14 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{}: {e}", req.verb()));
             assert_eq!(back, req);
         }
-        // Fields are looked up by name: an `open` from an older client that
-        // still sends a `scheduling` token decodes, the field ignored.
+        // Each verb's field set is closed: an `open` from an older client
+        // that still sends a `scheduling` token is refused, naming it.
         let old = r#"{"v":1,"verb":"open","session":"a","protocol":"triangle","n":8,"scheduling":"balanced"}"#;
-        assert!(matches!(
-            Request::from_value(&serde_json::from_str(old).unwrap()),
-            Ok(Request::Open { n: Some(8), .. })
-        ));
+        let err = Request::from_value(&serde_json::from_str(old).unwrap()).unwrap_err();
+        assert!(
+            err.contains("open request") && err.contains("\"scheduling\""),
+            "{err}"
+        );
     }
 
     #[test]
@@ -782,6 +807,20 @@ mod tests {
             ),
             (r#"{"v":1,"verb":"query","session":"a"}"#, "queries"),
             (r#"{"v":1,"verb":"open"}"#, "session"),
+            // A misspelled `seq` would silently lose retry dedup, and a
+            // misspelled `rounds` would step one round.
+            (
+                r#"{"v":1,"verb":"step","session":"a","rounds":3,"Seq":7}"#,
+                "step request has an unknown field \"Seq\"",
+            ),
+            (
+                r#"{"v":1,"verb":"step","session":"a","round":1000}"#,
+                "step request has an unknown field \"round\"",
+            ),
+            (
+                r#"{"v":1,"verb":"list","session":"a"}"#,
+                "list request has an unknown field \"session\"; a list takes []",
+            ),
         ];
         for (json, needle) in cases {
             let err = Request::from_value(&serde_json::from_str(json).unwrap()).unwrap_err();

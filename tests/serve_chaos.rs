@@ -10,6 +10,8 @@
 //! connection id, so every failure found here replays exactly; one test
 //! pins that replay identity itself.
 
+use dynamic_subgraphs::net::checkpoint::fnv1a64;
+use dynamic_subgraphs::net::serving::fault::splitmix64_mix;
 use dynamic_subgraphs::net::serving::{
     recover_sessions, Client, ClientConfig, Durability, DurabilityOptions, FaultPlan, QueryOutcome,
     Server, ServerOptions, ServingSession, WriteFault,
@@ -378,8 +380,8 @@ fn crash_after_publish_dedups_the_retry_across_restart() {
     let before_retry = session.checkpoint().to_json();
 
     // The client never saw the ack, so it retries write 4 against the
-    // restarted daemon. meta.json seeded the dedup record: same seq, same
-    // content — acknowledged without being applied twice.
+    // restarted daemon. The snapshot's header seeded the dedup record: same
+    // seq, same content — acknowledged without being applied twice.
     assert_eq!(
         session.ingest(
             registry,
@@ -410,6 +412,163 @@ fn crash_after_publish_dedups_the_retry_across_restart() {
             .to_json()
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_snapshot_alone_deduplicates_the_retry_of_its_write() {
+    // Every persisting write carries its dedup record in the snapshot it
+    // writes, so a directory holding only the session's snapshot files
+    // still answers the retry of the last write from the record: applied
+    // twice, the retry would shift every later round.
+    let registry = dds_bench::protocols();
+    let base = tempdir("record-in-snapshot");
+    let session =
+        ServingSession::open(registry, "main", "two-hop", 8, SimConfig::default()).expect("open");
+    session
+        .enable_durability(Durability {
+            dir: base.join("main"),
+            every: 1,
+        })
+        .expect("enable durability");
+    assert_eq!(session.step_quiet(1, Some(1), None), Ok(1));
+    assert_eq!(session.step_quiet(1, Some(2), None), Ok(2));
+    drop(session);
+
+    let copy = tempdir("record-in-snapshot-copy");
+    std::fs::create_dir_all(copy.join("main")).expect("create the copy's session dir");
+    for entry in std::fs::read_dir(base.join("main")).expect("read session dir") {
+        let path = entry.expect("dir entry").path();
+        let name = path
+            .file_name()
+            .and_then(|n| n.to_str())
+            .expect("file name");
+        if name.starts_with("checkpoint_") && name.ends_with(".json") {
+            std::fs::copy(&path, copy.join("main").join(name)).expect("copy snapshot");
+        }
+    }
+    let (recovered, report) = recover_sessions(registry, &copy, "main").expect("recover");
+    assert_eq!(report.sessions, vec![("main".to_string(), 2)]);
+    let (session, _) = recovered.into_iter().next().expect("one session");
+    assert_eq!(
+        session.step_quiet(1, Some(2), None),
+        Ok(2),
+        "the retry of seq 2 must be answered from the record, not applied again"
+    );
+    let mut local = registry
+        .open("two-hop", 8, SimConfig::default())
+        .expect("local open");
+    local.step_quiet();
+    local.step_quiet();
+    assert_eq!(session.checkpoint().to_json(), local.checkpoint().to_json());
+    std::fs::remove_dir_all(&base).ok();
+    std::fs::remove_dir_all(&copy).ok();
+}
+
+#[test]
+fn a_refused_ingest_is_refused_again_when_retried_after_a_restart() {
+    // A write that errors partway keeps its applied prefix, and its retry
+    // must get the same error back, across a restart too: the snapshot's
+    // record keeps the reply, not just the sequence number.
+    let registry = dds_bench::protocols();
+    let base = tempdir("refused-retry");
+    let dir = base.join("main");
+    let session =
+        ServingSession::open(registry, "main", "two-hop", 8, SimConfig::default()).expect("open");
+    session
+        .enable_durability(Durability {
+            dir: dir.clone(),
+            every: 1,
+        })
+        .expect("enable durability");
+    assert_eq!(session.step_quiet(1, Some(1), None), Ok(1));
+    let batches = [
+        EventBatch::insert(edge(2, 3)),
+        EventBatch::delete(edge(5, 6)),
+    ];
+    let refused = session
+        .ingest(registry, &batches, Some(2), None)
+        .expect_err("deleting an absent edge is refused");
+    assert!(
+        refused.starts_with("ingest rejected at round 3"),
+        "{refused}"
+    );
+    drop(session);
+
+    let (recovered, report) = recover_sessions(registry, &base, "main").expect("recover");
+    assert_eq!(report.sessions, vec![("main".to_string(), 2)]);
+    let (session, _) = recovered.into_iter().next().expect("one session");
+    assert_eq!(
+        session.ingest(registry, &batches, Some(2), None),
+        Err(refused.clone()),
+        "the retry must get the original reply"
+    );
+    let mut local = registry
+        .open("two-hop", 8, SimConfig::default())
+        .expect("local open");
+    local.step_quiet();
+    local.step(&batches[0]);
+    assert_eq!(session.checkpoint().to_json(), local.checkpoint().to_json());
+
+    // A warm start from the same file (`--resume`, an `open` with a
+    // snapshot) is a new session and starts with no record, so the same
+    // request is applied: its first batch inserts an edge already there.
+    let snap = Snapshot::read_file(&dir.join("checkpoint_000002.json")).expect("read snapshot");
+    assert!(
+        snap.header.last_write.is_some(),
+        "the file carries the record"
+    );
+    let resumed =
+        ServingSession::open_from_snapshot(registry, "resumed", &snap).expect("warm start");
+    let applied = resumed
+        .ingest(registry, &batches, Some(2), None)
+        .expect_err("the insert is applied again and refused");
+    assert!(
+        applied.starts_with("ingest rejected at round 3: insert of already-present edge"),
+        "{applied}"
+    );
+    std::fs::remove_dir_all(&base).ok();
+}
+
+#[test]
+fn an_open_from_another_sessions_snapshot_does_not_inherit_its_record() {
+    // Every default client config starts the same sequence stream, so a
+    // second client's first `step 1` has the seq and digest of the first
+    // client's. Opened inline from the first session's snapshot, the new
+    // session must apply that step, not answer it from the copied record.
+    let base = tempdir("open-no-record");
+    let (addr, join, stop) = boot_with(ServerOptions {
+        durability: Some(DurabilityOptions {
+            base: base.clone(),
+            every: 1,
+        }),
+        ..ServerOptions::default()
+    });
+    let mut first = deadline_client(&addr);
+    first.open("a", "two-hop", 8).expect("open a");
+    assert_eq!(first.step("a", 1), Ok(1));
+    let snap = Snapshot::read_file(&base.join("a").join("checkpoint_000001.json"))
+        .expect("read a's snapshot");
+    assert!(
+        snap.header.last_write.is_some(),
+        "a's snapshot carries a record"
+    );
+
+    let mut second = deadline_client(&addr);
+    second
+        .open_from_snapshot("b", &snap)
+        .expect("open b inline");
+    assert_eq!(second.step("b", 1), Ok(2), "the step must be applied");
+    let mut local = dds_bench::protocols()
+        .open("two-hop", 8, SimConfig::default())
+        .expect("local open");
+    local.step_quiet();
+    local.step_quiet();
+    let served = second.checkpoint("b").expect("checkpoint b");
+    assert_eq!(served.to_json(), local.checkpoint().to_json());
+    drop((first, second));
+    stop();
+    join.join().expect("server thread");
+    std::fs::remove_dir_all(&base).ok();
 }
 
 #[test]
@@ -497,8 +656,7 @@ fn recovery_skips_corrupt_and_truncated_tails() {
 fn recovering_twice_without_a_write_leaves_the_directory_unchanged() {
     // Recovery reads a durable directory; it may not change it. Two
     // restarts in a row, with no write between them, must leave the same
-    // files with the same inodes and bytes, checkpoints and meta.json
-    // alike.
+    // files with the same inodes and bytes.
     let registry = dds_bench::protocols();
     let base = tempdir("recover-twice");
     let trace = trace_for("er", 16, 8, 71);
@@ -518,8 +676,22 @@ fn recovering_twice_without_a_write_leaves_the_directory_unchanged() {
     drop(session);
     let dir = base.join("main");
     let written = dir_bytes(&dir);
-    let meta = written.iter().any(|(path, ..)| path.ends_with("meta.json"));
-    assert!(meta, "sequenced writes leave a meta.json");
+    for (path, ..) in &written {
+        let name = path
+            .file_name()
+            .and_then(|n| n.to_str())
+            .expect("file name");
+        assert!(
+            name.starts_with("checkpoint_") && name.ends_with(".json"),
+            "the directory holds only snapshots: {name}"
+        );
+    }
+    let newest = Snapshot::read_file(&dir.join("checkpoint_000008.json")).expect("read newest");
+    let record = newest
+        .header
+        .last_write
+        .expect("sequenced writes leave a record");
+    assert_eq!((record.seq, record.error), (8, None), "seq 8's record");
     let recover = || {
         let server = Server::bind_with(
             "127.0.0.1:0",
@@ -542,6 +714,25 @@ fn recovering_twice_without_a_write_leaves_the_directory_unchanged() {
     assert!(first == written, "the first recovery changed the directory");
     assert!(second == first, "the second recovery changed the directory");
     std::fs::remove_dir_all(&base).ok();
+}
+
+/// `doc` with its header's dedup record cut out of the raw text, after
+/// checking that the header ends with exactly the member a persist writes
+/// for the acked write `seq` whose digested verb and content are `content`
+/// (`step:1` for a one-round `step`). The other bytes stay as on disk.
+fn without_record(doc: &str, seq: u64, content: &str) -> String {
+    let digest = fnv1a64(content.as_bytes());
+    let member = format!(",\"last_write\":{{\"seq\":{seq},\"digest\":{digest},\"error\":null}}");
+    let header_end = format!("{member}}},\"body\":");
+    let (header, _) = doc.split_once(",\"body\":").expect("a snapshot document");
+    assert!(doc.contains(&header_end), "expected {member} in {header}");
+    doc.replacen(&header_end, "},\"body\":", 1)
+}
+
+/// The sequence number a client connected with [`ClientConfig::default`]
+/// stamps on its first write: its stream starts at the seed's mix.
+fn first_default_seq() -> u64 {
+    splitmix64_mix(ClientConfig::default().seed).wrapping_add(1)
 }
 
 /// Every file in `dir` with its inode and bytes, in path order. The
@@ -620,6 +811,7 @@ fn recovery_leaves_a_legacy_header_as_it_is_until_the_next_write() {
     local.step_quiet();
     let next = std::fs::read_to_string(dir.join("checkpoint_000009.json"))
         .expect("the step persisted round 9");
+    let next = without_record(&next, first_default_seq(), "step:1");
     assert_eq!(next, local.checkpoint().to_json());
     assert!(next.contains("\"scheduling\":\"balanced\"") && next.contains("\"parallel\":false"));
     assert!(
@@ -698,6 +890,7 @@ fn recovery_takes_the_round_from_the_header_and_skips_a_misnamed_file() {
     local.step_quiet();
     let written = std::fs::read_to_string(dir.join("checkpoint_000009.json"))
         .expect("the step persisted round 9");
+    let written = without_record(&written, first_default_seq(), "step:1");
     assert_eq!(written, local.checkpoint().to_json());
 
     // Recovering again lands on the acked round 9, not the misnamed file.

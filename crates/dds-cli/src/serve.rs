@@ -184,7 +184,7 @@ pub fn cmd_serve(args: &Args) -> Result<(), String> {
     use std::sync::atomic::Ordering::Relaxed;
     println!(
         "dds serve: shut down cleanly — {} connection(s), {} request(s) \
-         ({} malformed), {} query(s) answered, {} in / {} out bytes",
+         ({} answered with an error), {} query(s) answered, {} in / {} out bytes",
         m.connections.load(Relaxed),
         m.requests.load(Relaxed),
         m.request_errors.load(Relaxed),

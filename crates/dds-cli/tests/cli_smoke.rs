@@ -991,6 +991,30 @@ fn binary_serve_answers_loadgen_and_shuts_down_on_sigterm() {
 }
 
 #[test]
+fn binary_serve_banner_counts_a_refused_write_as_an_error_reply() {
+    // A well-formed write the session refuses is answered with an error,
+    // and the shutdown banner counts it as that, not as malformed.
+    use dds_net::serving::Client;
+    use dds_net::{edge, EventBatch};
+    let (child, addr) = spawn_serve(&["--protocol", "two-hop", "--n", "8", "--session", "main"]);
+    let mut client = Client::connect(&addr).expect("connect");
+    let refused = client.ingest("main", vec![EventBatch::delete(edge(0, 1))]);
+    assert!(
+        refused
+            .as_ref()
+            .is_err_and(|e| e.contains("delete of absent edge")),
+        "{refused:?}"
+    );
+    assert_eq!(client.step("main", 1), Ok(1));
+    drop(client);
+    let tail = terminate_serve(child);
+    assert!(
+        tail.contains("2 request(s) (1 answered with an error)"),
+        "banner: {tail}"
+    );
+}
+
+#[test]
 fn binary_serve_warm_starts_from_a_snapshot() {
     let dir = std::env::temp_dir().join(format!("dds-serve-warm-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

@@ -103,13 +103,12 @@ impl BandwidthMeter {
         self.round_messages = 0;
     }
 
-    /// Charge `bits` for a message from `from` to `to` over edge `link`.
+    /// Charge `bits` for a message from `from` to `to` over their link.
     ///
     /// # Panics
     /// Under [`BandwidthPolicy::Enforce`], panics when the per-link,
     /// per-round budget is exceeded.
-    pub fn charge(&mut self, from: NodeId, to: NodeId, link: Edge, bits: u64) {
-        debug_assert!(link.touches(from) && link.touches(to));
+    pub fn charge(&mut self, from: NodeId, to: NodeId, bits: u64) {
         let budget = self.budget_bits();
         let used = self.this_round.entry((from, to)).or_insert(0);
         *used += bits;
@@ -122,8 +121,9 @@ impl BandwidthMeter {
         if used > budget {
             match self.cfg.policy {
                 BandwidthPolicy::Enforce => panic!(
-                    "bandwidth violation on link {link:?} ({from:?} -> {to:?}): \
+                    "bandwidth violation on link {:?} ({from:?} -> {to:?}): \
                      {used} bits > budget {budget} bits (n = {})",
+                    Edge::new(from, to),
                     self.n
                 ),
                 BandwidthPolicy::Observe => self.violations += 1,
@@ -197,7 +197,6 @@ impl BandwidthMeter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::edge;
 
     fn meter(n: usize, factor: u64, policy: BandwidthPolicy) -> BandwidthMeter {
         BandwidthMeter::new(n, BandwidthConfig { factor, policy })
@@ -207,12 +206,12 @@ mod tests {
     fn charges_accumulate() {
         let mut m = meter(1024, 8, BandwidthPolicy::Enforce);
         m.begin_round();
-        m.charge(NodeId(0), NodeId(1), edge(0, 1), 30);
-        m.charge(NodeId(0), NodeId(1), edge(0, 1), 30);
+        m.charge(NodeId(0), NodeId(1), 30);
+        m.charge(NodeId(0), NodeId(1), 30);
         assert_eq!(m.total_bits(), 60);
         assert_eq!(m.total_messages(), 2);
         m.begin_round();
-        m.charge(NodeId(0), NodeId(1), edge(0, 1), 80); // fresh budget
+        m.charge(NodeId(0), NodeId(1), 80); // fresh budget
         assert_eq!(m.total_bits(), 140);
     }
 
@@ -221,14 +220,14 @@ mod tests {
     fn enforce_panics_on_overflow() {
         let mut m = meter(1024, 1, BandwidthPolicy::Enforce); // budget = 10 bits
         m.begin_round();
-        m.charge(NodeId(0), NodeId(1), edge(0, 1), 11);
+        m.charge(NodeId(0), NodeId(1), 11);
     }
 
     #[test]
     fn observe_records_violations() {
         let mut m = meter(1024, 1, BandwidthPolicy::Observe);
         m.begin_round();
-        m.charge(NodeId(0), NodeId(1), edge(0, 1), 11);
+        m.charge(NodeId(0), NodeId(1), 11);
         assert_eq!(m.violations(), 1);
     }
 
@@ -236,8 +235,8 @@ mod tests {
     fn directions_have_separate_budgets() {
         let mut m = meter(1024, 1, BandwidthPolicy::Enforce); // 10 bits each way
         m.begin_round();
-        m.charge(NodeId(0), NodeId(1), edge(0, 1), 10);
-        m.charge(NodeId(1), NodeId(0), edge(0, 1), 10);
+        m.charge(NodeId(0), NodeId(1), 10);
+        m.charge(NodeId(1), NodeId(0), 10);
         assert_eq!(m.total_bits(), 20);
     }
 }

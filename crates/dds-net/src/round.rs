@@ -7,7 +7,8 @@
 //! payload/flag traffic, the sparse inbox CSR and the **active set** that
 //! makes round cost proportional to activity instead of `n + m`. On a
 //! quiet round (empty event batch, empty active set) `Simulator::step`
-//! performs no heap allocation at all on the sequential path.
+//! does no per-node work: it builds each region's one-shard bounds and
+//! one-task list, which the pool runs inline, and nothing else.
 //!
 //! # Invariants
 //!
@@ -27,7 +28,9 @@
 //!    the start of phase 1 it contains every node that was not
 //!    [`idle`](crate::protocol::Node::idle) at the end of the previous
 //!    round, merged with this round's batch-incident nodes. Only active
-//!    nodes run phases 1–2. (The dense engine forces `active = 0..n`.)
+//!    nodes run phases 1–2. (The dense engine forces `active = 0..n` at
+//!    round start; between rounds it holds the survivors under both
+//!    engines.)
 //! 4. `out_flags[v]` holds node `v`'s flags for round `i` **for active
 //!    `v`** — a flat struct-of-arrays slot, the only per-node send output
 //!    kept around (payloads are expanded into shard-local `staged` runs at

@@ -338,18 +338,21 @@ impl ServingSession {
     fn write(
         &self,
         seq: Option<u64>,
-        digest: u64,
+        digest: impl FnOnce() -> u64,
         faults: Option<&FaultPlan>,
         work: impl FnOnce(&mut Session) -> Result<(), String>,
     ) -> Result<Round, String> {
         let stages = &self.write_stages;
+        // Only a sequenced write is matched against or kept as a dedup
+        // record, so only it pays for its content digest.
+        let key = seq.map(|seq| (seq, digest()));
         let waiting = Instant::now();
         let mut guard = self.writer.lock().expect("writer lock poisoned");
         let writer = &mut *guard;
         if let Some(refusal) = &writer.refused {
             return Err(refusal.clone());
         }
-        if let (Some(seq), Some(last)) = (seq, &writer.last_write) {
+        if let (Some((seq, digest)), Some(last)) = (key, &writer.last_write) {
             if last.seq == seq && last.digest == digest {
                 return last.error.clone().map_or(Ok(writer.session.round()), Err);
             }
@@ -361,7 +364,7 @@ impl ServingSession {
         let round = writer.session.round();
         let record = |error: Option<&String>| {
             let error = error.cloned();
-            seq.map(|seq| WriteRecord { seq, digest, error })
+            key.map(|(seq, digest)| WriteRecord { seq, digest, error })
         };
         // Every result from here on, a crash or persist error too, is
         // recorded for dedup below.
@@ -434,7 +437,7 @@ impl ServingSession {
         seq: Option<u64>,
         faults: Option<&FaultPlan>,
     ) -> Result<Round, String> {
-        let digest = ingest_digest(batches);
+        let digest = || ingest_digest(batches);
         self.write(seq, digest, faults, |session| {
             for batch in batches {
                 session.topology().validate(batch).map_err(|e| {
@@ -460,7 +463,7 @@ impl ServingSession {
         seq: Option<u64>,
         faults: Option<&FaultPlan>,
     ) -> Result<Round, String> {
-        let digest = step_digest(rounds);
+        let digest = || step_digest(rounds);
         self.write(seq, digest, faults, |session| {
             for _ in 0..rounds {
                 session.step_quiet();
@@ -886,6 +889,26 @@ mod tests {
         drop(reader);
         assert_eq!(FREED.get(), (4, 0));
         WATCHED.set(None);
+    }
+
+    #[test]
+    fn only_a_sequenced_write_computes_its_digest() {
+        let session = Session::open::<DropProbe>("drop-probe", 2, SimConfig::default());
+        let serving = ServingSession::new("main", session, None);
+        let digests = Cell::new(0);
+        let digest = || {
+            digests.set(digests.get() + 1);
+            7
+        };
+        let step = |session: &mut Session| {
+            session.step_quiet();
+            Ok(())
+        };
+        assert_eq!(serving.write(None, digest, None, step), Ok(1));
+        assert_eq!(digests.get(), 0, "an unsequenced write is never matched");
+        assert_eq!(serving.write(Some(1), digest, None, step), Ok(2));
+        assert_eq!(serving.write(Some(1), digest, None, step), Ok(2), "a retry");
+        assert_eq!(digests.get(), 2);
     }
 
     #[test]

@@ -18,11 +18,13 @@
 //!   O(churn + traffic + active), independent of `n` and the edge count —
 //!   the simulator is finally as activity-proportional as the protocols it
 //!   hosts.
-//! - [`Engine::Dense`] forces the active set to all of `0..n` every round
-//!   (the pre-sparse behavior, kept as an escape hatch and comparison
-//!   baseline). Everything else — routing, inbox assembly, meters — is
-//!   shared code, so the two engines are bit-identical by construction;
-//!   the differential tests lock this down.
+//! - [`Engine::Dense`] forces the active set to all of `0..n` at the start
+//!   of every round (the pre-sparse behavior, kept as an escape hatch and
+//!   comparison baseline). That is the one place the engines branch:
+//!   everything else — routing, inbox assembly, survivor collection,
+//!   meters — is shared code, so the two engines are bit-identical by
+//!   construction, and between rounds both hold the same survivors in the
+//!   active set; the differential tests lock this down.
 //!
 //! Execution is deterministic: inboxes are sorted by sender, neighbor lists
 //! are sorted, active/receiver sets are in ascending node order, and
@@ -39,11 +41,11 @@
 //! Because the exchange is a deterministic sorted merge on globally unique
 //! `(receiver, sender)` keys, `shards = K` is **bit-identical** to
 //! `shards = 1` and to the sequential engine by construction, for every
-//! `K`. A round with one shard runs inline on the calling thread with no
-//! allocation; a round with `K > 1` shards hands its tasks to the
-//! persistent worker pool ([`crate::pool`]), which itself runs a job
-//! inline when it has no workers, when the call is nested, or when
-//! another job holds it.
+//! `K`. Every round, `K = 1` included, builds each region's task list in
+//! one loop over its shard bounds and hands it to the persistent worker
+//! pool ([`crate::pool`]), which runs a one-task job inline on the
+//! calling thread, as it does when it has no workers, when the call is
+//! nested, or when another job holds it.
 //!
 //! The cut points are **activity-proportional**: Region A splits the
 //! active set by a deterministic prefix-sum over `1 + degree` weights,
@@ -56,7 +58,7 @@
 use crate::bandwidth::{BandwidthConfig, BandwidthMeter};
 use crate::checkpoint::{self, Checkpointable, Reader, Writer};
 use crate::event::EventBatch;
-use crate::ids::{Edge, NodeId, Round};
+use crate::ids::{NodeId, Round};
 use crate::message::{Addressed, BitSized, Flags, Received};
 use crate::metrics::{AmortizedMeter, PerNodeMeter, RoundStats};
 use crate::pool::Pool;
@@ -116,7 +118,7 @@ pub enum Shards {
     /// worker pool: 1 on single-core hosts, otherwise roughly one shard
     /// per 1024 active nodes, capped at `pool workers + 1`. Re-evaluated
     /// from the **current round's** active set on every `step`, so a run
-    /// that goes quiet drops back to the `k = 1` no-alloc path instead of
+    /// that goes quiet drops back to one shard, run inline, instead of
     /// keeping the shard count of its busiest round.
     #[default]
     Auto,
@@ -193,19 +195,17 @@ impl<N: Node> Simulator<N> {
         assert!(n >= 1, "need at least one node");
         let nodes: Vec<N> = (0..n as u32).map(|i| N::new(NodeId(i), n)).collect();
         let mut buffers = RoundBuffers::new(n);
-        if cfg.engine == Engine::Sparse {
-            // Seed the active set with every node that is born busy. For
-            // protocols using the conservative `idle` default (always
-            // `false`) this is all of them — dense behavior through the
-            // sparse machinery.
-            buffers.active.extend(
-                nodes
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, nd)| !nd.idle())
-                    .map(|(i, _)| i as u32),
-            );
-        }
+        // Seed the active set with every node that is born busy. For
+        // protocols using the conservative `idle` default (always `false`)
+        // this is all of them — dense behavior through the sparse
+        // machinery.
+        buffers.active.extend(
+            nodes
+                .iter()
+                .enumerate()
+                .filter(|(_, nd)| !nd.idle())
+                .map(|(i, _)| i as u32),
+        );
         Simulator {
             topo: Topology::new(n),
             nodes,
@@ -531,14 +531,10 @@ impl<N: Node> Simulator<N> {
         let k = self.effective_shards();
         self.last_shards = k;
         self.buffers.ensure_shards(k);
-        let bounds = if k > 1 {
-            let nbrs = &self.buffers.nbrs;
-            weighted_ranges(&self.buffers.active, k, n, |_, id| {
-                1 + nbrs[id as usize].len() as u64
-            })
-        } else {
-            Vec::new()
-        };
+        let nbrs = &self.buffers.nbrs;
+        let bounds = weighted_ranges(&self.buffers.active, k, n, |_, id| {
+            1 + nbrs[id as usize].len() as u64
+        });
 
         // Region A — phases 1–2 plus routing expansion, one task per
         // shard: each task owns the nodes and flag slots of its id range
@@ -551,54 +547,34 @@ impl<N: Node> Simulator<N> {
                 out_flags,
                 scratch,
             } = self.buffers.shard_parts(k);
-            if k == 1 {
-                let mut task = TaskA {
-                    lo: 0,
-                    nodes: &mut self.nodes[..],
-                    out_flags,
-                    active,
+            let mut tasks: Vec<Mutex<TaskA<'_, N>>> = Vec::with_capacity(k);
+            let mut nodes_rest: &mut [N] = &mut self.nodes;
+            let mut flags_rest = out_flags;
+            let mut active_rest = active;
+            for (range, scratch) in bounds.windows(2).zip(scratch) {
+                let (lo, hi) = (range[0] as usize, range[1] as usize);
+                let (node_slice, nr) = std::mem::take(&mut nodes_rest).split_at_mut(hi - lo);
+                let (flag_slice, fr) = std::mem::take(&mut flags_rest).split_at_mut(hi - lo);
+                let cut = active_rest.partition_point(|&v| (v as usize) < hi);
+                let (active_slice, ar) = active_rest.split_at(cut);
+                tasks.push(Mutex::new(TaskA {
+                    lo,
+                    nodes: node_slice,
+                    out_flags: flag_slice,
+                    active: active_slice,
                     nbrs,
                     local,
                     n,
                     round,
-                    scratch: &mut scratch[0],
-                };
-                run_region_a(&mut task);
-            } else {
-                let mut tasks: Vec<Mutex<TaskA<'_, N>>> = Vec::with_capacity(k);
-                let mut nodes_rest: &mut [N] = &mut self.nodes;
-                let mut flags_rest = out_flags;
-                let mut active_rest = active;
-                let mut scratch_rest = scratch;
-                let mut base = 0usize;
-                for s in 0..k {
-                    let hi = bounds[s + 1] as usize;
-                    let (node_slice, nr) = nodes_rest.split_at_mut(hi - base);
-                    let (flag_slice, fr) = flags_rest.split_at_mut(hi - base);
-                    let cut = active_rest.partition_point(|&v| (v as usize) < hi);
-                    let (active_slice, ar) = active_rest.split_at(cut);
-                    let (scr, sr) = scratch_rest.split_at_mut(1);
-                    tasks.push(Mutex::new(TaskA {
-                        lo: base,
-                        nodes: node_slice,
-                        out_flags: flag_slice,
-                        active: active_slice,
-                        nbrs,
-                        local,
-                        n,
-                        round,
-                        scratch: &mut scr[0],
-                    }));
-                    nodes_rest = nr;
-                    flags_rest = fr;
-                    active_rest = ar;
-                    scratch_rest = sr;
-                    base = hi;
-                }
-                Pool::global().run(k, k, &|s| {
-                    run_region_a(&mut tasks[s].lock().expect("shard task"));
-                });
+                    scratch,
+                }));
+                nodes_rest = nr;
+                flags_rest = fr;
+                active_rest = ar;
             }
+            Pool::global().run(k, k, &|s| {
+                run_region_a(&mut tasks[s].lock().expect("shard task"));
+            });
         }
 
         // Sequential exchange: replay the bandwidth charge logs shard by
@@ -606,12 +582,11 @@ impl<N: Node> Simulator<N> {
         // meter totals are identical to the unsharded engine), then merge
         // the shards' sorted traffic runs and assemble the sparse inboxes.
         self.bandwidth.begin_round();
-        for s in 0..k {
-            for ci in 0..self.buffers.shard_scratch[s].charges.len() {
-                let (from, to, bits) = self.buffers.shard_scratch[s].charges[ci];
-                self.bandwidth.charge(from, to, Edge::new(from, to), bits);
+        for scratch in &mut self.buffers.shard_scratch[..k] {
+            for &(from, to, bits) in &scratch.charges {
+                self.bandwidth.charge(from, to, bits);
             }
-            self.buffers.shard_scratch[s].charges.clear();
+            scratch.charges.clear();
         }
         self.buffers.merge_shard_traffic(k);
         self.buffers.assemble_inboxes(round);
@@ -625,21 +600,20 @@ impl<N: Node> Simulator<N> {
         // skew badly when a hub's receivers span the whole id space.
         // Receivers are partitioned by disjoint ascending id ranges, so
         // the stitch order (= global ascending order) is unchanged.
-        let bounds_b = if k > 1 {
-            let off = &self.buffers.inbox_off;
-            weighted_ranges(&self.buffers.recv_nodes, k, n, |pos, _| {
-                1 + (off[pos + 1] - off[pos]) as u64
-            })
-        } else {
-            Vec::new()
-        };
+        let off = &self.buffers.inbox_off;
+        let bounds_b = weighted_ranges(&self.buffers.recv_nodes, k, n, |pos, _| {
+            1 + (off[pos + 1] - off[pos]) as u64
+        });
 
         // Region B — phases 3–4 plus next-active collection, one task per
         // shard of the receiver list: receive, consistency scan, and
         // survivor collection are all node-local, so each receiver is
-        // visited exactly once, in its owning shard.
+        // visited exactly once, in its owning shard. Each shard's
+        // receiver count feeds its peak.
+        if self.shard_peak_active.len() < k {
+            self.shard_peak_active.resize(k, 0);
+        }
         {
-            let collect_next = self.cfg.engine == Engine::Sparse;
             let RecvParts {
                 nbrs,
                 recv_nodes,
@@ -647,95 +621,54 @@ impl<N: Node> Simulator<N> {
                 inbox_off,
                 scratch,
             } = self.buffers.recv_parts(k);
-            if k == 1 {
-                let mut task = TaskB {
-                    lo: 0,
-                    pos0: 0,
-                    nodes: &mut self.nodes[..],
-                    recv: recv_nodes,
+            let mut tasks: Vec<Mutex<TaskB<'_, N>>> = Vec::with_capacity(k);
+            let mut nodes_rest: &mut [N] = &mut self.nodes;
+            let mut recv_rest = recv_nodes;
+            let mut pos0 = 0usize;
+            let shards = bounds_b.windows(2).zip(scratch);
+            for ((range, scratch), peak) in shards.zip(&mut self.shard_peak_active) {
+                let (lo, hi) = (range[0] as usize, range[1] as usize);
+                let (node_slice, nr) = std::mem::take(&mut nodes_rest).split_at_mut(hi - lo);
+                let cut = recv_rest.partition_point(|&v| (v as usize) < hi);
+                let (recv_slice, rr) = recv_rest.split_at(cut);
+                *peak = (*peak).max(recv_slice.len());
+                tasks.push(Mutex::new(TaskB {
+                    lo,
+                    pos0,
+                    nodes: node_slice,
+                    recv: recv_slice,
                     inbox,
                     inbox_off,
                     nbrs,
                     round,
-                    collect_next,
-                    scratch: &mut scratch[0],
-                };
-                run_region_b(&mut task);
-            } else {
-                let mut tasks: Vec<Mutex<TaskB<'_, N>>> = Vec::with_capacity(k);
-                let mut nodes_rest: &mut [N] = &mut self.nodes;
-                let mut recv_rest = recv_nodes;
-                let mut scratch_rest = scratch;
-                let mut pos0 = 0usize;
-                let mut base = 0usize;
-                for s in 0..k {
-                    let hi = bounds_b[s + 1] as usize;
-                    let (node_slice, nr) = nodes_rest.split_at_mut(hi - base);
-                    let cut = recv_rest.partition_point(|&v| (v as usize) < hi);
-                    let (recv_slice, rr) = recv_rest.split_at(cut);
-                    let (scr, sr) = scratch_rest.split_at_mut(1);
-                    tasks.push(Mutex::new(TaskB {
-                        lo: base,
-                        pos0,
-                        nodes: node_slice,
-                        recv: recv_slice,
-                        inbox,
-                        inbox_off,
-                        nbrs,
-                        round,
-                        collect_next,
-                        scratch: &mut scr[0],
-                    }));
-                    nodes_rest = nr;
-                    recv_rest = rr;
-                    scratch_rest = sr;
-                    pos0 += recv_slice.len();
-                    base = hi;
-                }
-                Pool::global().run(k, k, &|s| {
-                    run_region_b(&mut tasks[s].lock().expect("shard task"));
-                });
+                    scratch,
+                }));
+                nodes_rest = nr;
+                recv_rest = rr;
+                pos0 += recv_slice.len();
             }
+            Pool::global().run(k, k, &|s| {
+                run_region_b(&mut tasks[s].lock().expect("shard task"));
+            });
         }
 
         // Stitch the shard outputs back together. Shards own disjoint
         // ascending id ranges, so concatenation in shard order *is* global
         // ascending order — no sort, no merge.
         self.buffers.inconsistent_idx.clear();
-        if self.cfg.engine == Engine::Sparse {
-            self.buffers.active.clear();
-        }
-        for s in 0..k {
+        self.buffers.active.clear();
+        for scratch in &mut self.buffers.shard_scratch[..k] {
             self.buffers
                 .inconsistent_idx
-                .extend_from_slice(&self.buffers.shard_scratch[s].inconsistent);
-            self.buffers.shard_scratch[s].inconsistent.clear();
-            if self.cfg.engine == Engine::Sparse {
-                self.buffers
-                    .active
-                    .extend_from_slice(&self.buffers.shard_scratch[s].next_active);
-            }
-            self.buffers.shard_scratch[s].next_active.clear();
+                .extend_from_slice(&scratch.inconsistent);
+            scratch.inconsistent.clear();
+            self.buffers.active.extend_from_slice(&scratch.next_active);
+            scratch.next_active.clear();
         }
 
         let inconsistent = self.buffers.inconsistent_idx.len();
         self.inconsistent_now = inconsistent;
         self.last_active = self.buffers.recv_nodes.len();
-        if self.shard_peak_active.len() < k {
-            self.shard_peak_active.resize(k, 0);
-        }
-        if k == 1 {
-            self.shard_peak_active[0] = self.shard_peak_active[0].max(self.last_active);
-        } else {
-            let recv = &self.buffers.recv_nodes;
-            let mut start = 0usize;
-            for s in 0..k {
-                let hi = bounds_b[s + 1] as usize;
-                let cut = start + recv[start..].partition_point(|&v| (v as usize) < hi);
-                self.shard_peak_active[s] = self.shard_peak_active[s].max(cut - start);
-                start = cut;
-            }
-        }
         self.meter
             .record_round(batch.len() as u64, inconsistent > 0);
         self.per_node.record_round_sparse(
@@ -780,13 +713,17 @@ impl<N: Node> Simulator<N> {
 /// `weight(position, id)` — a deterministic prefix-sum split: cut `s`
 /// lands on the first id whose weight prefix reaches `s/k` of the total.
 /// A pure function of `(ids, k, weight)`, so boundaries can never depend
-/// on thread schedule. Requires `1 < k` and `ids` non-empty.
+/// on thread schedule. Requires `k >= 1`; one shard gets `[0, n]`
+/// without a weight pass.
 fn weighted_ranges(
     ids: &[u32],
     k: usize,
     n: usize,
     mut weight: impl FnMut(usize, u32) -> u64,
 ) -> Vec<u32> {
+    if k == 1 {
+        return vec![0, n as u32];
+    }
     let mut total: u64 = 0;
     for (pos, &id) in ids.iter().enumerate() {
         total += weight(pos, id);
@@ -889,7 +826,6 @@ struct TaskB<'a, N: Node> {
     inbox_off: &'a [usize],
     nbrs: &'a [Vec<NodeId>],
     round: Round,
-    collect_next: bool,
     scratch: &'a mut ShardScratch<N::Msg>,
 }
 
@@ -907,10 +843,9 @@ fn run_region_b<N: Node>(t: &mut TaskB<'_, N>) {
         inbox_off,
         nbrs,
         round,
-        collect_next,
         scratch,
     } = t;
-    let (lo, pos0, round, collect_next) = (*lo, *pos0, *round, *collect_next);
+    let (lo, pos0, round) = (*lo, *pos0, *round);
     for (off, &v) in recv.iter().enumerate() {
         let i = v as usize;
         let node = &mut nodes[i - lo];
@@ -919,7 +854,7 @@ fn run_region_b<N: Node>(t: &mut TaskB<'_, N>) {
         if !node.is_consistent() {
             scratch.inconsistent.push(v);
         }
-        if collect_next && !node.idle() {
+        if !node.idle() {
             scratch.next_active.push(v);
         }
     }
@@ -972,7 +907,7 @@ mod tests {
     use super::*;
     use crate::event::LocalEvent;
     use crate::fingerprint::{Claim, Fingerprint};
-    use crate::ids::edge;
+    use crate::ids::{edge, Edge};
     use crate::message::{Outbox, Received};
 
     /// A toy protocol: every node keeps its current neighbor set as its
@@ -1302,11 +1237,15 @@ mod tests {
         assert_eq!(one.first(), Some(&0));
         assert_eq!(one.last(), Some(&128));
         assert!(one.windows(2).all(|w| w[0] <= w[1]), "{one:?}");
+        // One shard is the whole id space, whatever the ids: the cut every
+        // one-shard round takes, a quiet round's empty active set included.
+        assert_eq!(weighted_ranges(&ids, 1, 128, |_, _| 1), vec![0, 128]);
+        assert_eq!(weighted_ranges(&[], 1, 128, |_, _| 1), vec![0, 128]);
     }
 
     /// `Shards` policies are re-evaluated from the *current* round's
-    /// active set: a run that goes quiet collapses back to one shard (the
-    /// no-alloc path) instead of keeping its busiest round's count.
+    /// active set: a run that goes quiet collapses back to one shard (run
+    /// inline) instead of keeping its busiest round's count.
     #[test]
     fn quiet_rounds_collapse_to_one_shard() {
         let cfg = SimConfig {

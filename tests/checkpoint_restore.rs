@@ -362,6 +362,62 @@ fn the_snapshot_writer_matches_the_tree_renderer_at_benchmark_scale() {
     assert_writer_matches_renderer(&doc, "triangle n=2000");
 }
 
+/// The dense engine visits every node in every round, but between rounds
+/// its active set holds the same survivors as the sparse engine's, and
+/// that set is what a snapshot stores. A dense snapshot that lists every
+/// node instead (the form dense sessions were once written in) still
+/// resumes bit-identically: the dense engine activates every node when
+/// the next round starts, whatever the snapshot listed.
+#[test]
+fn a_dense_snapshot_stores_the_sparse_survivors_and_the_all_node_form_resumes() {
+    let trace = registry::build_trace("er", &params("er", 16, 40, 11)).unwrap();
+    let reg = dds_bench::protocols();
+    let open = |engine| {
+        let cfg = SimConfig {
+            record_stats: true,
+            engine,
+            ..SimConfig::default()
+        };
+        reg.open("triangle", trace.n, cfg).unwrap()
+    };
+    let (mut dense, mut sparse) = (open(Engine::Dense), open(Engine::Sparse));
+    let at = 24;
+    for batch in &trace.batches[..at] {
+        dense.step(batch);
+        sparse.step(batch);
+    }
+    let body = |doc: &str| -> serde::Value {
+        serde_json::from_str(body_of(doc)).expect("the body parses")
+    };
+    let active = |body: &serde::Value| body.get("active").expect("an active section").clone();
+    let doc = dense.checkpoint().to_json();
+    let survivors = active(&body(&sparse.checkpoint().to_json()));
+    let listed = survivors.as_array().expect("an id list").len();
+    assert!(
+        0 < listed && listed < trace.n,
+        "round {at} must have some survivors, not every node: {listed}"
+    );
+    assert_eq!(active(&body(&doc)), survivors, "dense vs sparse `active`");
+
+    let mut all_nodes = body(&doc);
+    let serde::Value::Obj(members) = &mut all_nodes else {
+        panic!("the body is an object")
+    };
+    let (_, active) = members
+        .iter_mut()
+        .find(|(key, _)| key == "active")
+        .expect("an active section");
+    *active = serde::Value::Arr((0..trace.n as u64).map(serde::Value::U64).collect());
+    let rendered = serde_json::to_string(&all_nodes).expect("json write is infallible");
+    let old_form = Snapshot::from_json(&with_body(&doc, &rendered)).expect("re-checksummed");
+    let mut resumed = reg.restore(&old_form).expect("the all-node form restores");
+    for batch in &trace.batches[at..] {
+        dense.step(batch);
+        resumed.step(batch);
+    }
+    assert_sessions_match(&dense, &resumed, "triangle/er dense, all-node snapshot");
+}
+
 fn cases() -> u32 {
     std::env::var("PROPTEST_CASES")
         .ok()
